@@ -31,15 +31,6 @@ def _domain_guard(f):
     return wrapper
 
 
-_threads_option = click.option(
-    "--threads",
-    type=click.IntRange(min=1),
-    default=1,
-    show_default=True,
-    help="Worker bound; computations are deterministic regardless.",
-)
-
-
 @click.group()
 def main() -> None:
     """Recoverable-system constructions, verification, and measures."""
@@ -69,9 +60,8 @@ def _emit_system(S: systems.RecoverableSystem, out_graph, out_table) -> None:
 @click.option("--d", type=int, default=2, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="Graph file.")
 @click.option("--matrix", type=click.Path(), default=None, help="Adjacency CSV.")
-@_threads_option
 @_domain_guard
-def construct_debruijn(q, d, out, matrix, threads):
+def construct_debruijn(q, d, out, matrix):
     """De Bruijn graph of order d over [q] (presents the full shift)."""
     G = de_bruijn(q, d)
     click.echo(f"vertices {G.n_vertices} edges {len(G.edges)}")
@@ -89,9 +79,8 @@ def construct_debruijn(q, d, out, matrix, threads):
 @click.option("--r", type=int, default=None, help="Expected deletion count; cross-checked.")
 @click.option("--out-graph", type=click.Path(), default=None)
 @click.option("--out-table", type=click.Path(), default=None)
-@_threads_option
 @_domain_guard
-def construct_truncated(q, r, out_graph, out_table, threads):
+def construct_truncated(q, r, out_graph, out_table):
     """(1,1)-recoverable system over q letters by de Bruijn truncation."""
     t, derived_r = systems.truncation_params(q)
     if r is not None and r != derived_r:
@@ -104,9 +93,8 @@ def construct_truncated(q, r, out_graph, out_table, threads):
 @click.option("--k", type=int, default=1, show_default=True)
 @click.option("--out-graph", type=click.Path(), default=None)
 @click.option("--out-table", type=click.Path(), default=None)
-@_threads_option
 @_domain_guard
-def construct_marker(q, k, out_graph, out_table, threads):
+def construct_marker(q, k, out_graph, out_table):
     """(k, k+1)-recoverable marker-block system over [q]."""
     _emit_system(systems.marker_system(q, k), out_graph, out_table)
 
@@ -118,9 +106,8 @@ def construct_marker(q, k, out_graph, out_table, threads):
 @click.option("--l", type=int, default=1, show_default=True)
 @click.option("--out-graph", type=click.Path(), default=None)
 @click.option("--out-table", type=click.Path(), default=None)
-@_threads_option
 @_domain_guard
-def construct_edgecover(t, mode, k, l, out_graph, out_table, threads):
+def construct_edgecover(t, mode, k, l, out_graph, out_table):
     """Edge-covering system: (l,l) over t^2 letters or (k,1) over t^(k+1)."""
     _emit_system(systems.edge_cover_system(t, mode, k=k, l=l), out_graph, out_table)
 
@@ -129,14 +116,10 @@ def construct_edgecover(t, mode, k, l, out_graph, out_table, threads):
 @click.option("--q", type=int, required=True, help="Target alphabet size.")
 @click.option("--out-graph", type=click.Path(), default=None)
 @click.option("--out-table", type=click.Path(), default=None)
-@_threads_option
 @_domain_guard
-def construct_recursive(q, out_graph, out_table, threads):
+def construct_recursive(q, out_graph, out_table):
     """Chain loop extensions from the largest same-parity square below q."""
-    seed = None
-    for s in range(2, q + 1):
-        if s * s <= q and (q - s * s) % 2 == 0:
-            seed = s
+    seed = systems.recursive_seed(q)
     if seed is None:
         raise ValueError(f"no perfect square of matching parity below q={q}")
     S = systems.edge_cover_system(seed, "square", l=1)
@@ -155,15 +138,10 @@ def verify() -> None:
 @click.option("--k", type=int, required=True)
 @click.option("--l", type=int, required=True)
 @click.option("--out-table", type=click.Path(), default=None)
-@_threads_option
-def verify_system(graph_path, k, l, out_table, threads):
+@_domain_guard
+def verify_system(graph_path, k, l, out_table):
     """PASS iff the graph presents a (k, l)-recoverable system."""
-    try:
-        G = serialization.load_graph(graph_path)
-        res = systems.verify_recoverable(G, k, l)
-    except (ValueError, KeyError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    res = systems.verify_recoverable(serialization.load_graph(graph_path), k, l)
     if not res.ok:
         a, b, w1, w2 = res.conflict
         click.echo(
@@ -185,16 +163,12 @@ def verify_system(graph_path, k, l, out_table, threads):
 @click.option("--table", "table_path", type=click.Path(exists=True), required=True)
 @click.option("--q", type=int, required=True)
 @click.option("--n", type=int, required=True)
-@_threads_option
-def verify_storage(code_path, table_path, q, n, threads):
+@_domain_guard
+def verify_storage(code_path, table_path, q, n):
     """PASS iff every codeword symbol is repaired by the shared table."""
-    try:
-        words = serialization.codewords_from_text(Path(code_path).read_text())
-        table = serialization.recovery_table_from_text(Path(table_path).read_text())
-        code = storage.CycleStorageCode(n, q, words, table)
-    except (ValueError, KeyError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
+    words = serialization.codewords_from_text(Path(code_path).read_text())
+    table = serialization.recovery_table_from_text(Path(table_path).read_text())
+    code = storage.CycleStorageCode(n, q, words, table)
     res = storage.verify_storage_code(code)
     if not res.ok:
         w, i = res.violation
@@ -211,9 +185,8 @@ def measure() -> None:
 @measure.command("maxent")
 @click.option("--graph", "graph_path", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), default=None)
-@_threads_option
 @_domain_guard
-def measure_maxent(graph_path, out, threads):
+def measure_maxent(graph_path, out):
     """Max-entropy measure of the essential part of a presentation."""
     G = essential_subgraph(serialization.load_graph(graph_path))
     if not is_strongly_connected(G) or not G.edges:
@@ -240,9 +213,8 @@ def measure_maxent(graph_path, out, threads):
 @click.option("--out-measure", type=click.Path(), default=None)
 @click.option("--out-graph", type=click.Path(), default=None)
 @click.option("--tol", type=float, default=1e-10, show_default=True)
-@_threads_option
 @_domain_guard
-def measure_epsilon(q, k, l, eps, graph_path, out_measure, out_graph, tol, threads):
+def measure_epsilon(q, k, l, eps, graph_path, out_measure, out_graph, tol):
     """Entropy-epsilon measure built from a recoverable system."""
     if graph_path:
         G = serialization.load_graph(graph_path)
@@ -325,9 +297,8 @@ def bounds_csv(rows) -> str:
     show_default=True,
 )
 @click.option("--seed-table", is_flag=True, help="Force the CSV bound table.")
-@_threads_option
 @_domain_guard
-def report_bounds(q_spec, out, fmt_kind, seed_table, threads):
+def report_bounds(q_spec, out, fmt_kind, seed_table):
     """Lower bounds on (1,1) capacity per alphabet size, against the 1/2 cap."""
     lo, hi = _parse_q_range(q_spec)
     rows = bounds_rows(lo, hi)

@@ -96,15 +96,6 @@ class LabeledDigraph:
     def edge_label_len(self) -> int:
         return len(self.edges[0][2]) if self.edges else 0
 
-    def vertex_id(self, label: Word) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"no vertex labeled {label}") from None
-
-    def out_edges(self, u: int) -> list[Edge]:
-        return [e for e in self.edges if e[0] == u]
-
     def successors(self) -> list[list[tuple[int, Word]]]:
         """Adjacency lists: for each vertex the (target, edge label) pairs."""
         succ: list[list[tuple[int, Word]]] = [[] for _ in self.labels]
@@ -113,33 +104,33 @@ class LabeledDigraph:
         return succ
 
 
-def make_graph(q: int, labels: Iterable[Word], edges: Iterable[Edge]) -> LabeledDigraph:
-    """Build a graph from unsorted vertex labels, remapping edge endpoints."""
-    lab_list = list(labels)
-    order = sorted(range(len(lab_list)), key=lambda i: lab_list[i])
-    remap = {old: new for new, old in enumerate(order)}
-    sorted_labels = tuple(lab_list[i] for i in order)
-    remapped = tuple(sorted((remap[u], remap[v], lab) for u, v, lab in edges))
-    return LabeledDigraph(q, sorted_labels, remapped)
+def window_presentation(q: int, windows: Iterable[Word]) -> LabeledDigraph:
+    """Standard presentation of the 1-step shift of finite type on `windows`.
+
+    The windows are equal-length words over ``[q]`` of length at least 2.
+    Vertices are their prefixes and suffixes, in numeric order, and each
+    window ``w`` is one edge ``w[:-1] -> w[1:]`` labeled ``w[-1:]``; a
+    repeated window is one edge.  No other vertex is created, so the graph
+    is as large as the allowed windows, whatever ``q**len(w)`` is.
+    """
+    wins = sorted(set(windows))
+    labels = sorted({w[:-1] for w in wins} | {w[1:] for w in wins})
+    index = {w: i for i, w in enumerate(labels)}
+    edges = tuple((index[w[:-1]], index[w[1:]], w[-1:]) for w in wins)
+    return LabeledDigraph(q, tuple(labels), edges)
 
 
 def de_bruijn(q: int, d: int) -> LabeledDigraph:
     """De Bruijn graph of order `d` over ``[q]``.
 
-    Vertices are all ``q**d`` words of length `d`; there is an edge from `u`
-    to `v` exactly when `v` is the tail of `u` extended by one symbol, and
-    the edge is labeled with that symbol.
+    The window presentation of every ``(d+1)``-word: vertices are all
+    ``q**d`` words of length `d`, and `u` has an edge to `v`, labeled with
+    the last symbol of `v`, exactly when `v` is the tail of `u` extended by
+    that symbol.
     """
     if q < 1 or d < 1:
         raise ValueError("de Bruijn graphs need q >= 1 and d >= 1")
-    labels = tuple(product(range(q), repeat=d))
-    edges = []
-    for u, w in enumerate(labels):
-        tail = w[1:]
-        for a in range(q):
-            v = word_to_int(tail + (a,), q)
-            edges.append((u, v, (a,)))
-    return LabeledDigraph(q, labels, tuple(edges))
+    return window_presentation(q, product(range(q), repeat=d + 1))
 
 
 def adjacency(G: LabeledDigraph) -> np.ndarray:

@@ -24,6 +24,7 @@ from .graphs import (
     higher_power,
     is_strongly_connected,
     perron_pair,
+    window_presentation,
     words_of_length,
 )
 from .systems import RecoverableSystem
@@ -365,20 +366,17 @@ def higher_block_presentation(S: RecoverableSystem) -> LabeledDigraph:
     """Presentation of `S` on its occurring windows of length ``2l + k``.
 
     Vertices are the occurring window words; edges follow one-symbol overlap
-    and carry the emitted symbol, as in the standard presentation.
+    and carry the emitted symbol: the window presentation of the
+    ``(2l + k + 1)``-words whose two ``(2l + k)``-subwords both occur.
     """
     W = 2 * S.l + S.k
-    allowed = sorted(words_of_length(S.presentation, W))
+    allowed = words_of_length(S.presentation, W)
     if not allowed:
         raise ValueError("the system has no occurring windows")
-    index = {w: i for i, w in enumerate(allowed)}
-    edges = []
-    for u, w in enumerate(allowed):
-        for a in range(S.q):
-            v = index.get(w[1:] + (a,))
-            if v is not None:
-                edges.append((u, v, (a,)))
-    return LabeledDigraph(S.q, tuple(allowed), tuple(edges))
+    return window_presentation(
+        S.q,
+        (w + (a,) for w in allowed for a in range(S.q) if w[1:] + (a,) in allowed),
+    )
 
 
 def epsilon_construction(S: RecoverableSystem, epsilon: float) -> EpsilonConstruction:

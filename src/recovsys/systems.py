@@ -26,6 +26,7 @@ from .graphs import (
     is_strongly_connected,
     log_base,
     perron_eigenvalue,
+    window_presentation,
     word_to_int,
     words_of_length,
 )
@@ -108,21 +109,15 @@ def is_admissible(F: ForbiddenSet) -> bool:
 def presentation_from_forbidden(F: ForbiddenSet) -> LabeledDigraph:
     """Standard presentation of the constrained system avoiding `F`.
 
-    Vertices are all words of length ``2l + k - 1``; an edge joins u to v
-    when they overlap by one shift and the spelled word avoids `F`.  Dead
-    vertices are kept.
+    The window presentation of the words of length ``2l + k`` outside `F`:
+    vertices are the ``(2l + k - 1)``-words that begin or end an allowed
+    window, and each allowed window is one edge.  A word that is in no
+    allowed window is not a vertex.
     """
-    n = F.word_len
-    labels = tuple(product(range(F.q), repeat=n - 1))
-    edges = []
-    for u, w in enumerate(labels):
-        tail = w[1:]
-        for a in range(F.q):
-            if w + (a,) in F.words:
-                continue
-            v = word_to_int(tail + (a,), F.q)
-            edges.append((u, v, (a,)))
-    return LabeledDigraph(F.q, labels, tuple(edges))
+    return window_presentation(
+        F.q,
+        (w for w in product(range(F.q), repeat=F.word_len) if w not in F.words),
+    )
 
 
 def forbidden_from_graph(G: LabeledDigraph, k: int, l: int) -> ForbiddenSet:
@@ -187,21 +182,6 @@ def _verified_system(
     return RecoverableSystem(q, k, l, G, dict(res.table), provenance)
 
 
-def _relabel_to_letters(A: np.ndarray, q: int) -> LabeledDigraph:
-    """Wrap a 0/1 adjacency matrix as a presentation over single letters.
-
-    Vertex i becomes letter i; each edge is labeled with its target letter.
-    """
-    labels = tuple((i,) for i in range(A.shape[0]))
-    edges = tuple(
-        (u, v, (v,))
-        for u in range(A.shape[0])
-        for v in range(A.shape[1])
-        if A[u, v]
-    )
-    return LabeledDigraph(q, labels, edges)
-
-
 def truncation_params(q: int) -> tuple[int, int]:
     """(t, r) with ``q = t**2 - r``, ``t = ceil(sqrt(q))``; rejects r > t."""
     if q < 2:
@@ -248,8 +228,8 @@ def truncated_debruijn_system(q: int) -> RecoverableSystem:
     provenance records (the declared alphabet size stays q).
     """
     t, r = truncation_params(q)
-    A = truncated_matrix(q)
-    G = _relabel_to_letters(A, q)
+    pairs = np.argwhere(truncated_matrix(q)).tolist()
+    G = window_presentation(q, map(tuple, pairs))
     effective = (t - 1) ** 2 if r == t else q
     prov = f"truncated_debruijn(q={q}, t={t}, r={r}, effective_alphabet={effective})"
     return _verified_system(q, 1, 1, G, prov)
@@ -300,13 +280,7 @@ def edge_cover_system(t: int, mode: str, *, k: int = 1, l: int = 1) -> Recoverab
     else:
         raise ValueError(f"unknown edge-cover mode {mode!r}")
 
-    window = 2 * l_sys + k_sys
-    allowed = {encode(s) for s in product(range(t), repeat=span)}
-    words = frozenset(
-        w for w in product(range(q), repeat=window) if w not in allowed
-    )
-    F = ForbiddenSet(q, k_sys, l_sys, words)
-    G = presentation_from_forbidden(F)
+    G = window_presentation(q, (encode(s) for s in product(range(t), repeat=span)))
     prov = f"edge_cover(t={t}, mode={mode}, k={k_sys}, l={l_sys})"
     return _verified_system(q, k_sys, l_sys, G, prov)
 
@@ -333,27 +307,17 @@ def marker_system(q: int, k: int) -> RecoverableSystem:
         run = sum(choice, ())
         for off in range(period):
             allowed.add(run[off : off + window])
-    words = frozenset(
-        w for w in product(range(q), repeat=window) if w not in allowed
-    )
-    F = ForbiddenSet(q, k, l, words)
-    G = presentation_from_forbidden(F)
+    G = window_presentation(q, allowed)
     return _verified_system(q, k, l, G, f"marker(q={q}, k={k})")
 
 
 def pair_presentation(G: LabeledDigraph) -> LabeledDigraph:
     """Re-present a (1, 1) system on its occurring pairs of letters.
 
-    Vertices are the occurring 2-words, with an edge per occurring 3-word;
-    the result is the essential part of the standard length-3 presentation.
+    The essential part of the window presentation of the occurring 3-words:
+    vertices are occurring 2-words, with an edge per occurring 3-word.
     """
-    triples = words_of_length(G, 3)
-    pairs = sorted({w[:2] for w in triples} | {w[1:] for w in triples})
-    index = {p: i for i, p in enumerate(pairs)}
-    edges = tuple(
-        sorted((index[w[:2]], index[w[1:]], (w[2],)) for w in triples)
-    )
-    return essential_subgraph(LabeledDigraph(G.q, tuple(pairs), edges))
+    return essential_subgraph(window_presentation(G.q, words_of_length(G, 3)))
 
 
 def recursive_extend(S: RecoverableSystem) -> RecoverableSystem:
@@ -378,23 +342,9 @@ def recursive_extend(S: RecoverableSystem) -> RecoverableSystem:
     v = int(np.argmax(mu.p))
     a, b = core.labels[v]
     alpha, beta = q, q + 1
-    new_labels = list(core.labels) + [(b, alpha), (alpha, beta), (beta, a)]
-    old_edges = list(core.edges)
-    loop = [
-        (core.labels[v], (b, alpha), (alpha,)),
-        ((b, alpha), (alpha, beta), (beta,)),
-        ((alpha, beta), (beta, a), (a,)),
-        ((beta, a), core.labels[v], (b,)),
-    ]
-    order = sorted(range(len(new_labels)), key=lambda i: new_labels[i])
-    remap = {new_labels[i]: rank for rank, i in enumerate(order)}
-    labels = tuple(new_labels[i] for i in order)
-    edges = [
-        (remap[core.labels[u]], remap[core.labels[w]], lab)
-        for u, w, lab in old_edges
-    ]
-    edges += [(remap[x], remap[y], lab) for x, y, lab in loop]
-    G = LabeledDigraph(q + 2, labels, tuple(sorted(edges)))
+    windows = [core.labels[u] + lab for u, _, lab in core.edges]
+    windows += [(a, b, alpha), (b, alpha, beta), (alpha, beta, a), (beta, a, b)]
+    G = window_presentation(q + 2, windows)
     prov = f"recursive_extend(from={S.provenance}, loop_at={(a, b)})"
     return _verified_system(q + 2, 1, 1, G, prov)
 
@@ -406,21 +356,32 @@ def recursive_bound(cap_q: float, q: int) -> float:
     )
 
 
+def recursive_seed(q: int) -> int | None:
+    """Side of the square alphabet a chain of loop extensions to `q` starts at.
+
+    The extension adds two letters at a time, so this is the largest
+    ``s >= 2`` with ``s*s <= q`` and ``q - s*s`` even.  Returns None when no
+    such s exists.
+    """
+    if q < 4:
+        return None
+    s = math.isqrt(q)
+    if (q - s) % 2:  # s*s has the parity of s
+        s -= 1
+    return s if s >= 2 else None
+
+
 def recursive_chain_bound(q: int) -> float | None:
     """Loop-extension bound at `q`, seeded at the largest reachable square.
 
-    The extension adds two letters at a time, so the seed is the largest
-    perfect square of the same parity below q (capacity exactly 1/2 there).
+    The seed square has capacity exactly 1/2 (see `recursive_seed`).
     Returns None when no square >= 4 of matching parity exists.
     """
-    seed = None
-    for s in range(2, math.isqrt(q) + 1):
-        if s * s <= q and (q - s * s) % 2 == 0:
-            seed = s * s
-    if seed is None:
+    s = recursive_seed(q)
+    if s is None:
         return None
     value = 0.5
-    for step in range(seed, q, 2):
+    for step in range(s * s, q, 2):
         value = recursive_bound(value, step)
     return value
 
@@ -443,10 +404,6 @@ def exhaustive_max_capacity(
     """
     if q < 1 or k < 1 or l < 1:
         raise ValueError("q, k, l must all be at least 1")
-    if q == 1:
-        F = ForbiddenSet(1, k, l, frozenset())
-        G = presentation_from_forbidden(F)
-        return 0.0, _verified_system(1, k, l, G, "exhaustive(q=1)")
     pairs = _boundary_pairs(q, l)
     middles = list(product(range(q), repeat=k))
     n_candidates = len(middles) ** len(pairs)
@@ -469,14 +426,9 @@ def exhaustive_max_capacity(
             best_lam = lam
             best_choice = choice
     assert best_choice is not None
-    words = frozenset(
-        u + w + v
-        for (u, v), keep in zip(pairs, best_choice)
-        for w in middles
-        if w != keep
+    G = window_presentation(
+        q, (u + keep + v for (u, v), keep in zip(pairs, best_choice))
     )
-    F = ForbiddenSet(q, k, l, words)
-    G = presentation_from_forbidden(F)
     system = _verified_system(q, k, l, G, f"exhaustive(q={q}, k={k}, l={l})")
     value = float("-inf") if best_lam == 0.0 else log_base(best_lam, q)
     return value, system

@@ -53,6 +53,18 @@ def test_verify_system_exit_codes(tmp_path, trunc8_system):
     assert res.exit_code == 2
 
 
+def test_verify_system_unwritable_table_is_an_error(tmp_path, trunc8_system):
+    gpath = tmp_path / "g.json"
+    ser.save_graph(trunc8_system.presentation, gpath)
+    table = tmp_path / "missing_dir" / "t.table"
+    res = run(
+        "verify", "system", "--graph", str(gpath), "--k", "1", "--l", "1",
+        "--out-table", str(table),
+    )
+    assert res.exit_code == 2
+    assert "error:" in res.output
+
+
 def test_verify_storage_roundtrip(tmp_path, binary_system):
     code = rs.storage_code_for_cycle(binary_system, 5)
     cpath = tmp_path / "code.txt"

@@ -4,11 +4,13 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import recovsys as rs
 from recovsys.graphs import LabeledDigraph
 
-from conftest import BINARY_FORBIDDEN, hop_distances
+from conftest import BINARY_FORBIDDEN, brute_force_word_count, hop_distances
 
 PERRIN_MATRIX = np.array([[0, 1, 1], [0, 0, 1], [1, 0, 0]])
 
@@ -34,6 +36,45 @@ def test_presentation_of_empty_forbidden_set_is_de_bruijn():
 def test_presentation_of_everything_forbidden_is_edgeless():
     F = rs.ForbiddenSet(2, 1, 1, frozenset(product(range(2), repeat=3)))
     assert rs.presentation_from_forbidden(F).edges == ()
+
+
+@st.composite
+def forbidden_sets(draw):
+    q = draw(st.sampled_from((2, 3)))
+    k, l = draw(st.sampled_from(((1, 1), (2, 1), (1, 2))))
+    windows = list(product(range(q), repeat=2 * l + k))
+    picked = draw(st.sets(st.sampled_from(windows)))
+    # half the time the drawn set is the allowed one: sparse systems, some
+    # of them recoverable, so the recovery tables are not all empty
+    if draw(st.booleans()):
+        picked = set(windows) - picked
+    return rs.ForbiddenSet(q, k, l, frozenset(picked))
+
+
+@settings(max_examples=60, deadline=None)
+@given(forbidden_sets())
+def test_presentation_from_forbidden_matches_de_bruijn_reference(F):
+    G = rs.presentation_from_forbidden(F)
+    # reference: the de Bruijn graph of order 2l+k-1, written out here so it
+    # shares no code with the builder, minus the edges spelling F
+    labels = tuple(product(range(F.q), repeat=F.word_len - 1))
+    index = {w: i for i, w in enumerate(labels)}
+    edges = tuple(
+        (index[w[:-1]], index[w[1:]], w[-1:])
+        for w in product(range(F.q), repeat=F.word_len)
+        if w not in F.words
+    )
+    ref = LabeledDigraph(F.q, labels, edges)
+    assert rs.essential_subgraph(G) == rs.essential_subgraph(ref)
+    words = rs.words_of_length(G, F.word_len)
+    assert words == rs.words_of_length(ref, F.word_len)
+    assert rs.system_capacity(G) == rs.system_capacity(ref)
+    assert rs.verify_recoverable(G, F.k, F.l) == rs.verify_recoverable(ref, F.k, F.l)
+    # F itself may allow windows that no bi-infinite sequence uses; the
+    # system's own forbidden set is the complement of its occurring windows
+    unused = frozenset(product(range(F.q), repeat=F.word_len)) - words
+    for n in range(F.word_len, F.word_len + 3):
+        assert rs.count_words(G, n) == brute_force_word_count(F.q, n, unused)
 
 
 def test_binary_core_matches_printed_matrix(binary_system):
@@ -105,6 +146,9 @@ def test_edge_cover_power_example():
     S8 = rs.edge_cover_system(2, "power", k=2)
     assert (S8.q, S8.k, S8.l) == (8, 2, 1)
     assert abs(rs.capacity(S8) - 1 / 3) < 1e-12
+    S16 = rs.edge_cover_system(2, "power", k=3)
+    assert (S16.q, S16.k, S16.l) == (16, 3, 1)
+    assert abs(rs.capacity(S16) - 1 / 4) < 1e-12
 
 
 def test_edge_cover_rejects_bad_mode():
@@ -117,6 +161,11 @@ def test_marker_capacity_formula():
     assert abs(rs.capacity(S) - math.log(2, 3) / 3) < 1e-9
     S2 = rs.marker_system(3, 2)
     assert abs(rs.capacity(S2) - math.log(2, 3) / 4) < 1e-9
+    for q in (3, 4):
+        S3 = rs.marker_system(q, 3)
+        assert abs(rs.capacity(S3) - math.log(2, q) / 5) < 1e-9
+    # only the prefixes and suffixes of its 24 allowed windows are vertices
+    assert rs.marker_system(4, 2).presentation.n_vertices == 20
     with pytest.raises(ValueError):
         rs.marker_system(2, 1)
 
