@@ -151,11 +151,11 @@ def verify_system(graph_path, k, l, out_table):
             f"{serialization.word_to_text(w2)}"
         )
         sys.exit(1)
-    click.echo(f"PASS {len(res.table)} boundary pairs")
     if out_table:
         Path(out_table).write_text(
             serialization.recovery_table_to_text(res.table) + "\n"
         )
+    click.echo(f"PASS {len(res.table)} boundary pairs")
 
 
 @verify.command("storage")

@@ -20,7 +20,9 @@ Word = tuple[int, ...]
 Edge = tuple[int, int, Word]
 
 PERRON_REL_TOL = 1e-14
-PERRON_MAX_ITER = 100_000
+PERRON_POWER_STEPS = 256
+PERRON_CERT_TOL = 1e-12
+PERRON_CERT_STEPS = 2048
 ENUM_WORD_CAP = 2_000_000
 
 
@@ -210,12 +212,12 @@ def essential_subgraph(G: LabeledDigraph) -> LabeledDigraph:
 
 
 def perron_eigenvalue(A: np.ndarray | Sequence[Sequence[float]]) -> float:
-    """Spectral radius of a nonnegative matrix, exact to ~1e-12.
+    """Spectral radius of a nonnegative matrix, certified to 1e-12 relative.
 
-    Computed per strongly connected component by power iteration on the
-    component submatrix shifted by the identity; the shift makes irreducible
-    blocks primitive, so periodic structure cannot stall convergence.
-    Degenerate matrices (no cycles at all) give 0.
+    Computed per strongly connected component with `perron_pair`, whose
+    Collatz-Wielandt bracket on each component is at most 1e-12 wide
+    relative, or which raises.  Degenerate matrices (no cycles at all)
+    give 0.
     """
     M = np.asarray(A, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -235,15 +237,25 @@ def perron_eigenvalue(A: np.ndarray | Sequence[Sequence[float]]) -> float:
 def perron_pair(A: np.ndarray) -> tuple[float, np.ndarray]:
     """Perron eigenvalue and right eigenvector of an irreducible matrix.
 
-    The eigenvalue estimate is bracketed by min/max Rayleigh-like ratios
-    (valid for irreducible nonnegative matrices with a positive iterate),
-    iterating until the bracket is ~1e-14 wide relative or stalls.
+    For ``M = A + I`` and a positive vector ``v``, the Collatz-Wielandt
+    bracket ``min(Mv/v) <= lam + 1 <= max(Mv/v)`` holds (Lind & Marcus,
+    *Symbolic Dynamics and Coding*, ch. 4); the shift makes ``M``
+    primitive, so periodic structure cannot stall the iteration.  Shifted
+    power iteration from the uniform vector runs first, for at most
+    `PERRON_POWER_STEPS` steps, and returns once the best bracket is
+    `PERRON_REL_TOL` wide relative.  If it stalls or runs out of steps,
+    the iteration restarts from the Perron column of ``numpy.linalg.eig``
+    and returns once the bracket is `PERRON_CERT_TOL` wide relative.  The
+    eigenvalue returned is the bracket's midpoint; a bracket still wider
+    than `PERRON_CERT_TOL` after `PERRON_CERT_STEPS` more steps raises
+    RuntimeError, so no uncertified estimate is ever returned.
     """
-    M = np.asarray(A, dtype=float) + np.eye(A.shape[0])
+    A = np.asarray(A, dtype=float)
+    M = A + np.eye(A.shape[0])
     v = np.full(M.shape[0], 1.0 / M.shape[0])
     lo_best, hi_best = 0.0, math.inf
     stall = 0
-    for _ in range(PERRON_MAX_ITER):
+    for _ in range(PERRON_POWER_STEPS):
         w = M @ v
         ratios = w / v
         lo, hi = float(ratios.min()), float(ratios.max())
@@ -252,12 +264,29 @@ def perron_pair(A: np.ndarray) -> tuple[float, np.ndarray]:
         hi_best = min(hi_best, hi)
         v = w / w.max()
         if hi_best - lo_best <= PERRON_REL_TOL * hi_best:
-            break
+            return 0.5 * (lo_best + hi_best) - 1.0, v / v.sum()
         stall = 0 if improved else stall + 1
         if stall > 64:
             break
-    lam = 0.5 * (lo_best + hi_best) - 1.0
-    return lam, v / v.sum()
+    vals, vecs = np.linalg.eig(A)
+    v = M @ np.abs(vecs[:, np.argmax(vals.real)])
+    v = v / v.max()
+    # An entry of v that rounded to zero gives an inf or nan ratio; nan
+    # bounds lose every comparison below, so they never tighten the bracket,
+    # and an infinite hi_best fails the closing test.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(PERRON_CERT_STEPS):
+            w = M @ v
+            ratios = w / v
+            lo_best = max(lo_best, float(ratios.min()))
+            hi_best = min(hi_best, float(ratios.max()))
+            v = w / w.max()
+            if lo_best >= (1.0 - PERRON_CERT_TOL) * hi_best:
+                return 0.5 * (lo_best + hi_best) - 1.0, v / v.sum()
+    raise RuntimeError(
+        f"Perron solver did not converge: lam + 1 in [{lo_best!r}, {hi_best!r}] "
+        f"after {PERRON_CERT_STEPS} certification steps"
+    )
 
 
 def trace_power(A: np.ndarray | Sequence[Sequence[int]], n: int) -> int:
@@ -369,13 +398,23 @@ def _exact_matrix(A: np.ndarray | Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def _exact_matrix_mul(X: list[list[int]], Y: list[list[int]]) -> list[list[int]]:
-    n = len(X)
     cols = list(zip(*Y))
     return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in X]
 
 
 def _exact_matrix_power(A: list[list[int]], e: int) -> list[list[int]]:
+    """``A**e`` for a nonnegative integer matrix, exact.
+
+    Every entry of ``A**j``, and every partial sum of a product of two such
+    powers, is at most ``r**j`` for the largest row sum ``r``; so when
+    ``r**e < 2**63`` numpy int64 cannot wrap, and otherwise Python ints are
+    used.
+    """
     n = len(A)
+    r = max((sum(row) for row in A), default=0)
+    if r < 2**63 and (r < 2 or e < 63 and r**e < 2**63):
+        P = np.linalg.matrix_power(np.array(A, dtype=np.int64).reshape(n, n), e)
+        return P.tolist()
     result = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     base = [row[:] for row in A]
     while e:

@@ -63,6 +63,7 @@ def test_verify_system_unwritable_table_is_an_error(tmp_path, trunc8_system):
     )
     assert res.exit_code == 2
     assert "error:" in res.output
+    assert "PASS" not in res.output
 
 
 def test_verify_storage_roundtrip(tmp_path, binary_system):

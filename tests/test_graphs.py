@@ -190,6 +190,89 @@ def test_perron_is_permutation_invariant(data):
     ) < 1e-12
 
 
+def chorded_cycle(n, chords=()):
+    """The n-cycle 0 -> 1 -> ... -> n-1 -> 0 plus (u, v, multiplicity) chords."""
+    A = np.zeros((n, n))
+    A[np.arange(n), (np.arange(n) + 1) % n] = 1
+    for u, v, mult in chords:
+        A[u, v] += mult
+    return A
+
+
+def spectral_radius(A):
+    return float(max(abs(np.linalg.eigvals(A))))
+
+
+@pytest.mark.parametrize("length", [1, 50, 400, 799])
+def test_perron_of_chorded_800_cycle_matches_eigvals(length):
+    # Power iteration mixes slowly here; its estimate at a stall is off by up
+    # to 7.9e-5 (length 1), so the value must come from the certified path.
+    A = chorded_cycle(800, [(0, length, 1)])
+    assert abs(rs.perron_eigenvalue(A) - spectral_radius(A)) <= 1e-12
+
+
+@st.composite
+def cycles_with_chords(draw):
+    """A chorded cycle, or (reducible) two cycles with chords that never lead
+    from the second back to the first; n <= 60, multiplicities 1-3."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    split = draw(st.integers(1, n - 1)) if n > 1 and draw(st.booleans()) else n
+    chords = draw(
+        st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.integers(1, 3)),
+            max_size=8,
+        )
+    )
+    A = np.zeros((n, n))
+    for lo, hi in ((0, split), (split, n)):
+        for u in range(lo, hi):
+            A[u, lo + (u - lo + 1) % (hi - lo)] = 1
+    for u, v, mult in chords:
+        if not (u >= split > v):
+            A[u, v] += mult
+    return A
+
+
+@settings(max_examples=80, deadline=None)
+@given(cycles_with_chords())
+def test_perron_matches_eigvals_on_random_chorded_cycles(A):
+    # The certified bracket is on lam + 1, at most 1e-12 of it wide.
+    rho = spectral_radius(A)
+    assert abs(rs.perron_eigenvalue(A) - rho) <= 1e-12 * (rho + 1)
+
+
+@pytest.mark.parametrize(
+    "n, u, length, mult",
+    [(120, 0, 0, 1), (120, 3, 7, 2), (120, 5, 60, 3), (120, 0, 119, 1), (800, 0, 50, 1)],
+)
+def test_perron_escalated_path_matches_eigvals(monkeypatch, n, u, length, mult):
+    monkeypatch.setattr(rs.graphs, "PERRON_POWER_STEPS", 0)
+    A = chorded_cycle(n, [(u, (u + length) % n, mult)])
+    rho = spectral_radius(A)
+    lam, x = rs.graphs.perron_pair(A)
+    assert abs(lam - rho) <= 1e-12 * (rho + 1)
+    assert x.min() > 0 and abs(x.sum() - 1) < 1e-12
+    assert np.allclose(A @ x, lam * x, rtol=0, atol=1e-12 * x.max())
+
+
+@pytest.mark.parametrize("power_steps", [0, 1])
+def test_perron_raises_when_the_bracket_stays_open(monkeypatch, power_steps):
+    monkeypatch.setattr(rs.graphs, "PERRON_POWER_STEPS", power_steps)
+    monkeypatch.setattr(rs.graphs, "PERRON_CERT_STEPS", 0)
+    with pytest.raises(RuntimeError, match=r"did not converge: lam \+ 1 in \["):
+        rs.perron_eigenvalue(chorded_cycle(120, [(0, 50, 1)]))
+
+
+def test_perron_start_with_zero_entries_does_not_certify(monkeypatch):
+    # Until the start vector's support fills the cycle there is no finite
+    # upper bound, so three steps from e_0 must end in an error.
+    monkeypatch.setattr(rs.graphs, "PERRON_POWER_STEPS", 0)
+    monkeypatch.setattr(rs.graphs, "PERRON_CERT_STEPS", 3)
+    monkeypatch.setattr(np.linalg, "eig", lambda A: (np.ones(len(A)), np.eye(len(A))))
+    with pytest.raises(RuntimeError, match="did not converge"):
+        rs.perron_eigenvalue(chorded_cycle(12))
+
+
 def test_count_words_full_shift():
     assert rs.count_words(rs.de_bruijn(2, 2), 3) == 8
 
@@ -244,6 +327,30 @@ def test_trace_power_satisfies_perrin_recursion():
     z = [rs.trace_power(PERRIN_MATRIX, n) for n in range(41)]
     for n in range(3, 41):
         assert z[n] == z[n - 2] + z[n - 3]
+
+
+ROW_SUM_3 = np.array([[3, 0], [1, 2]])  # row sums 3, and 3**39 < 2**63 < 3**40
+
+
+def object_power(A, e):
+    return np.linalg.matrix_power(np.asarray(A, dtype=object), e)
+
+
+@pytest.mark.parametrize("e", [39, 40, 300])
+def test_trace_power_on_both_sides_of_the_int64_guard(e):
+    # At e >= 40 the trace exceeds 2**63, so int64 products would wrap.
+    assert rs.trace_power(ROW_SUM_3, e) == np.trace(object_power(ROW_SUM_3, e))
+
+
+@pytest.mark.parametrize("m", [39, 40, 300])
+def test_higher_power_on_both_sides_of_the_int64_guard(m):
+    # Three edges 0 -> 1 and a loop at 1: row sum 3, yet four paths of each
+    # length, so the power graph stays small past the guard.
+    G = LabeledDigraph(
+        3, ((0,), (1,)), ((0, 1, (0,)), (0, 1, (1,)), (0, 1, (2,)), (1, 1, (0,)))
+    )
+    want = object_power(rs.adjacency(G), m)
+    assert rs.adjacency(rs.higher_power(G, m)).tolist() == want.tolist()
 
 
 def test_essential_subgraph_drops_stranded_vertices(binary_system):
