@@ -296,14 +296,11 @@ def bounds_csv(rows) -> str:
     default="csv",
     show_default=True,
 )
-@click.option("--seed-table", is_flag=True, help="Force the CSV bound table.")
 @_domain_guard
-def report_bounds(q_spec, out, fmt_kind, seed_table):
+def report_bounds(q_spec, out, fmt_kind):
     """Lower bounds on (1,1) capacity per alphabet size, against the 1/2 cap."""
     lo, hi = _parse_q_range(q_spec)
     rows = bounds_rows(lo, hi)
-    if seed_table:
-        fmt_kind = "csv"
     if fmt_kind == "csv":
         text = bounds_csv(rows)
     else:

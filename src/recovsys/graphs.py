@@ -24,6 +24,8 @@ PERRON_POWER_STEPS = 256
 PERRON_CERT_TOL = 1e-12
 PERRON_CERT_STEPS = 2048
 ENUM_WORD_CAP = 2_000_000
+ENUM_FALLBACK_MAX_N = 20
+ENUM_FALLBACK_MAX_Q = 4
 
 
 def word_from_int(value: int, q: int, length: int) -> Word:
@@ -330,19 +332,13 @@ def words_of_length(G: LabeledDigraph, n: int) -> frozenset[Word]:
     return frozenset(frontier)
 
 
-def count_words(
-    G: LabeledDigraph,
-    n: int,
-    *,
-    fallback_max_n: int = 20,
-    fallback_max_q: int = 4,
-) -> int:
+def count_words(G: LabeledDigraph, n: int) -> int:
     """Exact number of length-`n` words of the system presented by `G`.
 
     When every vertex emits distinctly labeled edges the presentation is
     deterministic, paths biject with words, and the count is a big-integer
     path count; otherwise the word set is enumerated explicitly, which is
-    capped at ``n <= fallback_max_n`` and ``q <= fallback_max_q``.
+    capped at ``n <= ENUM_FALLBACK_MAX_N`` and ``q <= ENUM_FALLBACK_MAX_Q``.
     """
     if n < 1:
         raise ValueError("word length must be at least 1")
@@ -363,10 +359,10 @@ def count_words(
                 for row in A
             ]
         return sum(counts)
-    if n > fallback_max_n or G.q > fallback_max_q:
+    if n > ENUM_FALLBACK_MAX_N or G.q > ENUM_FALLBACK_MAX_Q:
         raise ValueError(
             "nondeterministic presentation: explicit enumeration capped at "
-            f"n <= {fallback_max_n}, q <= {fallback_max_q}"
+            f"n <= {ENUM_FALLBACK_MAX_N}, q <= {ENUM_FALLBACK_MAX_Q}"
         )
     return len(words_of_length(G, n))
 

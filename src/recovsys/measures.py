@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Mapping, Sequence
 
@@ -124,12 +125,34 @@ class WindowEntropyReport:
 
 @dataclass(frozen=True)
 class EpsilonConstruction:
-    """Perturbed presentation and measure, with its ingredients."""
+    """Perturbed measure, with its ingredients.
 
-    graph: LabeledDigraph
+    `graph` is the presentation of the perturbed measure: one edge, labeled
+    by its target, wherever the base chain moves between the two states'
+    parents.  It is derived from the base chain on first read, so ghost
+    edges are present even when delta is 0.
+    """
+
     measure: MarkovMeasure
     base_measure: MarkovMeasure
     params: EpsilonParams
+
+    @cached_property
+    def graph(self) -> LabeledDigraph:
+        k, l = self.params.k, self.params.l
+        states = self.measure.states
+        owner = {(w[:l], w[l + k :]): i for i, w in enumerate(self.base_measure.states)}
+        parent = np.array([owner[w[:l], w[l + k :]] for w in states])
+        pattern = (self.base_measure.P > 0)[np.ix_(parent, parent)]
+        # Row by row, with one shared int object per target: millions of
+        # edges otherwise each hold a fresh int.
+        ids = list(range(len(states)))
+        edges = tuple(
+            (i, ids[j], states[j])
+            for i, row in enumerate(pattern)
+            for j in np.flatnonzero(row).tolist()
+        )
+        return LabeledDigraph(self.measure.q, states, edges)
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
@@ -386,9 +409,12 @@ def epsilon_construction(S: RecoverableSystem, epsilon: float) -> EpsilonConstru
     ``2l+k`` power so each transition emits a whole window, and given its
     max-entropy measure.  Every window then gains ``q**k - 1`` ghost variants
     with the middle word replaced; transitions route mass delta to ghosts
-    (split evenly) and keep 1 - delta on real targets.  The returned measure
-    is stationary by construction and its entropy rate exceeds the base
-    measure's by exactly ``epsilon / (2l + k)``.
+    (split evenly) and keep 1 - delta on real targets: a transition carries
+    the base mass between the two parents times the target's weight, and a
+    state's mass is its parent's times its own weight.  The returned
+    measure is stationary by construction and its entropy rate exceeds the
+    base measure's by exactly ``epsilon / (2l + k)``.  Its presentation,
+    `EpsilonConstruction.graph`, is derived on first read.
     """
     W = 2 * S.l + S.k
     params = EpsilonParams(
@@ -399,47 +425,23 @@ def epsilon_construction(S: RecoverableSystem, epsilon: float) -> EpsilonConstru
         raise ValueError("the construction needs a strongly connected window graph")
     Gm = higher_power(G, W)
     mu = max_entropy_measure(Gm)
-    real = list(Gm.labels)
-    real_set = set(real)
-    ghost_parent: dict[Word, Word] = {}
-    variants: dict[Word, list[Word]] = {w: [w] for w in real}
-    for w in real:
+    owner: dict[Word, int] = {}
+    for i, w in enumerate(mu.states):
         for a in product(range(S.q), repeat=S.k):
             g = w[: S.l] + a + w[S.l + S.k :]
-            if g == w:
-                continue
-            if g in ghost_parent or g in real_set:
+            if g in owner:
                 raise AssertionError(
                     f"window {g} has two parents; the input is not recoverable"
                 )
-            ghost_parent[g] = w
-            variants[w].append(g)
-    states = tuple(sorted(real + list(ghost_parent)))
-    idx = {w: i for i, w in enumerate(states)}
-    mu_idx = {w: i for i, w in enumerate(real)}
-    n = len(states)
-    delta, spread = params.delta, S.q**S.k - 1
-    P = np.zeros((n, n))
-    p = np.zeros(n)
-    for w in states:
-        src = mu_idx[ghost_parent.get(w, w)]
-        is_real = w not in ghost_parent
-        p[idx[w]] = (1 - delta) * mu.p[src] if is_real else delta / spread * mu.p[src]
-        for tgt_word, tgt in mu_idx.items():
-            mass = float(mu.P[src, tgt])
-            if mass == 0.0:
-                continue
-            P[idx[w], idx[tgt_word]] = (1 - delta) * mass
-            for g in variants[tgt_word][1:]:
-                P[idx[w], idx[g]] = delta / spread * mass
-    nu = MarkovMeasure(S.q, states, P, p, W)
-    edges = []
-    for u, v, _ in Gm.edges:
-        for uw in variants[Gm.labels[u]]:
-            for vw in variants[Gm.labels[v]]:
-                edges.append((idx[uw], idx[vw], vw))
-    D = LabeledDigraph(S.q, states, tuple(sorted(edges)))
-    return EpsilonConstruction(D, nu, mu, params)
+            owner[g] = i
+    states = tuple(sorted(owner))
+    parent = np.array([owner[w] for w in states])
+    real = np.array([w == mu.states[i] for w, i in zip(states, parent)])
+    spread = S.q**S.k - 1
+    weight = np.where(real, 1 - params.delta, params.delta / spread)
+    P = mu.P[np.ix_(parent, parent)] * weight
+    p = mu.p[parent] * weight
+    return EpsilonConstruction(MarkovMeasure(S.q, states, P, p, W), mu, params)
 
 
 def markov_approximation(

@@ -58,16 +58,14 @@ def perrin_count(n: int) -> int:
     return z[2]
 
 
-def periodic_points(
-    G: LabeledDigraph, n: int, *, word_cap: int = WORD_ENUMERATION_CAP
-) -> PeriodicPoints:
+def periodic_points(G: LabeledDigraph, n: int) -> PeriodicPoints:
     """Period-n points of the system presented by `G`.
 
     The exact count is the trace of the n-th adjacency power.  The explicit
     word set is enumerated by closed-path traversal when the count is within
-    `word_cap` and the edges emit single symbols; deterministic presentations
-    spell distinct words on distinct closed paths, so the set size matches
-    the count there.
+    `WORD_ENUMERATION_CAP` and the edges emit single symbols; deterministic
+    presentations spell distinct words on distinct closed paths, so the set
+    size matches the count there.
     """
     if n < 1:
         raise ValueError("the period must be at least 1")
@@ -79,7 +77,7 @@ def periodic_points(
     for _ in range(n):
         totals = [sum(int(A[u, v]) * totals[v] for v in range(len(totals))) for u in range(len(totals))]
     words: frozenset[Word] | None = None
-    if sum(totals) <= word_cap and (not G.edges or G.edge_label_len == 1):
+    if sum(totals) <= WORD_ENUMERATION_CAP and (not G.edges or G.edge_label_len == 1):
         found: set[Word] = set()
         succ = G.successors()
         for start in range(G.n_vertices):
@@ -96,9 +94,7 @@ def periodic_points(
     return PeriodicPoints(count, words)
 
 
-def storage_code_for_cycle(
-    S: RecoverableSystem, n: int, *, word_cap: int = WORD_ENUMERATION_CAP
-) -> CycleStorageCode:
+def storage_code_for_cycle(S: RecoverableSystem, n: int) -> CycleStorageCode:
     """Storage code on the n-cycle from the period-n points of `S`.
 
     Needs a (1, 1)-recoverable system and n >= 3 (each position must have
@@ -108,10 +104,11 @@ def storage_code_for_cycle(
         raise ValueError("cycle codes come from (1, 1)-recoverable systems")
     if n < 3:
         raise ValueError("a cycle needs length at least 3")
-    pts = periodic_points(S.presentation, n, word_cap=word_cap)
+    pts = periodic_points(S.presentation, n)
     if pts.words is None:
         raise ValueError(
-            f"{pts.count} periodic points exceed the enumeration cap of {word_cap}"
+            f"{pts.count} periodic points exceed the enumeration cap of "
+            f"{WORD_ENUMERATION_CAP}"
         )
     return CycleStorageCode(n, S.q, pts.words, S.recovery_table)
 

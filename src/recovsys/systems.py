@@ -392,7 +392,7 @@ def _boundary_pairs(q: int, l: int) -> list[tuple[Word, Word]]:
 
 
 def exhaustive_max_capacity(
-    q: int, k: int, l: int, *, candidate_cap: int = SEARCH_CANDIDATE_CAP
+    q: int, k: int, l: int
 ) -> tuple[float, RecoverableSystem]:
     """Best capacity over all recovery functions, with a witness system.
 
@@ -407,10 +407,10 @@ def exhaustive_max_capacity(
     pairs = _boundary_pairs(q, l)
     middles = list(product(range(q), repeat=k))
     n_candidates = len(middles) ** len(pairs)
-    if n_candidates > candidate_cap:
+    if n_candidates > SEARCH_CANDIDATE_CAP:
         raise ValueError(
             f"search space of {n_candidates} recovery functions exceeds the "
-            f"cap of {candidate_cap}"
+            f"cap of {SEARCH_CANDIDATE_CAP}"
         )
     word_len = 2 * l + k
     n_vertices = q ** (word_len - 1)

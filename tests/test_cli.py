@@ -106,6 +106,14 @@ def test_measure_epsilon_zero_budget_has_zero_gain():
     assert abs(float(gain.split()[1])) < 1e-12
 
 
+def test_measure_epsilon_writes_the_epsilon_graph(tmp_path):
+    gpath = tmp_path / "d.json"
+    res = run("measure", "epsilon", "--q", "2", "--eps", "0.1", "--out-graph", str(gpath))
+    assert res.exit_code == 0
+    _, S = rs.exhaustive_max_capacity(2, 1, 1)
+    assert ser.load_graph(gpath) == rs.epsilon_construction(S, 0.1).graph
+
+
 def test_measure_maxent_on_edge_cover(tmp_path, edge4_system):
     gpath = tmp_path / "g.json"
     ser.save_graph(edge4_system.presentation, gpath)
@@ -117,7 +125,7 @@ def test_measure_maxent_on_edge_cover(tmp_path, edge4_system):
 
 def test_report_bounds_csv_and_determinism():
     first = run("report", "bounds", "--q", "9..16")
-    second = run("report", "bounds", "--q", "9..16", "--seed-table")
+    second = run("report", "bounds", "--q", "9..16", "--format", "csv")
     assert first.exit_code == 0 and second.exit_code == 0
     assert first.output == second.output
     lines = first.output.strip().splitlines()

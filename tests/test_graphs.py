@@ -308,6 +308,16 @@ def test_count_words_nondeterministic_fallback():
     assert rs.count_words(G, 3) == len(rs.words_of_length(G, 3))
 
 
+def test_count_words_nondeterministic_fallback_is_capped():
+    G = LabeledDigraph(
+        2,
+        ((0,), (1,)),
+        ((0, 0, (0,)), (0, 1, (0,)), (1, 0, (0,)), (1, 1, (1,))),
+    )
+    with pytest.raises(ValueError, match="capped"):
+        rs.count_words(G, 21)
+
+
 def test_word_counts_dominate_capacity(binary_system, trunc8_system):
     for S in (binary_system, trunc8_system):
         cap = rs.capacity(S)

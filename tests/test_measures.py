@@ -158,6 +158,27 @@ def test_epsilon_construction_entropy_gain(binary_system):
         assert abs(gain - eps / 3) < 1e-9
 
 
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+@pytest.mark.parametrize("name", ["binary_system", "trunc8_system"])
+def test_epsilon_graph_follows_the_parent_windows(request, name, eps):
+    S = request.getfixturevalue(name)
+    built = rs.epsilon_construction(S, eps)
+    G, states = built.graph, built.measure.states
+    assert G.labels == states
+    base = rs.higher_power(higher_block_presentation(S), 2 * S.l + S.k)
+    owner = {(w[: S.l], w[S.l + S.k :]): i for i, w in enumerate(base.labels)}
+    parent = [owner[w[: S.l], w[S.l + S.k :]] for w in states]
+    want = rs.adjacency(base)[np.ix_(parent, parent)]
+    assert np.array_equal(rs.adjacency(G), want)
+    assert all(label == states[v] for _, v, label in G.edges)
+
+
+def test_epsilon_construction_rejects_two_parents():
+    S = rs.RecoverableSystem(2, 1, 1, rs.de_bruijn(2, 2), {}, "full shift")
+    with pytest.raises(AssertionError, match="two parents"):
+        rs.epsilon_construction(S, 0.1)
+
+
 def test_epsilon_construction_stationarity(reference_nu):
     nu = reference_nu.measure
     assert np.abs(nu.p @ nu.P - nu.p).max() < 1e-12

@@ -65,6 +65,11 @@ def test_storage_code_rejects_short_cycles(binary_system):
         rs.storage_code_for_cycle(binary_system, 2)
 
 
+def test_storage_code_enumeration_is_capped(trunc8_system):
+    with pytest.raises(ValueError, match="enumeration cap"):
+        rs.storage_code_for_cycle(trunc8_system, 40)
+
+
 def test_storage_code_on_edge_cover_cycle(edge4_system):
     code = rs.storage_code_for_cycle(edge4_system, 6)
     A = rs.adjacency(edge4_system.presentation)
