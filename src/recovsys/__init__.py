@@ -13,6 +13,7 @@ from .graphs import (
     essential_subgraph,
     higher_power,
     is_strongly_connected,
+    path_count,
     perron_eigenvalue,
     scc_decompose,
     trace_power,

@@ -212,9 +212,8 @@ def measure_maxent(graph_path, out):
 )
 @click.option("--out-measure", type=click.Path(), default=None)
 @click.option("--out-graph", type=click.Path(), default=None)
-@click.option("--tol", type=float, default=1e-10, show_default=True)
 @_domain_guard
-def measure_epsilon(q, k, l, eps, graph_path, out_measure, out_graph, tol):
+def measure_epsilon(q, k, l, eps, graph_path, out_measure, out_graph):
     """Entropy-epsilon measure built from a recoverable system."""
     if graph_path:
         G = serialization.load_graph(graph_path)
@@ -235,7 +234,7 @@ def measure_epsilon(q, k, l, eps, graph_path, out_measure, out_graph, tol):
     click.echo(f"gain {fmt(h_nu - h_mu)} (log base {base})")
     click.echo(f"max_window_entropy {fmt(report.max_entropy)} (log base {q})")
     click.echo(
-        f"epsilon_recoverable {measures.is_epsilon_recoverable(built.measure, eps, k, l, tol=tol)}"
+        f"epsilon_recoverable {measures.is_epsilon_recoverable(built.measure, eps, k, l)}"
     )
     if out_measure:
         serialization.save_measure(built.measure, out_measure)

@@ -155,8 +155,7 @@ def higher_power(G: LabeledDigraph, m: int) -> LabeledDigraph:
     """
     if m < 1:
         raise ValueError("path length m must be at least 1")
-    A = _exact_matrix(adjacency(G))
-    P = _exact_matrix_power(A, m)
+    P = _exact_power(adjacency(G), m).tolist()
     edges = []
     for u in range(G.n_vertices):
         for v in range(G.n_vertices):
@@ -169,9 +168,7 @@ def scc_decompose(G: LabeledDigraph) -> list[tuple[int, ...]]:
 
     Components are returned ordered by their smallest vertex id.
     """
-    succ = [[v for v, _ in adj] for adj in G.successors()]
-    comps = _tarjan(succ)
-    return sorted((tuple(sorted(c)) for c in comps), key=lambda c: c[0])
+    return sorted(tuple(c) for c in _matrix_sccs(adjacency(G)))
 
 
 def is_strongly_connected(G: LabeledDigraph) -> bool:
@@ -184,31 +181,29 @@ def is_strongly_connected(G: LabeledDigraph) -> bool:
 def essential_subgraph(G: LabeledDigraph) -> LabeledDigraph:
     """Induced subgraph on vertices with bi-infinite paths through them.
 
-    Iteratively drops vertices of in-degree or out-degree zero.  This is the
-    explicit pruning operation: no other function ever removes vertices from
-    a graph it returns.
+    Iteratively drops vertices of in-degree or out-degree zero.  The peel
+    reads the count matrix: each round subtracts the rows and columns of the
+    vertices it drops from the degree vectors, so the whole peel costs
+    O(V**2) array work.  Labels and surviving edges keep their order.  This
+    is the explicit pruning operation: no other function ever removes
+    vertices from a graph it returns.
     """
-    keep = set(range(G.n_vertices))
-    changed = True
-    while changed and keep:
-        changed = False
-        outd = {u: 0 for u in keep}
-        ind = {u: 0 for u in keep}
-        for u, v, _ in G.edges:
-            if u in keep and v in keep:
-                outd[u] += 1
-                ind[v] += 1
-        for u in list(keep):
-            if outd[u] == 0 or ind[u] == 0:
-                keep.remove(u)
-                changed = True
-    order = sorted(keep)
-    remap = {old: new for new, old in enumerate(order)}
-    labels = tuple(G.labels[i] for i in order)
+    A = adjacency(G)
+    outd, ind = A.sum(axis=1), A.sum(axis=0)
+    alive = np.ones(G.n_vertices, dtype=bool)
+    dead = (outd == 0) | (ind == 0)
+    while dead.any():
+        alive &= ~dead
+        outd = outd - A[:, dead].sum(axis=1)
+        ind = ind - A[dead].sum(axis=0)
+        dead = alive & ((outd == 0) | (ind == 0))
+    keep = alive.tolist()
+    remap = (np.cumsum(alive) - 1).tolist()
+    labels = tuple(w for w, k in zip(G.labels, keep) if k)
     edges = tuple(
         (remap[u], remap[v], lab)
         for u, v, lab in G.edges
-        if u in keep and v in keep
+        if keep[u] and keep[v]
     )
     return LabeledDigraph(G.q, labels, edges)
 
@@ -292,12 +287,21 @@ def perron_pair(A: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def trace_power(A: np.ndarray | Sequence[Sequence[int]], n: int) -> int:
-    """Exact trace of ``A**n`` over the integers (``A**0`` is the identity)."""
-    if n < 0:
-        raise ValueError("exponent must be nonnegative")
-    M = _exact_matrix(A)
-    P = _exact_matrix_power(M, n)
-    return sum(P[i][i] for i in range(len(P)))
+    """Exact trace of ``A**n`` over the integers (``A**0`` is the identity).
+
+    The diagonal is summed as Python ints: an int64 sum can wrap even when
+    every entry fits.
+    """
+    return np.diagonal(_exact_power(A, n)).sum(dtype=object)
+
+
+def path_count(A: np.ndarray | Sequence[Sequence[int]], n: int) -> int:
+    """Exact number of length-`n` paths: the entry sum of ``A**n``.
+
+    The entries are summed as Python ints, so the total is exact however
+    large it grows.
+    """
+    return _exact_power(A, n).sum(dtype=object)
 
 
 def words_of_length(G: LabeledDigraph, n: int) -> frozenset[Word]:
@@ -336,9 +340,11 @@ def count_words(G: LabeledDigraph, n: int) -> int:
     """Exact number of length-`n` words of the system presented by `G`.
 
     When every vertex emits distinctly labeled edges the presentation is
-    deterministic, paths biject with words, and the count is a big-integer
-    path count; otherwise the word set is enumerated explicitly, which is
-    capped at ``n <= ENUM_FALLBACK_MAX_N`` and ``q <= ENUM_FALLBACK_MAX_Q``.
+    deterministic, paths biject with words, and the count is the exact
+    `path_count` of length ``n - L`` on the essential subgraph, where ``L``
+    is the vertex word length; otherwise the word set is enumerated
+    explicitly, which is capped at ``n <= ENUM_FALLBACK_MAX_N`` and
+    ``q <= ENUM_FALLBACK_MAX_Q``.
     """
     if n < 1:
         raise ValueError("word length must be at least 1")
@@ -351,14 +357,7 @@ def count_words(G: LabeledDigraph, n: int) -> int:
     if n <= L:
         return len({w[:n] for w in E.labels})
     if _is_deterministic(E):
-        counts = [1] * E.n_vertices
-        A = _exact_matrix(adjacency(E))
-        for _ in range(n - L):
-            counts = [
-                sum(row[v] * counts[v] for v in range(len(counts)) if row[v])
-                for row in A
-            ]
-        return sum(counts)
+        return path_count(adjacency(E), n - L)
     if n > ENUM_FALLBACK_MAX_N or G.q > ENUM_FALLBACK_MAX_Q:
         raise ValueError(
             "nondeterministic presentation: explicit enumeration capped at "
@@ -383,48 +382,34 @@ def _is_deterministic(G: LabeledDigraph) -> bool:
     return True
 
 
-def _exact_matrix(A: np.ndarray | Sequence[Sequence[int]]) -> list[list[int]]:
-    M = np.asarray(A)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError("matrix must be square")
-    out = [[int(x) for x in row] for row in M.tolist()]
-    if any(x < 0 for row in out for x in row):
-        raise ValueError("matrix must be nonnegative")
-    return out
-
-
-def _exact_matrix_mul(X: list[list[int]], Y: list[list[int]]) -> list[list[int]]:
-    cols = list(zip(*Y))
-    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in X]
-
-
-def _exact_matrix_power(A: list[list[int]], e: int) -> list[list[int]]:
+def _exact_power(A: np.ndarray | Sequence[Sequence[int]], e: int) -> np.ndarray:
     """``A**e`` for a nonnegative integer matrix, exact.
 
     Every entry of ``A**j``, and every partial sum of a product of two such
     powers, is at most ``r**j`` for the largest row sum ``r``; so when
-    ``r**e < 2**63`` numpy int64 cannot wrap, and otherwise Python ints are
-    used.
+    ``r**e < 2**63`` numpy int64 cannot wrap and is used, and otherwise the
+    power is taken over Python ints (object dtype).  This is the only place
+    that raises an integer matrix to a power.
     """
-    n = len(A)
-    r = max((sum(row) for row in A), default=0)
+    if e < 0:
+        raise ValueError("exponent must be nonnegative")
+    M = np.asarray(A)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError("matrix must be square")
+    X = np.array([[int(x) for x in r] for r in M.tolist()], dtype=object).reshape(M.shape)
+    if (X < 0).any():
+        raise ValueError("matrix must be nonnegative")
+    r = max(X.sum(axis=1), default=0)
     if r < 2**63 and (r < 2 or e < 63 and r**e < 2**63):
-        P = np.linalg.matrix_power(np.array(A, dtype=np.int64).reshape(n, n), e)
-        return P.tolist()
-    result = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    base = [row[:] for row in A]
-    while e:
-        if e & 1:
-            result = _exact_matrix_mul(result, base)
-        e >>= 1
-        if e:
-            base = _exact_matrix_mul(base, base)
-    return result
+        X = X.astype(np.int64)
+    return np.linalg.matrix_power(X, e)
 
 
 def _matrix_sccs(A: np.ndarray) -> list[list[int]]:
-    n = A.shape[0]
-    succ = [list(np.nonzero(A[u] > 0)[0]) for u in range(n)]
+    rows, cols = np.nonzero(A > 0)
+    ends = np.cumsum(np.bincount(rows, minlength=A.shape[0])).tolist()
+    targets = cols.tolist()
+    succ = [targets[start:end] for start, end in zip([0] + ends, ends)]
     return [sorted(c) for c in _tarjan(succ)]
 
 

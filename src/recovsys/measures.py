@@ -31,6 +31,8 @@ from .graphs import (
 from .systems import RecoverableSystem
 
 STOCHASTIC_TOL = 1e-12
+RECOVERABLE_TOL = 1e-10
+MARGINAL_TOL = 1e-12
 DELTA_BISECT_STEPS = 200
 
 
@@ -338,12 +340,13 @@ def window_conditional_entropy(M: MarkovMeasure, k: int, l: int) -> WindowEntrop
     return WindowEntropyReport(entries, tuple(zero), max_ent, argmax)
 
 
-def is_epsilon_recoverable(
-    M: MarkovMeasure, epsilon: float, k: int, l: int, *, tol: float = 1e-10
-) -> bool:
-    """True iff every populated boundary pair has middle entropy <= epsilon."""
+def is_epsilon_recoverable(M: MarkovMeasure, epsilon: float, k: int, l: int) -> bool:
+    """True iff every populated boundary pair has middle entropy <= epsilon.
+
+    The comparison allows `RECOVERABLE_TOL` of rounding above epsilon.
+    """
     report = window_conditional_entropy(M, k, l)
-    return report.max_entropy <= epsilon + tol
+    return report.max_entropy <= epsilon + RECOVERABLE_TOL
 
 
 def delta_from_epsilon(epsilon: float, q: int, k: int) -> float:
@@ -444,20 +447,14 @@ def epsilon_construction(S: RecoverableSystem, epsilon: float) -> EpsilonConstru
     return EpsilonConstruction(MarkovMeasure(S.q, states, P, p, W), mu, params)
 
 
-def markov_approximation(
-    marginal: Mapping[Word, float],
-    m: int,
-    q: int,
-    *,
-    tol: float = 1e-12,
-) -> MarkovMeasure:
+def markov_approximation(marginal: Mapping[Word, float], m: int, q: int) -> MarkovMeasure:
     """Sliding chain of memory ``m - 1`` matching a length-`m` marginal.
 
     The marginal must be shift consistent (its two length-``m-1`` marginals
-    agree within `tol`), which makes the derived chain stationary; among all
-    shift-invariant measures with this marginal the result maximizes the
-    entropy rate, and the construction is the identity on chains that are
-    already Markov of memory ``m - 1``.
+    agree within `MARGINAL_TOL`), which makes the derived chain stationary;
+    among all shift-invariant measures with this marginal the result
+    maximizes the entropy rate, and the construction is the identity on
+    chains that are already Markov of memory ``m - 1``.
     """
     if m < 2:
         raise ValueError("the approximation needs windows of length at least 2")
@@ -467,7 +464,7 @@ def markov_approximation(
     for w, pr in marginal.items():
         if len(w) != m:
             raise ValueError(f"marginal word {w} does not have length {m}")
-        if pr < -tol:
+        if pr < -MARGINAL_TOL:
             raise ValueError("marginal probabilities must be nonnegative")
         total += pr
         prefix[w[:-1]] = prefix.get(w[:-1], 0.0) + pr
@@ -476,7 +473,7 @@ def markov_approximation(
         raise ValueError(f"marginal masses sum to {total!r}, not 1")
     for w in sorted(set(prefix) | set(suffix)):
         a, b = prefix.get(w, 0.0), suffix.get(w, 0.0)
-        if abs(a - b) > tol:
+        if abs(a - b) > MARGINAL_TOL:
             raise InconsistentMarginalError(w, a, b)
     states = tuple(sorted(w for w, pr in prefix.items() if pr > 0))
     idx = {w: i for i, w in enumerate(states)}

@@ -135,11 +135,13 @@ def measure_to_text(M: MarkovMeasure) -> str:
         f"states {len(M.states)}",
     ]
     lines.extend(word_to_text(w) for w in M.states)
+    # Zero cells skip `format`: a measure's cells are products of
+    # nonnegative factors, so a zero is +0.0, whose text is "0".
     lines.append("P")
-    for row in M.P:
-        lines.append(",".join(fmt(x) for x in row))
+    for row in M.P.tolist():
+        lines.append(",".join(fmt(x) if x else "0" for x in row))
     lines.append("p")
-    lines.append(",".join(fmt(x) for x in M.p))
+    lines.append(",".join(fmt(x) if x else "0" for x in M.p.tolist()))
     return "\n".join(lines)
 
 

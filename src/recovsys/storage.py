@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .graphs import LabeledDigraph, Word, adjacency, log_base, trace_power
+from .graphs import LabeledDigraph, Word, adjacency, log_base, path_count, trace_power
 from .systems import RecoverableSystem
 
 WORD_ENUMERATION_CAP = 1_000_000
@@ -32,6 +32,13 @@ class CycleStorageCode:
     q: int
     codewords: frozenset[Word]
     recovery_table: Mapping[tuple[Word, Word], Word]
+
+    def __post_init__(self) -> None:
+        lengths = set(map(len, self.codewords)) - {self.n}
+        if lengths:
+            raise ValueError(
+                f"codewords of length {sorted(lengths)} in a code of length {self.n}"
+            )
 
     def rate(self) -> float:
         """(1/n) log_q of the code size; empty codes rate -inf."""
@@ -73,11 +80,8 @@ def periodic_points(G: LabeledDigraph, n: int) -> PeriodicPoints:
     count = trace_power(A, n)
     # The traversal visits every length-n path, not just the closed ones, so
     # the cap guards the total path count.
-    totals = [1] * G.n_vertices
-    for _ in range(n):
-        totals = [sum(int(A[u, v]) * totals[v] for v in range(len(totals))) for u in range(len(totals))]
     words: frozenset[Word] | None = None
-    if sum(totals) <= WORD_ENUMERATION_CAP and (not G.edges or G.edge_label_len == 1):
+    if path_count(A, n) <= WORD_ENUMERATION_CAP and (not G.edges or G.edge_label_len == 1):
         found: set[Word] = set()
         succ = G.successors()
         for start in range(G.n_vertices):

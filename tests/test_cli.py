@@ -86,6 +86,21 @@ def test_verify_storage_roundtrip(tmp_path, binary_system):
     assert res.exit_code == 1 and res.output.startswith("FAIL")
 
 
+def test_verify_storage_rejects_codewords_of_the_wrong_length(tmp_path, binary_system):
+    tpath = tmp_path / "table.txt"
+    tpath.write_text(ser.recovery_table_to_text(binary_system.recovery_table) + "\n")
+    cpath = tmp_path / "code.txt"
+    # 00101 is a codeword of the binary optimum at n = 5.
+    for word in ("0010111", "0010"):
+        cpath.write_text(word + "\n")
+        res = run(
+            "verify", "storage", "--code", str(cpath), "--table", str(tpath),
+            "--q", "2", "--n", "5",
+        )
+        assert res.exit_code == 2
+        assert "error:" in res.output
+
+
 def test_measure_epsilon_reports_delta_and_gain():
     res = run(
         "measure", "epsilon", "--q", "2", "--k", "1", "--l", "1", "--eps", "0.286"

@@ -352,6 +352,23 @@ def test_trace_power_on_both_sides_of_the_int64_guard(e):
     assert rs.trace_power(ROW_SUM_3, e) == np.trace(object_power(ROW_SUM_3, e))
 
 
+@pytest.mark.parametrize("e", [39, 40, 300])
+def test_path_count_on_both_sides_of_the_int64_guard(e):
+    assert rs.path_count(ROW_SUM_3, e) == object_power(ROW_SUM_3, e).sum()
+
+
+def test_trace_and_path_count_sums_do_not_wrap():
+    # Every entry of (3I)**39 is 3**39 < 2**63, so the power is taken in
+    # int64, but the sum 4 * 3**39 exceeds 2**63.
+    A = 3 * np.eye(4, dtype=np.int64)
+    assert rs.trace_power(A, 39) == 4 * 3**39
+    assert rs.path_count(A, 39) == 4 * 3**39
+
+
+def test_count_words_past_the_int64_guard():
+    assert rs.count_words(rs.de_bruijn(3, 1), 45) == 3**45
+
+
 @pytest.mark.parametrize("m", [39, 40, 300])
 def test_higher_power_on_both_sides_of_the_int64_guard(m):
     # Three edges 0 -> 1 and a loop at 1: row sum 3, yet four paths of each
@@ -361,6 +378,48 @@ def test_higher_power_on_both_sides_of_the_int64_guard(m):
     )
     want = object_power(rs.adjacency(G), m)
     assert rs.adjacency(rs.higher_power(G, m)).tolist() == want.tolist()
+
+
+@st.composite
+def multigraphs(draw):
+    """Graphs on up to 8 vertices whose edge tuples may repeat."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    labels = tuple(rs.graphs.word_from_int(i, 3, 2) for i in range(n))
+    edge = st.tuples(
+        st.integers(0, n - 1), st.integers(0, n - 1), st.tuples(st.integers(0, 2))
+    )
+    edges = draw(st.lists(edge, max_size=20)) if n else []
+    edges += draw(st.lists(st.sampled_from(edges), max_size=6)) if edges else []
+    return LabeledDigraph(3, labels, tuple(draw(st.permutations(edges))))
+
+
+def boolean_power(B, e):
+    R = np.eye(len(B), dtype=bool)
+    for _ in range(e):
+        R = (R.astype(int) @ B.astype(int)) > 0
+    return R
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs())
+def test_structure_matches_boolean_powers(G):
+    n = G.n_vertices
+    A = rs.adjacency(G) > 0
+    # A vertex lies on a bi-infinite path iff some length-n path ends there
+    # and some length-n path starts there.
+    An = boolean_power(A, n)
+    kept = [v for v in range(n) if An[:, v].any() and An[v].any()]
+    E = rs.essential_subgraph(G)
+    assert E.labels == tuple(G.labels[v] for v in kept)
+    new = {old: i for i, old in enumerate(kept)}
+    assert E.edges == tuple(
+        (new[u], new[v], lab) for u, v, lab in G.edges if u in new and v in new
+    )
+    R = boolean_power(A | np.eye(n, dtype=bool), n)
+    classes = sorted({tuple(v for v in range(n) if R[u, v] and R[v, u]) for u in range(n)})
+    comps = rs.scc_decompose(G)
+    assert comps == classes
+    assert all(type(v) is int for c in comps for v in c)
 
 
 def test_essential_subgraph_drops_stranded_vertices(binary_system):
