@@ -64,7 +64,7 @@ def _emit_system(S: systems.RecoverableSystem, out_graph, out_table) -> None:
 def construct_debruijn(q, d, out, matrix):
     """De Bruijn graph of order d over [q] (presents the full shift)."""
     G = de_bruijn(q, d)
-    click.echo(f"vertices {G.n_vertices} edges {len(G.edges)}")
+    click.echo(f"vertices {G.n_vertices} edges {G.count.sum()}")
     click.echo(f"capacity {fmt(systems.system_capacity(G))} (log base {q})")
     if out:
         serialization.save_graph(G, out)
@@ -189,7 +189,7 @@ def measure() -> None:
 def measure_maxent(graph_path, out):
     """Max-entropy measure of the essential part of a presentation."""
     G = essential_subgraph(serialization.load_graph(graph_path))
-    if not is_strongly_connected(G) or not G.edges:
+    if not is_strongly_connected(G) or not G.src.size:
         raise ValueError("the essential subgraph must be strongly connected")
     M = measures.max_entropy_measure(G)
     click.echo(f"h {fmt(measures.entropy_rate(M))} (log base {M.log_base})")

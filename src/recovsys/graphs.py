@@ -3,16 +3,19 @@
 Vertices carry equal-length words over the alphabet ``[q] = {0, ..., q-1}``
 and are kept in base-q numeric (equivalently lexicographic) order, so vertex
 ids double as ranks.  Edges carry word labels: presentations emit one symbol
-per edge, while graph powers emit whole vertex words.  Everything here is
-immutable and every function is pure, so concurrent use is safe.
+per edge, while graph powers emit whole vertex words.  Edges are stored once,
+as int64 arrays with one row per edge and a multiplicity; the arrays are
+read-only and the class frozen, so graphs are immutable and every function
+is pure, which makes concurrent use safe.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from itertools import product
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -45,7 +48,7 @@ def word_to_int(word: Word, q: int) -> int:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class LabeledDigraph:
     """Directed multigraph with word labels on vertices and edges.
 
@@ -54,39 +57,72 @@ class LabeledDigraph:
     q : alphabet size, at least 1.
     labels : vertex words, equal length, strictly increasing numerically;
         the position of a word is its vertex id.
-    edges : (from_id, to_id, label_word) triples.  Repeating an identical
-        triple encodes edge multiplicity (graph powers do this); otherwise
-        parallel edges carry distinct labels.
+    edges : (from_id, to_id, label_word) triples, stored as one row each.
+
+    The rows are `src`, `dst`, `lab` (an index into `words`, the table of
+    label words) and `count`, the edge's multiplicity: a graph power keeps
+    one row per vertex pair.  `edges` expands the rows into triples, and
+    graphs are equal when q, labels and `edges` are.
     """
 
     q: int
     labels: tuple[Word, ...]
-    edges: tuple[Edge, ...]
+    words: tuple[Word, ...]
+    src: np.ndarray
+    dst: np.ndarray
+    lab: np.ndarray
+    count: np.ndarray
+
+    def __init__(self, q: int, labels: Sequence[Word], edges: Iterable[Edge]) -> None:
+        triples = tuple(edges)
+        words = sorted({lab for _, _, lab in triples})
+        ids = {w: i for i, w in enumerate(words)}
+        rows = [(operator.index(u), operator.index(v), ids[w]) for u, v, w in triples]
+        rows = np.array(rows, dtype=np.int64).reshape(-1, 3)
+        self._fill(q, labels, words, *rows.T, np.ones(len(triples)))
+
+    @classmethod
+    def _from_rows(cls, q, labels, words, src, dst, lab, count) -> LabeledDigraph:
+        G = cls.__new__(cls)
+        G._fill(q, labels, words, src, dst, lab, count)
+        return G
+
+    def _fill(self, q, labels, words, *rows) -> None:
+        rows = tuple(np.asarray(r, dtype=np.int64) for r in rows)
+        for row in rows:
+            row.setflags(write=False)
+        for f, value in zip(fields(self), (q, tuple(labels), tuple(words), *rows)):
+            object.__setattr__(self, f.name, value)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.q < 1:
             raise ValueError("alphabet size must be at least 1")
-        lengths = {len(w) for w in self.labels}
-        if len(lengths) > 1:
-            raise ValueError("vertex labels must have equal length")
-        for w in self.labels:
-            if not w:
-                raise ValueError("vertex labels must be nonempty words")
-            if any(c < 0 or c >= self.q for c in w):
-                raise ValueError(f"label {w} is not a word over [{self.q}]")
-        for prev, cur in zip(self.labels, self.labels[1:]):
-            if prev >= cur:
-                raise ValueError("vertex labels must be strictly increasing")
+        for kind, words in (("vertex", self.labels), ("edge", self.words)):
+            if len({len(w) for w in words}) > 1:
+                raise ValueError(f"{kind} labels must have equal length")
+            for w in words:
+                if not w or min(w) < 0 or max(w) >= self.q:
+                    raise ValueError(f"{kind} label {w} is not a nonempty word over [{self.q}]")
+            for prev, cur in zip(words, words[1:]):
+                if prev >= cur:
+                    raise ValueError(f"{kind} labels must be strictly increasing")
         n = len(self.labels)
-        elens = set()
-        for u, v, lab in self.edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) references a missing vertex")
-            if not lab or any(c < 0 or c >= self.q for c in lab):
-                raise ValueError(f"edge label {lab} is not a word over [{self.q}]")
-            elens.add(len(lab))
-        if len(elens) > 1:
-            raise ValueError("edge labels must have uniform length")
+        bad = (self.src < 0) | (self.src >= n) | (self.dst < 0) | (self.dst >= n)
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"edge ({self.src[i]}, {self.dst[i]}) references a missing vertex")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LabeledDigraph):
+            return NotImplemented
+        return (self.q, self.labels, self.edges) == (other.q, other.labels, other.edges)
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The (from_id, to_id, label_word) triples, each row repeated `count` times."""
+        rows = zip(self.src.tolist(), self.dst.tolist(), self.lab.tolist(), self.count.tolist())
+        return tuple(e for u, v, a, c in rows for e in [(u, v, self.words[a])] * c)
 
     @property
     def n_vertices(self) -> int:
@@ -98,7 +134,7 @@ class LabeledDigraph:
 
     @property
     def edge_label_len(self) -> int:
-        return len(self.edges[0][2]) if self.edges else 0
+        return len(self.words[0]) if self.src.size else 0
 
     def successors(self) -> list[list[tuple[int, Word]]]:
         """Adjacency lists: for each vertex the (target, edge label) pairs."""
@@ -139,10 +175,8 @@ def de_bruijn(q: int, d: int) -> LabeledDigraph:
 
 def adjacency(G: LabeledDigraph) -> np.ndarray:
     """Integer adjacency matrix; entry (u, v) counts edges from u to v."""
-    n = G.n_vertices
-    A = np.zeros((n, n), dtype=np.int64)
-    for u, v, _ in G.edges:
-        A[u, v] += 1
+    A = np.zeros((G.n_vertices, G.n_vertices), dtype=np.int64)
+    np.add.at(A, (G.src, G.dst), G.count)
     return A
 
 
@@ -151,16 +185,12 @@ def higher_power(G: LabeledDigraph, m: int) -> LabeledDigraph:
 
     The edge for a path ending at `v` is labeled with the word of `v`, so
     each transition emits a whole vertex word.  The adjacency matrix of the
-    result equals ``adjacency(G) ** m`` entrywise.
+    result equals ``adjacency(G) ** m`` entrywise: one row per vertex pair
+    joined by a path, in row-major order, with the path count as its count.
     """
     if m < 1:
         raise ValueError("path length m must be at least 1")
-    P = _exact_power(adjacency(G), m).tolist()
-    edges = []
-    for u in range(G.n_vertices):
-        for v in range(G.n_vertices):
-            edges.extend([(u, v, G.labels[v])] * P[u][v])
-    return LabeledDigraph(G.q, G.labels, tuple(edges))
+    return _labeled_by_target(G.q, G.labels, _exact_power(adjacency(G), m))
 
 
 def scc_decompose(G: LabeledDigraph) -> list[tuple[int, ...]]:
@@ -184,8 +214,8 @@ def essential_subgraph(G: LabeledDigraph) -> LabeledDigraph:
     Iteratively drops vertices of in-degree or out-degree zero.  The peel
     reads the count matrix: each round subtracts the rows and columns of the
     vertices it drops from the degree vectors, so the whole peel costs
-    O(V**2) array work.  Labels and surviving edges keep their order.  This
-    is the explicit pruning operation: no other function ever removes
+    O(V**2) array work.  Labels and surviving edge rows keep their order.
+    This is the explicit pruning operation: no other function ever removes
     vertices from a graph it returns.
     """
     A = adjacency(G)
@@ -197,15 +227,12 @@ def essential_subgraph(G: LabeledDigraph) -> LabeledDigraph:
         outd = outd - A[:, dead].sum(axis=1)
         ind = ind - A[dead].sum(axis=0)
         dead = alive & ((outd == 0) | (ind == 0))
-    keep = alive.tolist()
-    remap = (np.cumsum(alive) - 1).tolist()
-    labels = tuple(w for w, k in zip(G.labels, keep) if k)
-    edges = tuple(
-        (remap[u], remap[v], lab)
-        for u, v, lab in G.edges
-        if keep[u] and keep[v]
+    labels = tuple(w for w, k in zip(G.labels, alive.tolist()) if k)
+    remap = np.cumsum(alive) - 1
+    rows = alive[G.src] & alive[G.dst]
+    return LabeledDigraph._from_rows(
+        G.q, labels, G.words, remap[G.src[rows]], remap[G.dst[rows]], G.lab[rows], G.count[rows]
     )
-    return LabeledDigraph(G.q, labels, edges)
 
 
 def perron_eigenvalue(A: np.ndarray | Sequence[Sequence[float]]) -> float:
@@ -312,15 +339,44 @@ def words_of_length(G: LabeledDigraph, n: int) -> frozenset[Word]:
     start-vertex word followed by its edge labels.  Requires single-symbol
     edge labels.
     """
+    return _enumerate_words(_word_graph(G, n), n)
+
+
+def count_words(G: LabeledDigraph, n: int) -> int:
+    """Exact number of length-`n` words of the system presented by `G`.
+
+    When every vertex emits distinctly labeled edges the presentation is
+    deterministic, paths biject with words, and the count is the exact
+    `path_count` of length ``n - L`` on the essential subgraph, where ``L``
+    is the vertex word length; otherwise the word set is enumerated
+    explicitly, which is capped at ``n <= ENUM_FALLBACK_MAX_N`` and
+    ``q <= ENUM_FALLBACK_MAX_Q``.
+    """
+    E = _word_graph(G, n)
+    L = E.label_len
+    if n > L:
+        if _is_deterministic(E):
+            return path_count(adjacency(E), n - L)
+        if n > ENUM_FALLBACK_MAX_N or G.q > ENUM_FALLBACK_MAX_Q:
+            raise ValueError(
+                "nondeterministic presentation: explicit enumeration capped at "
+                f"n <= {ENUM_FALLBACK_MAX_N}, q <= {ENUM_FALLBACK_MAX_Q}"
+            )
+    return len(_enumerate_words(E, n))
+
+
+def _word_graph(G: LabeledDigraph, n: int) -> LabeledDigraph:
+    """The essential subgraph that the length-`n` words of `G` are read from."""
     if n < 1:
         raise ValueError("word length must be at least 1")
-    if G.edges and G.edge_label_len != 1:
+    if G.edge_label_len > 1:
         raise ValueError("word enumeration needs single-symbol edge labels")
-    E = essential_subgraph(G)
-    if not E.labels:
-        return frozenset()
+    return essential_subgraph(G)
+
+
+def _enumerate_words(E: LabeledDigraph, n: int) -> frozenset[Word]:
     L = E.label_len
-    if n <= L:
+    if not E.labels or n <= L:
         return frozenset(w[:n] for w in E.labels)
     succ = E.successors()
     frontier: dict[Word, set[int]] = {w: {u} for u, w in enumerate(E.labels)}
@@ -336,36 +392,6 @@ def words_of_length(G: LabeledDigraph, n: int) -> frozenset[Word]:
     return frozenset(frontier)
 
 
-def count_words(G: LabeledDigraph, n: int) -> int:
-    """Exact number of length-`n` words of the system presented by `G`.
-
-    When every vertex emits distinctly labeled edges the presentation is
-    deterministic, paths biject with words, and the count is the exact
-    `path_count` of length ``n - L`` on the essential subgraph, where ``L``
-    is the vertex word length; otherwise the word set is enumerated
-    explicitly, which is capped at ``n <= ENUM_FALLBACK_MAX_N`` and
-    ``q <= ENUM_FALLBACK_MAX_Q``.
-    """
-    if n < 1:
-        raise ValueError("word length must be at least 1")
-    if G.edges and G.edge_label_len != 1:
-        raise ValueError("word counting needs single-symbol edge labels")
-    E = essential_subgraph(G)
-    if not E.labels:
-        return 0
-    L = E.label_len
-    if n <= L:
-        return len({w[:n] for w in E.labels})
-    if _is_deterministic(E):
-        return path_count(adjacency(E), n - L)
-    if n > ENUM_FALLBACK_MAX_N or G.q > ENUM_FALLBACK_MAX_Q:
-        raise ValueError(
-            "nondeterministic presentation: explicit enumeration capped at "
-            f"n <= {ENUM_FALLBACK_MAX_N}, q <= {ENUM_FALLBACK_MAX_Q}"
-        )
-    return len(words_of_length(G, n))
-
-
 def log_base(x: float, q: int) -> float:
     """log_q(x); alphabets of size 1 carry zero information per symbol."""
     if q == 1:
@@ -374,12 +400,21 @@ def log_base(x: float, q: int) -> float:
 
 
 def _is_deterministic(G: LabeledDigraph) -> bool:
-    seen: set[tuple[int, Word]] = set()
-    for u, _, lab in G.edges:
-        if (u, lab) in seen:
-            return False
-        seen.add((u, lab))
-    return True
+    # As many distinct (vertex, label) pairs as edges: no vertex emits a label twice.
+    return np.unique(G.src * len(G.words) + G.lab).size == G.count.sum()
+
+
+def _labeled_by_target(q: int, labels: tuple[Word, ...], counts: np.ndarray) -> LabeledDigraph:
+    """Graph with ``counts[u, v]`` edges from u to v, each labeled by the word of v.
+
+    One row per nonzero entry, in row-major order.  A count past int64
+    raises instead of wrapping.
+    """
+    if counts.dtype == object and counts.max(initial=0) >= 2**63:
+        raise ValueError("an edge multiplicity does not fit in int64")
+    flat = np.flatnonzero(counts)
+    src, dst = np.divmod(flat, len(labels))
+    return LabeledDigraph._from_rows(q, labels, labels, src, dst, dst, counts.ravel()[flat])
 
 
 def _exact_power(A: np.ndarray | Sequence[Sequence[int]], e: int) -> np.ndarray:
@@ -389,7 +424,8 @@ def _exact_power(A: np.ndarray | Sequence[Sequence[int]], e: int) -> np.ndarray:
     powers, is at most ``r**j`` for the largest row sum ``r``; so when
     ``r**e < 2**63`` numpy int64 cannot wrap and is used, and otherwise the
     power is taken over Python ints (object dtype).  This is the only place
-    that raises an integer matrix to a power.
+    that raises an integer matrix to a power.  Entries must be integers;
+    integer-valued floats are accepted.
     """
     if e < 0:
         raise ValueError("exponent must be nonnegative")
@@ -397,6 +433,8 @@ def _exact_power(A: np.ndarray | Sequence[Sequence[int]], e: int) -> np.ndarray:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
     X = np.array([[int(x) for x in r] for r in M.tolist()], dtype=object).reshape(M.shape)
+    if (X != M).any():
+        raise ValueError("matrix entries must be integers")
     if (X < 0).any():
         raise ValueError("matrix must be nonnegative")
     r = max(X.sum(axis=1), default=0)

@@ -21,6 +21,7 @@ import numpy as np
 from .graphs import (
     LabeledDigraph,
     Word,
+    _labeled_by_target,
     adjacency,
     higher_power,
     is_strongly_connected,
@@ -145,16 +146,8 @@ class EpsilonConstruction:
         states = self.measure.states
         owner = {(w[:l], w[l + k :]): i for i, w in enumerate(self.base_measure.states)}
         parent = np.array([owner[w[:l], w[l + k :]] for w in states])
-        pattern = (self.base_measure.P > 0)[np.ix_(parent, parent)]
-        # Row by row, with one shared int object per target: millions of
-        # edges otherwise each hold a fresh int.
-        ids = list(range(len(states)))
-        edges = tuple(
-            (i, ids[j], states[j])
-            for i, row in enumerate(pattern)
-            for j in np.flatnonzero(row).tolist()
-        )
-        return LabeledDigraph(self.measure.q, states, edges)
+        pattern = (self.base_measure.P > 0)[:, parent][parent]
+        return _labeled_by_target(self.measure.q, states, pattern)
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
@@ -189,7 +182,7 @@ def max_entropy_measure(G: LabeledDigraph) -> MarkovMeasure:
     """
     if not is_strongly_connected(G):
         raise ValueError("the max-entropy measure needs a strongly connected graph")
-    if not G.edges:
+    if not G.src.size:
         raise ValueError("the max-entropy measure needs at least one edge")
     A = adjacency(G).astype(float)
     lam, y = perron_pair(A)

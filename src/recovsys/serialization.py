@@ -54,8 +54,10 @@ def graph_to_json(G: LabeledDigraph) -> str:
 
 def graph_from_json(text: str) -> LabeledDigraph:
     doc = json.loads(text)
-    labels_by_id = {int(v["id"]): text_to_word(v["label"]) for v in doc["vertices"]}
-    labels = tuple(labels_by_id[i] for i in range(len(labels_by_id)))
+    vertices = sorted((int(v["id"]), text_to_word(v["label"])) for v in doc["vertices"])
+    if [i for i, _ in vertices] != list(range(len(vertices))):
+        raise ValueError("vertex ids must be 0..n-1, each exactly once")
+    labels = tuple(w for _, w in vertices)
     edges = tuple(
         (int(e["from"]), int(e["to"]), text_to_word(e["label"]))
         for e in doc["edges"]

@@ -81,7 +81,7 @@ def periodic_points(G: LabeledDigraph, n: int) -> PeriodicPoints:
     # The traversal visits every length-n path, not just the closed ones, so
     # the cap guards the total path count.
     words: frozenset[Word] | None = None
-    if path_count(A, n) <= WORD_ENUMERATION_CAP and (not G.edges or G.edge_label_len == 1):
+    if path_count(A, n) <= WORD_ENUMERATION_CAP and G.edge_label_len <= 1:
         found: set[Word] = set()
         succ = G.successors()
         for start in range(G.n_vertices):

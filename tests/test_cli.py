@@ -1,3 +1,6 @@
+import json
+
+import pytest
 from click.testing import CliRunner
 
 import recovsys as rs
@@ -152,3 +155,18 @@ def test_report_bounds_csv_and_determinism():
 
 def test_report_bounds_rejects_bad_range():
     assert run("report", "bounds", "--q", "16..9").exit_code == 2
+
+
+@pytest.mark.parametrize("ids", [(0, 0), (0, 2)])
+def test_graph_files_need_vertex_ids_0_to_n_minus_1(tmp_path, ids):
+    doc = {
+        "q": 2,
+        "label_len": 1,
+        "vertices": [{"id": i, "label": str(j)} for j, i in enumerate(ids)],
+        "edges": [{"from": 0, "to": 0, "label": "0"}],
+    }
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    res = run("measure", "maxent", "--graph", str(path))
+    assert res.exit_code == 2
+    assert "vertex ids must be 0..n-1, each exactly once" in res.output

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recovsys as rs
+from recovsys import serialization as ser
 from recovsys.graphs import LabeledDigraph
 
 from conftest import plastic_number
@@ -331,6 +333,15 @@ def test_trace_power_examples():
     assert rs.trace_power(PERRIN_MATRIX, 1) == 0
     assert rs.trace_power(np.diag([3, 4]), 1) == 7
     assert rs.trace_power(PERRIN_MATRIX, 7) == 7
+    assert rs.trace_power(np.array([[2.0, 1.0], [1.0, 0.0]]), 3) == 14
+
+
+@pytest.mark.parametrize(
+    "count, A, e", [(rs.trace_power, [[1.9, 0], [0, 1]], 2), (rs.path_count, [[0.5]], 1)]
+)
+def test_exact_powers_reject_non_integer_entries(count, A, e):
+    with pytest.raises(ValueError, match="integers"):
+        count(A, e)
 
 
 def test_trace_power_satisfies_perrin_recursion():
@@ -422,6 +433,92 @@ def test_structure_matches_boolean_powers(G):
     assert all(type(v) is int for c in comps for v in c)
 
 
+def edge_count_matrix(G):
+    A = np.zeros((G.n_vertices, G.n_vertices), dtype=np.int64)
+    for u, v, _ in G.edges:
+        A[u, v] += 1
+    return A
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(multigraphs(), small_graph_strategy()))
+def test_adjacency_counts_the_edge_triples(G):
+    assert np.array_equal(rs.adjacency(G), edge_count_matrix(G))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(multigraphs(), small_graph_strategy()), st.integers(1, 3))
+def test_higher_power_repeats_one_edge_per_path_in_row_major_order(G, m):
+    P = object_power(rs.adjacency(G), m)
+    n = G.n_vertices
+    want = tuple(e for u in range(n) for v in range(n) for e in [(u, v, G.labels[v])] * P[u, v])
+    assert rs.higher_power(G, m).edges == want
+
+
+def assert_writes_like_its_triples(H):
+    rebuilt = LabeledDigraph(H.q, H.labels, H.edges)
+    assert ser.graph_to_json(H) == ser.graph_to_json(rebuilt)
+    assert ser.graph_from_json(ser.graph_to_json(H)) == H == rebuilt
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(multigraphs(), small_graph_strategy()), st.integers(1, 3))
+def test_graphs_built_from_rows_write_like_their_triples(G, m):
+    assert ser.graph_from_json(ser.graph_to_json(G)) == G
+    assert_writes_like_its_triples(rs.higher_power(G, m))
+    assert_writes_like_its_triples(rs.essential_subgraph(G))
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.1])
+def test_epsilon_graph_writes_like_its_triples(binary_system, trunc8_system, eps):
+    for S in (binary_system, trunc8_system):
+        assert_writes_like_its_triples(rs.epsilon_construction(S, eps).graph)
+
+
+@settings(max_examples=100, deadline=None)
+@given(multigraphs(), st.integers(1, 3))
+def test_determinism_matches_a_scan_of_the_edges(G, m):
+    for H in (G, rs.higher_power(G, m)):
+        pairs = [(u, lab) for u, _, lab in H.edges]
+        assert rs.graphs._is_deterministic(H) == (len(set(pairs)) == len(pairs))
+
+
+def test_graphs_are_immutable():
+    G = rs.higher_power(rs.de_bruijn(2, 1), 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        G.q = 3
+    for row in (G.src, G.dst, G.lab, G.count):
+        with pytest.raises(ValueError):
+            row[0] = 0
+
+
+def test_higher_power_rejects_counts_past_int64():
+    G = LabeledDigraph(3, ((0,),), ((0, 0, (0,)), (0, 0, (1,)), (0, 0, (2,))))
+    assert rs.higher_power(G, 39).count.tolist() == [3**39]
+    with pytest.raises(ValueError, match="int64"):
+        rs.higher_power(G, 40)
+
+
+def test_word_functions_check_their_input_and_peel_once(monkeypatch):
+    two_symbol = rs.higher_power(rs.de_bruijn(2, 2), 2)
+    for words in (rs.words_of_length, rs.count_words):
+        with pytest.raises(ValueError):
+            words(rs.de_bruijn(2, 1), 0)
+        with pytest.raises(ValueError):
+            words(two_symbol, 3)
+    G = LabeledDigraph(
+        2,
+        ((0,), (1,)),
+        ((0, 0, (0,)), (0, 1, (0,)), (1, 0, (0,)), (1, 1, (1,))),
+    )
+    want = len(rs.words_of_length(G, 3))
+    peels = []
+    real = rs.graphs.essential_subgraph
+    monkeypatch.setattr(rs.graphs, "essential_subgraph", lambda G: peels.append(G) or real(G))
+    assert rs.count_words(G, 3) == want
+    assert len(peels) == 1
+
+
 def test_essential_subgraph_drops_stranded_vertices(binary_system):
     E = rs.essential_subgraph(binary_system.presentation)
     assert E.labels == ((0, 0), (0, 1), (1, 0))
@@ -430,3 +527,10 @@ def test_essential_subgraph_drops_stranded_vertices(binary_system):
 def test_vertex_order_is_validated():
     with pytest.raises(ValueError):
         LabeledDigraph(2, ((1,), (0,)), ())
+
+
+def test_edge_triples_need_integer_vertex_ids():
+    with pytest.raises(TypeError):
+        LabeledDigraph(2, ((0,), (1,)), ((1.5, 0, (0,)),))
+    with pytest.raises(ValueError, match="missing vertex"):
+        LabeledDigraph(2, ((0,), (1,)), ((0, 0, (0,)), (0, 2, (0,))))
