@@ -15,7 +15,7 @@ from pathlib import Path
 import click
 
 from . import measures, serialization, storage, systems
-from .graphs import adjacency, de_bruijn, essential_subgraph, is_strongly_connected
+from .graphs import adjacency, de_bruijn, essential_subgraph
 from .serialization import fmt
 
 
@@ -189,8 +189,6 @@ def measure() -> None:
 def measure_maxent(graph_path, out):
     """Max-entropy measure of the essential part of a presentation."""
     G = essential_subgraph(serialization.load_graph(graph_path))
-    if not is_strongly_connected(G) or not G.src.size:
-        raise ValueError("the essential subgraph must be strongly connected")
     M = measures.max_entropy_measure(G)
     click.echo(f"h {fmt(measures.entropy_rate(M))} (log base {M.log_base})")
     if out:

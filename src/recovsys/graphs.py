@@ -26,9 +26,7 @@ PERRON_REL_TOL = 1e-14
 PERRON_POWER_STEPS = 256
 PERRON_CERT_TOL = 1e-12
 PERRON_CERT_STEPS = 2048
-ENUM_WORD_CAP = 2_000_000
-ENUM_FALLBACK_MAX_N = 20
-ENUM_FALLBACK_MAX_Q = 4
+ENUM_CAP = 1_000_000
 
 
 def word_from_int(value: int, q: int, length: int) -> Word:
@@ -203,9 +201,7 @@ def scc_decompose(G: LabeledDigraph) -> list[tuple[int, ...]]:
 
 def is_strongly_connected(G: LabeledDigraph) -> bool:
     """True iff every ordered vertex pair is joined by a directed path."""
-    if G.n_vertices <= 1:
-        return True
-    return len(scc_decompose(G)) == 1
+    return len(scc_decompose(G)) <= 1
 
 
 def essential_subgraph(G: LabeledDigraph) -> LabeledDigraph:
@@ -337,7 +333,9 @@ def words_of_length(G: LabeledDigraph, n: int) -> frozenset[Word]:
     Words of the system are the words spelled inside bi-infinite label paths,
     so enumeration runs on the essential subgraph: a path there spells its
     start-vertex word followed by its edge labels.  Requires single-symbol
-    edge labels.
+    edge labels.  More than `ENUM_CAP` paths of length ``n - L`` in the
+    essential subgraph (``L`` the vertex word length) raise ValueError
+    before any walk starts.
     """
     return _enumerate_words(_word_graph(G, n), n)
 
@@ -349,19 +347,11 @@ def count_words(G: LabeledDigraph, n: int) -> int:
     deterministic, paths biject with words, and the count is the exact
     `path_count` of length ``n - L`` on the essential subgraph, where ``L``
     is the vertex word length; otherwise the word set is enumerated
-    explicitly, which is capped at ``n <= ENUM_FALLBACK_MAX_N`` and
-    ``q <= ENUM_FALLBACK_MAX_Q``.
+    explicitly, as in `words_of_length`, under the same `ENUM_CAP` path test.
     """
     E = _word_graph(G, n)
-    L = E.label_len
-    if n > L:
-        if _is_deterministic(E):
-            return path_count(adjacency(E), n - L)
-        if n > ENUM_FALLBACK_MAX_N or G.q > ENUM_FALLBACK_MAX_Q:
-            raise ValueError(
-                "nondeterministic presentation: explicit enumeration capped at "
-                f"n <= {ENUM_FALLBACK_MAX_N}, q <= {ENUM_FALLBACK_MAX_Q}"
-            )
+    if n > E.label_len and _is_deterministic(E):
+        return path_count(adjacency(E), n - E.label_len)
     return len(_enumerate_words(E, n))
 
 
@@ -378,6 +368,8 @@ def _enumerate_words(E: LabeledDigraph, n: int) -> frozenset[Word]:
     L = E.label_len
     if not E.labels or n <= L:
         return frozenset(w[:n] for w in E.labels)
+    if not _within_enum_cap(E, n - L):
+        raise ValueError(f"length-{n} words: explicit enumeration capped at {ENUM_CAP} paths")
     succ = E.successors()
     frontier: dict[Word, set[int]] = {w: {u} for u, w in enumerate(E.labels)}
     for _ in range(n - L):
@@ -387,9 +379,27 @@ def _enumerate_words(E: LabeledDigraph, n: int) -> frozenset[Word]:
                 for v, lab in succ[u]:
                     nxt.setdefault(word + lab, set()).add(v)
         frontier = nxt
-        if len(frontier) > ENUM_WORD_CAP:
-            raise ValueError("word enumeration exceeded the configured cap")
     return frozenset(frontier)
+
+
+def _within_enum_cap(E: LabeledDigraph, m: int) -> bool:
+    """True iff the essential graph `E` has at most `ENUM_CAP` paths of length `m`.
+
+    ``v[u]`` counts the paths from ``u``: int64 products with the count rows,
+    clipped at ``ENUM_CAP + 1`` so nothing wraps.  In an essential graph every
+    vertex has an in-edge, so the total never falls as paths grow and any
+    clipped entry puts it over the cap: the answer is exact and comes early.
+    """
+    clip = ENUM_CAP + 1
+    count = np.minimum(E.count, clip)
+    v = np.ones(E.n_vertices, dtype=np.int64)
+    for _ in range(m):
+        if v.sum() > ENUM_CAP:
+            return False
+        w = np.zeros_like(v)
+        np.add.at(w, E.src, np.minimum(count * v[E.dst], clip))
+        v = np.minimum(w, clip)
+    return v.sum() <= ENUM_CAP
 
 
 def log_base(x: float, q: int) -> float:

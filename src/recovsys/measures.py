@@ -123,7 +123,6 @@ class WindowEntropyReport:
     entries: Mapping[tuple[Word, Word], float]
     zero_pairs: tuple[tuple[Word, Word], ...]
     max_entropy: float
-    argmax_pair: tuple[Word, Word] | None
 
 
 @dataclass(frozen=True)
@@ -325,12 +324,7 @@ def window_conditional_entropy(M: MarkovMeasure, k: int, l: int) -> WindowEntrop
             total = sum(mids.values())
             probs = np.array([m / total for m in mids.values()])
             entries[(u, v)] = float(-_xlogx(probs).sum()) / math.log(M.q)
-    if entries:
-        argmax = max(entries, key=lambda key: (entries[key], key))
-        max_ent = entries[argmax]
-    else:
-        argmax, max_ent = None, 0.0
-    return WindowEntropyReport(entries, tuple(zero), max_ent, argmax)
+    return WindowEntropyReport(entries, tuple(zero), max(entries.values(), default=0.0))
 
 
 def is_epsilon_recoverable(M: MarkovMeasure, epsilon: float, k: int, l: int) -> bool:
@@ -351,7 +345,7 @@ def delta_from_epsilon(epsilon: float, q: int, k: int) -> float:
     """
     if q < 2 or k < 1:
         raise ValueError("the rate equation needs q >= 2 and k >= 1")
-    if epsilon < 0 or epsilon > k + 1e-12:
+    if not 0 <= epsilon <= k + 1e-12:
         raise ValueError(f"epsilon must lie in [0, {k}]")
     if epsilon == 0:
         return 0.0
@@ -417,8 +411,6 @@ def epsilon_construction(S: RecoverableSystem, epsilon: float) -> EpsilonConstru
         epsilon, S.q, S.k, S.l, delta_from_epsilon(epsilon, S.q, S.k)
     )
     G = higher_block_presentation(S)
-    if not is_strongly_connected(G):
-        raise ValueError("the construction needs a strongly connected window graph")
     Gm = higher_power(G, W)
     mu = max_entropy_measure(Gm)
     owner: dict[Word, int] = {}

@@ -8,6 +8,7 @@ significant digits, which round-trips doubles bit-identically.
 from __future__ import annotations
 
 import json
+from operator import index
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -54,16 +55,20 @@ def graph_to_json(G: LabeledDigraph) -> str:
 
 def graph_from_json(text: str) -> LabeledDigraph:
     doc = json.loads(text)
-    vertices = sorted((int(v["id"]), text_to_word(v["label"])) for v in doc["vertices"])
+    try:
+        vertices = sorted((index(v["id"]), text_to_word(v["label"])) for v in doc["vertices"])
+        edges = tuple(
+            (index(e["from"]), index(e["to"]), text_to_word(e["label"]))
+            for e in doc["edges"]
+        )
+        q = index(doc["q"])
+        label_len = index(doc["label_len"])
+    except TypeError as exc:
+        raise ValueError(f"malformed graph file: {exc}") from None
     if [i for i, _ in vertices] != list(range(len(vertices))):
         raise ValueError("vertex ids must be 0..n-1, each exactly once")
-    labels = tuple(w for _, w in vertices)
-    edges = tuple(
-        (int(e["from"]), int(e["to"]), text_to_word(e["label"]))
-        for e in doc["edges"]
-    )
-    G = LabeledDigraph(int(doc["q"]), labels, edges)
-    if G.label_len != int(doc["label_len"]):
+    G = LabeledDigraph(q, tuple(w for _, w in vertices), edges)
+    if G.label_len != label_len:
         raise ValueError("label_len field disagrees with the vertex labels")
     return G
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .graphs import LabeledDigraph, Word, adjacency, log_base, path_count, trace_power
+from . import graphs
+from .graphs import LabeledDigraph, Word, adjacency, essential_subgraph, log_base, trace_power
 from .systems import RecoverableSystem
-
-WORD_ENUMERATION_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -68,23 +67,22 @@ def perrin_count(n: int) -> int:
 def periodic_points(G: LabeledDigraph, n: int) -> PeriodicPoints:
     """Period-n points of the system presented by `G`.
 
-    The exact count is the trace of the n-th adjacency power.  The explicit
-    word set is enumerated by closed-path traversal when the count is within
-    `WORD_ENUMERATION_CAP` and the edges emit single symbols; deterministic
-    presentations spell distinct words on distinct closed paths, so the set
-    size matches the count there.
+    Closed paths lie in the essential subgraph ``E``; the exact count is the
+    trace of its n-th adjacency power.  Words come from walking every
+    length-n path of ``E`` when its edges emit single symbols and it has at
+    most `graphs.ENUM_CAP` such paths (tested first; else `words` is None).
+    There are `count` words iff distinct closed paths spell distinct words,
+    as in window presentations; two loops labeled 0 give two points, one word.
     """
     if n < 1:
         raise ValueError("the period must be at least 1")
-    A = adjacency(G)
-    count = trace_power(A, n)
-    # The traversal visits every length-n path, not just the closed ones, so
-    # the cap guards the total path count.
+    E = essential_subgraph(G)
+    count = trace_power(adjacency(E), n)
     words: frozenset[Word] | None = None
-    if path_count(A, n) <= WORD_ENUMERATION_CAP and G.edge_label_len <= 1:
+    if E.edge_label_len <= 1 and graphs._within_enum_cap(E, n):
         found: set[Word] = set()
-        succ = G.successors()
-        for start in range(G.n_vertices):
+        succ = E.successors()
+        for start in range(E.n_vertices):
             stack: list[tuple[int, tuple[int, ...]]] = [(start, ())]
             while stack:
                 v, labs = stack.pop()
@@ -102,7 +100,9 @@ def storage_code_for_cycle(S: RecoverableSystem, n: int) -> CycleStorageCode:
     """Storage code on the n-cycle from the period-n points of `S`.
 
     Needs a (1, 1)-recoverable system and n >= 3 (each position must have
-    two distinct neighbors); the recovery table is shared with `S`.
+    two distinct neighbors); the recovery table is shared with `S`.  More
+    than `graphs.ENUM_CAP` length-n paths in the essential presentation
+    raise ValueError.
     """
     if S.k != 1 or S.l != 1:
         raise ValueError("cycle codes come from (1, 1)-recoverable systems")
@@ -110,10 +110,7 @@ def storage_code_for_cycle(S: RecoverableSystem, n: int) -> CycleStorageCode:
         raise ValueError("a cycle needs length at least 3")
     pts = periodic_points(S.presentation, n)
     if pts.words is None:
-        raise ValueError(
-            f"{pts.count} periodic points exceed the enumeration cap of "
-            f"{WORD_ENUMERATION_CAP}"
-        )
+        raise ValueError(f"period-{n} walk over the enumeration cap of {graphs.ENUM_CAP} paths")
     return CycleStorageCode(n, S.q, pts.words, S.recovery_table)
 
 

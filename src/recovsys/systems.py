@@ -23,7 +23,6 @@ from .graphs import (
     adjacency,
     de_bruijn,
     essential_subgraph,
-    is_strongly_connected,
     log_base,
     perron_eigenvalue,
     window_presentation,
@@ -335,8 +334,6 @@ def recursive_extend(S: RecoverableSystem) -> RecoverableSystem:
     if S.k != 1 or S.l != 1:
         raise ValueError("the loop extension applies to (1, 1) systems only")
     core = pair_presentation(S.presentation)
-    if core.n_vertices == 0 or not is_strongly_connected(core):
-        raise ValueError("the loop extension needs a strongly connected core")
     q = S.q
     mu = max_entropy_measure(core)
     v = int(np.argmax(mu.p))

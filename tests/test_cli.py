@@ -170,3 +170,32 @@ def test_graph_files_need_vertex_ids_0_to_n_minus_1(tmp_path, ids):
     res = run("measure", "maxent", "--graph", str(path))
     assert res.exit_code == 2
     assert "vertex ids must be 0..n-1, each exactly once" in res.output
+
+
+MALFORMED_GRAPHS = {
+    "float endpoints": {
+        "q": 2,
+        "label_len": 1,
+        "vertices": [{"id": 0, "label": "0"}, {"id": 1, "label": "1"}],
+        "edges": [{"from": 0, "to": 1.9, "label": "1"}, {"from": 1.5, "to": 0, "label": "0"}],
+    },
+    "not an object": [],
+    "numeric label": {"q": 2, "label_len": 1, "vertices": [{"id": 0, "label": 5}], "edges": []},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_GRAPHS))
+def test_malformed_graph_files_are_usage_errors(tmp_path, name):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(MALFORMED_GRAPHS[name]))
+    for args in (("verify", "system", "--k", "1", "--l", "1"), ("measure", "maxent")):
+        res = run(*args, "--graph", str(path))
+        assert res.exit_code == 2
+        assert "malformed graph file" in res.output
+        assert "PASS" not in res.output
+
+
+def test_measure_epsilon_rejects_nan():
+    res = run("measure", "epsilon", "--q", "2", "--eps", "nan")
+    assert res.exit_code == 2
+    assert "epsilon must lie in" in res.output

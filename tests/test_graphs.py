@@ -519,6 +519,80 @@ def test_word_functions_check_their_input_and_peel_once(monkeypatch):
     assert len(peels) == 1
 
 
+def walked_words(G, n):
+    """Oracle: the words spelled by every length-(n - L) edge sequence of G."""
+    succ = {}
+    for u, v, lab in G.edges:
+        succ.setdefault(u, []).append((v, lab))
+    words = set()
+
+    def walk(u, word):
+        if len(word) == n:
+            words.add(word)
+            return
+        for v, lab in succ.get(u, ()):
+            walk(v, word + lab)
+
+    for u, w in enumerate(G.labels):
+        walk(u, w)
+    return words
+
+
+def test_count_words_enumerates_nondeterministic_graphs_past_q_4():
+    # Five letters on a strongly connected graph; vertex 0 emits 2 twice.
+    edges = [(u, (u + 1) % 5, ((u + 1) % 5,)) for u in range(5)]
+    edges += [(u, (u + 2) % 5, ((u * 3) % 5,)) for u in range(5)]
+    edges += [(0, 3, (2,))]
+    G = LabeledDigraph(5, tuple((i,) for i in range(5)), tuple(edges))
+    assert not rs.graphs._is_deterministic(G)
+    for n in range(1, 9):
+        assert rs.words_of_length(G, n) == walked_words(G, n)
+        assert rs.count_words(G, n) == len(walked_words(G, n))
+
+
+def test_enumeration_cap_is_decided_before_any_walk(monkeypatch):
+    def no_walk(self):
+        raise AssertionError("a walk started")
+
+    monkeypatch.setattr(LabeledDigraph, "successors", no_walk)
+    G = rs.de_bruijn(2, 1)  # 2**(m + 1) paths of length m
+    with pytest.raises(ValueError, match="capped"):
+        rs.words_of_length(G, 21)
+    assert rs.periodic_points(G, 20).words is None
+
+
+@pytest.mark.parametrize("cap, fits", [(8, True), (7, False)])
+def test_enumeration_cap_boundary(monkeypatch, cap, fits):
+    monkeypatch.setattr(rs.graphs, "ENUM_CAP", cap)
+    G = rs.de_bruijn(2, 1)  # 8 paths of length 2
+    assert (rs.periodic_points(G, 2).words is not None) == fits
+    if fits:
+        assert len(rs.words_of_length(G, 3)) == 8
+    else:
+        with pytest.raises(ValueError, match="capped"):
+            rs.words_of_length(G, 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(multigraphs(), st.integers(0, 5))
+def test_enumeration_cap_matches_the_exact_path_count(G, m):
+    E = rs.essential_subgraph(G)
+    # The power keeps E essential and gives rows whose counts pass the cap.
+    for H in (E, rs.higher_power(E, 3)):
+        paths = rs.path_count(rs.adjacency(H), m)
+        for cap in (1, 7, 40):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(rs.graphs, "ENUM_CAP", cap)
+                assert rs.graphs._within_enum_cap(H, m) == (paths <= cap)
+
+
+def test_enumeration_cap_does_not_wrap_on_counts_near_int64():
+    # Four rows of count 2**61: an unclipped int64 total wraps to -2**63.
+    G = rs.higher_power(rs.de_bruijn(2, 1), 62)
+    with pytest.raises(ValueError, match="capped"):
+        rs.words_of_length(G, 3)
+
+
 def test_essential_subgraph_drops_stranded_vertices(binary_system):
     E = rs.essential_subgraph(binary_system.presentation)
     assert E.labels == ((0, 0), (0, 1), (1, 0))

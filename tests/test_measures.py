@@ -116,6 +116,8 @@ def test_delta_from_epsilon_examples():
         rs.delta_from_epsilon(1.5, 2, 1)
     with pytest.raises(ValueError):
         rs.delta_from_epsilon(-0.1, 2, 1)
+    with pytest.raises(ValueError):
+        rs.delta_from_epsilon(float("nan"), 2, 1)
 
 
 @settings(max_examples=40, deadline=None)

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import recovsys as rs
+from recovsys.graphs import LabeledDigraph, word_from_int
 
 PERRIN_MATRIX = np.array([[0, 1, 1], [0, 0, 1], [1, 0, 0]])
 
@@ -68,6 +71,66 @@ def test_storage_code_rejects_short_cycles(binary_system):
 def test_storage_code_enumeration_is_capped(trunc8_system):
     with pytest.raises(ValueError, match="enumeration cap"):
         rs.storage_code_for_cycle(trunc8_system, 40)
+
+
+def test_storage_cap_counts_the_walk_not_the_points(trunc8_system):
+    # 472,448 period-13 points, but 3,799,168 length-13 paths to walk.
+    with pytest.raises(ValueError, match="enumeration cap") as info:
+        rs.storage_code_for_cycle(trunc8_system, 13)
+    assert "enumeration cap of 1000000 paths" in str(info.value)
+    assert "472448" not in str(info.value)
+
+
+def test_deterministic_loops_can_share_a_word():
+    # Both loops spell 0: two period-n points, one word.
+    G = LabeledDigraph(2, ((0,), (1,)), ((0, 0, (0,)), (1, 1, (0,))))
+    assert rs.graphs._is_deterministic(G)
+    for n in (1, 3):
+        pts = rs.periodic_points(G, n)
+        assert pts.count == 2
+        assert pts.words == frozenset({(0,) * n})
+
+
+@st.composite
+def tailed_multigraphs(draw):
+    """Multigraphs on up to 5 core vertices plus a source and a sink tail."""
+    n = draw(st.integers(1, 5))
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.tuples(st.integers(0, 2)))
+    edges = draw(st.lists(edge, max_size=10))
+    edges += draw(st.lists(st.sampled_from(edges), max_size=3)) if edges else []
+    # Vertex n only leaves, vertex n + 1 only enters: neither is essential.
+    edges += [(n, draw(st.integers(0, n - 1)), (0,)), (draw(st.integers(0, n - 1)), n + 1, (1,))]
+    labels = tuple(word_from_int(i, 3, 2) for i in range(n + 2))
+    return LabeledDigraph(3, labels, tuple(draw(st.permutations(edges))))
+
+
+def closed_edge_sequences(G, n):
+    """Oracle: the label words of all closed sequences of n edges of G."""
+    edges = G.edges
+    found = []
+
+    def extend(start, v, word):
+        if len(word) == n:
+            if v == start:
+                found.append(word)
+            return
+        for u, w, lab in edges:
+            if u == v:
+                extend(start, w, word + lab)
+
+    for start in range(G.n_vertices):
+        extend(start, start, ())
+    return found
+
+
+@settings(max_examples=100, deadline=None)
+@given(tailed_multigraphs(), st.integers(1, 4))
+def test_periodic_points_match_closed_edge_sequences(G, n):
+    assert rs.essential_subgraph(G).n_vertices < G.n_vertices
+    closed = closed_edge_sequences(G, n)
+    pts = rs.periodic_points(G, n)
+    assert pts.count == len(closed)
+    assert pts.words == frozenset(closed)
 
 
 def test_storage_code_on_edge_cover_cycle(edge4_system):
