@@ -60,7 +60,8 @@ class LabeledDigraph:
     The rows are `src`, `dst`, `lab` (an index into `words`, the table of
     label words) and `count`, the edge's multiplicity: a graph power keeps
     one row per vertex pair.  `edges` expands the rows into triples, and
-    graphs are equal when q, labels and `edges` are.
+    graphs are equal when q, labels and `edges` are; equality compares the
+    rows, never expanding them.
     """
 
     q: int
@@ -114,7 +115,28 @@ class LabeledDigraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledDigraph):
             return NotImplemented
-        return (self.q, self.labels, self.edges) == (other.q, other.labels, other.edges)
+        if (self.q, self.labels) != (other.q, other.labels):
+            return False
+        words = sorted(set(self.words) | set(other.words))
+        return all(
+            np.array_equal(a, b) for a, b in zip(self._runs(words), other._runs(words))
+        )
+
+    def _runs(self, words: Sequence[Word]) -> tuple[np.ndarray, ...]:
+        """The rows with label words ranked in `words`, adjacent equal rows merged.
+
+        Merging sums the counts, so two graphs have the same `edges` exactly
+        when their runs are equal, whatever unused words their tables hold.
+        """
+        rank = {w: i for i, w in enumerate(words)}
+        rows = (self.src, self.dst, np.array([rank[w] for w in self.words], dtype=np.int64)[self.lab])
+        new = np.zeros(self.count.size, dtype=bool)
+        new[:1] = True
+        for row in rows:
+            new[1:] |= row[1:] != row[:-1]
+        starts = np.flatnonzero(new)
+        runs = np.add.reduceat(self.count, starts) if starts.size else self.count
+        return (*(row[starts] for row in rows), runs)
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -207,25 +229,47 @@ def is_strongly_connected(G: LabeledDigraph) -> bool:
 def essential_subgraph(G: LabeledDigraph) -> LabeledDigraph:
     """Induced subgraph on vertices with bi-infinite paths through them.
 
-    Iteratively drops vertices of in-degree or out-degree zero.  The peel
-    reads the count matrix: each round subtracts the rows and columns of the
-    vertices it drops from the degree vectors, so the whole peel costs
-    O(V**2) array work.  Labels and surviving edge rows keep their order.
+    Iteratively drops vertices of in-degree or out-degree zero.  The
+    degrees count edge rows (every row has a positive count), and each
+    round subtracts only the rows of the vertices it drops, found through
+    the rows sorted by source and by target; so the peel takes O(V + E)
+    time and memory beyond its rounds, and no V x V matrix.  Labels and
+    surviving edge rows keep their order.
     This is the explicit pruning operation: no other function ever removes
     vertices from a graph it returns.
     """
-    A = adjacency(G)
-    outd, ind = A.sum(axis=1), A.sum(axis=0)
-    alive = np.ones(G.n_vertices, dtype=bool)
-    dead = (outd == 0) | (ind == 0)
-    while dead.any():
-        alive &= ~dead
-        outd = outd - A[:, dead].sum(axis=1)
-        ind = ind - A[dead].sum(axis=0)
-        dead = alive & ((outd == 0) | (ind == 0))
+    n, src, dst = G.n_vertices, G.src, G.dst
+    outd, ind = np.bincount(src, minlength=n), np.bincount(dst, minlength=n)
+    dead = np.flatnonzero((outd == 0) | (ind == 0))
+    alive, rows = np.ones(n, dtype=bool), np.ones(src.size, dtype=bool)
+    if dead.size:
+        # vertex v's rows are order[start[v] : start[v] + deg[v]]
+        lists = [
+            (np.argsort(ends, kind="stable"), np.cumsum(deg) - deg, deg.copy())
+            for ends, deg in ((src, outd), (dst, ind))
+        ]
+        first = np.empty(n, dtype=np.int64)
+    while dead.size:
+        alive[dead] = False
+        gone = []
+        for order, start, deg in lists:
+            span = deg[dead]
+            at = np.repeat(start[dead] - np.cumsum(span) + span, span) + np.arange(span.sum())
+            gone.append(order[at])
+        # a row is met again when its other end dies, and then both its ends
+        # are dead: their degrees are never read again
+        r = np.concatenate(gone)
+        rows[r] = False
+        np.subtract.at(outd, src[r], 1)
+        np.subtract.at(ind, dst[r], 1)
+        ends = np.concatenate((src[r], dst[r]))
+        ends = ends[alive[ends]]
+        ends = ends[(outd[ends] == 0) | (ind[ends] == 0)]
+        # drop repeats: each vertex keeps one of its positions' writes
+        first[ends] = np.arange(ends.size)
+        dead = ends[first[ends] == np.arange(ends.size)]
     labels = tuple(w for w, k in zip(G.labels, alive.tolist()) if k)
     remap = np.cumsum(alive) - 1
-    rows = alive[G.src] & alive[G.dst]
     return LabeledDigraph._from_rows(
         G.q, labels, G.words, remap[G.src[rows]], remap[G.dst[rows]], G.lab[rows], G.count[rows]
     )

@@ -31,6 +31,8 @@ from .graphs import (
 )
 
 SEARCH_CANDIDATE_CAP = 10_000_000
+_STACK_BYTES = 1 << 17
+_BOUND_STEPS = 16
 
 
 @dataclass(frozen=True)
@@ -396,8 +398,21 @@ def exhaustive_max_capacity(
     Iterates every function from boundary pairs to middle words (maximal
     systems keep exactly one middle per pair; larger forbidden sets only
     shrink capacity), scoring each induced forbidden set by the spectral
-    radius of its presentation.  Ties keep the earliest function in
-    enumeration order.
+    radius of its window-overlap matrix.  Ties within 1e-12 keep the
+    earliest function in enumeration order.
+
+    Every candidate first gets a Collatz-Wielandt upper bound on its
+    spectral radius (`_search_bounds`).  Candidates are then certified with
+    `perron_eigenvalue` in descending order of bound, until the next bound
+    shows that no remaining candidate can certify above a line that lies
+    more than 1e-12 below the best certified radius, and no certified
+    radius lies within 1e-12 above that line.  The tie rule then runs, in
+    enumeration order, over the certified candidates only.  The first
+    candidate above the line, in enumeration order, is certified and beats
+    every candidate before it by more than 1e-12, in either scan; from
+    there on the two scans agree, and a pruned candidate, below the line,
+    can neither win nor change which certified candidate wins.  Every
+    number returned comes from `perron_eigenvalue`.
     """
     if q < 1 or k < 1 or l < 1:
         raise ValueError("q, k, l must all be at least 1")
@@ -409,23 +424,87 @@ def exhaustive_max_capacity(
             f"search space of {n_candidates} recovery functions exceeds the "
             f"cap of {SEARCH_CANDIDATE_CAP}"
         )
-    word_len = 2 * l + k
-    n_vertices = q ** (word_len - 1)
-    best_lam = -1.0
-    best_choice: tuple[Word, ...] | None = None
-    for choice in product(middles, repeat=len(pairs)):
-        A = np.zeros((n_vertices, n_vertices), dtype=np.int64)
-        for (u, v), keep in zip(pairs, choice):
-            w = u + keep + v
-            A[word_to_int(w[:-1], q), word_to_int(w[1:], q)] = 1
-        lam = perron_eigenvalue(A)
-        if lam > best_lam + 1e-12:
-            best_lam = lam
-            best_choice = choice
-    assert best_choice is not None
+    n = q ** (2 * l + k - 1)
+    cells = _window_cells(q, n, pairs, middles)
+    hi = _search_bounds(cells, n)
+    rows = np.arange(len(pairs))
+    lams: dict[int, float] = {}
+    top = -1.0
+    for c in np.argsort(-hi, kind="stable"):
+        # hi >= rho + 1, and perron_eigenvalue is within 1e-12 of rho
+        # (relative): no candidate from here on certifies above `line`
+        line = hi[c] * (1.0 + 2e-12) - 1.0
+        if line + 1e-12 < top and not any(line <= lam <= line + 1e-12 for lam in lams.values()):
+            break
+        A = np.zeros(n * n, dtype=np.int64)
+        A[cells[rows, _digits(c, cells)]] = 1
+        lams[c] = perron_eigenvalue(A.reshape(n, n))
+        top = max(top, lams[c])
+    best_lam, best = -1.0, 0
+    for c in sorted(lams):
+        if lams[c] > best_lam + 1e-12:
+            best_lam, best = lams[c], c
     G = window_presentation(
-        q, (u + keep + v for (u, v), keep in zip(pairs, best_choice))
+        q, (u + middles[j] + v for (u, v), j in zip(pairs, _digits(best, cells)))
     )
     system = _verified_system(q, k, l, G, f"exhaustive(q={q}, k={k}, l={l})")
     value = float("-inf") if best_lam == 0.0 else log_base(best_lam, q)
     return value, system
+
+
+def _window_cells(
+    q: int, n: int, pairs: list[tuple[Word, Word]], middles: list[Word]
+) -> np.ndarray:
+    """Flat position of each window in the n x n overlap matrix of the search.
+
+    Entry ``[p, j]`` is ``src * n + dst`` for the window
+    ``u + middles[j] + v`` with ``(u, v) = pairs[p]``: the ranks of its
+    prefix and suffix among the n words of their length.
+    """
+    return np.array(
+        [
+            [word_to_int(w[:-1], q) * n + word_to_int(w[1:], q) for w in (u + m + v for m in middles)]
+            for u, v in pairs
+        ],
+        dtype=np.int64,
+    )
+
+
+def _digits(index: np.ndarray | int, cells: np.ndarray) -> np.ndarray:
+    """Middle index per boundary pair of the candidates at enumeration `index`.
+
+    Pair p takes digit p of the index in base ``len(middles)``, most
+    significant first, as `itertools.product` enumerates them.
+    """
+    n_pairs, base = cells.shape
+    return np.asarray(index)[..., None] // base ** np.arange(n_pairs - 1, -1, -1) % base
+
+
+def _search_bounds(cells: np.ndarray, n: int) -> np.ndarray:
+    """Upper bound on ``rho(A_c) + 1`` for every candidate c of the search.
+
+    The overlap matrices are built in stacks of about `_STACK_BYTES` as
+    ``M = A_c + I`` in float64, and `_BOUND_STEPS` power steps run on the
+    whole stack from the all-ones vector.  For any nonnegative M and any
+    positive v, ``rho(M) <= max(Mv / v)`` (Collatz-Wielandt; Lind & Marcus,
+    ch. 4), reducible or not, and M's unit diagonal keeps v positive, so
+    the least maximum over the steps bounds ``rho(A_c) + 1``.
+    """
+    n_candidates = cells.shape[1] ** cells.shape[0]
+    per_stack = max(1, _STACK_BYTES // (8 * n * n))
+    rows, diag = np.arange(cells.shape[0]), np.arange(n)
+    bounds = np.empty(n_candidates)
+    for start in range(0, n_candidates, per_stack):
+        flat = cells[rows, _digits(np.arange(start, min(start + per_stack, n_candidates)), cells)]
+        M = np.zeros((len(flat), n * n))
+        M[np.arange(len(flat))[:, None], flat] = 1.0
+        M = M.reshape(-1, n, n)
+        M[:, diag, diag] += 1.0
+        v = np.ones((len(flat), n, 1))
+        hi = np.full(len(flat), np.inf)
+        for _ in range(_BOUND_STEPS):
+            w = M @ v
+            hi = np.minimum(hi, (w / v).max(axis=(1, 2)))
+            v = w / w.max(axis=1, keepdims=True)
+        bounds[start : start + len(flat)] = hi
+    return bounds

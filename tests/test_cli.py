@@ -124,6 +124,19 @@ def test_measure_epsilon_zero_budget_has_zero_gain():
     assert abs(float(gain.split()[1])) < 1e-12
 
 
+def test_measure_epsilon_on_the_ternary_search_optimum():
+    res = run("measure", "epsilon", "--q", "3", "--eps", "0.1")
+    assert res.exit_code == 0
+    assert res.output == (
+        "delta 0.019555992053003596\n"
+        "h_mu 0.43801787948594245 (log base 27)\n"
+        "h_nu 0.47135121281927572 (log base 27)\n"
+        "gain 0.03333333333333327 (log base 27)\n"
+        "max_window_entropy 0.10000000000000006 (log base 3)\n"
+        "epsilon_recoverable True\n"
+    )
+
+
 def test_measure_epsilon_writes_the_epsilon_graph(tmp_path):
     gpath = tmp_path / "d.json"
     res = run("measure", "epsilon", "--q", "2", "--eps", "0.1", "--out-graph", str(gpath))

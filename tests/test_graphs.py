@@ -455,6 +455,54 @@ def test_higher_power_repeats_one_edge_per_path_in_row_major_order(G, m):
     assert rs.higher_power(G, m).edges == want
 
 
+@st.composite
+def row_graph_pairs(draw):
+    """Two graphs on three vertices, built from rows as `_from_rows` allows.
+
+    Runs of equal edges may be split over several rows or merged into one,
+    and the word tables may hold unused words; half the time both graphs
+    expand to the same edge triples.
+    """
+    edge = st.tuples(st.integers(0, 2), st.integers(0, 2), st.sampled_from([(0,), (1,)]))
+    runs = st.lists(st.tuples(edge, st.integers(1, 4)), max_size=6)
+    first = draw(runs)
+    second = draw(st.one_of(st.just(first), runs))
+
+    def build(runs):
+        words = sorted({w for (_, _, w), _ in runs} | draw(st.sets(st.sampled_from([(0,), (1,), (2,)]))))
+        rows = []
+        for (u, v, w), left in runs:
+            while left:
+                c = draw(st.integers(1, left))
+                left -= c
+                if rows and rows[-1][:3] == [u, v, words.index(w)] and draw(st.booleans()):
+                    rows[-1][3] += c
+                else:
+                    rows.append([u, v, words.index(w), c])
+        src, dst, lab, count = np.array(rows, dtype=np.int64).reshape(-1, 4).T
+        return LabeledDigraph._from_rows(3, ((0,), (1,), (2,)), words, src, dst, lab, count)
+
+    return build(first), build(second)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_graph_pairs())
+def test_equality_compares_the_expanded_edges(pair):
+    G, H = pair
+    assert (G == H) == ((G.q, G.labels, G.edges) == (H.q, H.labels, H.edges))
+
+
+def test_word_enumeration_builds_no_vertex_matrix(monkeypatch):
+    def refuse(G):
+        raise AssertionError("dense adjacency built")
+
+    monkeypatch.setattr(rs.graphs, "adjacency", refuse)
+    n = 4000
+    labels = [rs.graphs.word_from_int(i, 2, 12) for i in range(n)]
+    G = LabeledDigraph(2, labels, [(i, (i + 1) % n, (0,)) for i in range(n)])
+    assert rs.words_of_length(G, 13) == {w + (0,) for w in labels}
+
+
 def assert_writes_like_its_triples(H):
     rebuilt = LabeledDigraph(H.q, H.labels, H.edges)
     assert ser.graph_to_json(H) == ser.graph_to_json(rebuilt)
@@ -596,6 +644,15 @@ def test_enumeration_cap_does_not_wrap_on_counts_near_int64():
 def test_essential_subgraph_drops_stranded_vertices(binary_system):
     E = rs.essential_subgraph(binary_system.presentation)
     assert E.labels == ((0, 0), (0, 1), (1, 0))
+
+
+def test_essential_subgraph_drops_a_vertex_once_whatever_drops_it():
+    # v dies once both its targets have died, reached from each of them;
+    # w keeps its loop, so it stays after v's row from w is dropped.
+    w, v, a, b = range(4)
+    G = LabeledDigraph(2, ((0, 0), (0, 1), (1, 0), (1, 1)), ((w, w, (0,)), (w, v, (1,)), (v, a, (0,)), (v, b, (1,))))
+    E = rs.essential_subgraph(G)
+    assert (E.labels, E.edges) == (((0, 0),), ((0, 0, (0,)),))
 
 
 def test_vertex_order_is_validated():

@@ -319,8 +319,50 @@ def test_exhaustive_trivial_alphabet():
 
 
 def test_exhaustive_rejects_oversized_search():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="exceeds the cap"):
         rs.exhaustive_max_capacity(4, 1, 2)
+
+
+@pytest.mark.parametrize("q, k, l", [(2, 1, 1), (2, 2, 1), (3, 1, 1)])
+def test_search_bounds_every_candidate_and_keeps_the_scan_winner(q, k, l):
+    # Reference: one overlap matrix per recovery function, built window by
+    # window, and the tie rule run over every candidate in enumeration order.
+    pairs = rs.systems._boundary_pairs(q, l)
+    middles = list(product(range(q), repeat=k))
+    n = q ** (2 * l + k - 1)
+    hi = rs.systems._search_bounds(rs.systems._window_cells(q, n, pairs, middles), n)
+    assert len(hi) == len(middles) ** len(pairs)
+    best_lam, best = -1.0, None
+    for c, choice in enumerate(product(middles, repeat=len(pairs))):
+        A = np.zeros((n, n), dtype=np.int64)
+        for (u, v), keep in zip(pairs, choice):
+            w = u + keep + v
+            A[rs.graphs.word_to_int(w[:-1], q), rs.graphs.word_to_int(w[1:], q)] = 1
+        lam = rs.perron_eigenvalue(A)
+        assert hi[c] * (1 + 2e-12) >= lam + 1
+        if lam > best_lam + 1e-12:
+            best_lam, best = lam, choice
+    value, S = rs.exhaustive_max_capacity(q, k, l)
+    assert value == rs.graphs.log_base(best_lam, q)
+    windows = (u + keep + v for (u, v), keep in zip(pairs, best))
+    assert S.presentation == rs.graphs.window_presentation(q, windows)
+
+
+def test_exhaustive_ternary_witness():
+    value, S = rs.exhaustive_max_capacity(3, 1, 1)
+    assert value == 0.4380178794859414
+    assert S.recovery_table == {
+        ((0,), (0,)): (0,), ((0,), (1,)): (0,), ((0,), (2,)): (1,),
+        ((1,), (0,)): (0,), ((1,), (1,)): (2,), ((1,), (2,)): (2,),
+        ((2,), (0,)): (1,), ((2,), (1,)): (2,), ((2,), (2,)): (1,),
+    }
+
+
+def test_exhaustive_binary_l2():
+    value, S = rs.exhaustive_max_capacity(2, 1, 2)
+    assert abs(value - 0.583414617170) < 1e-12
+    assert value <= float(rs.upper_bound(1, 2))
+    assert rs.verify_recoverable(S.presentation, 1, 2).ok
 
 
 def test_every_induced_forbidden_set_is_admissible():
