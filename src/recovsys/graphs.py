@@ -156,13 +156,6 @@ class LabeledDigraph:
     def edge_label_len(self) -> int:
         return len(self.words[0]) if self.src.size else 0
 
-    def successors(self) -> list[list[tuple[int, Word]]]:
-        """Adjacency lists: for each vertex the (target, edge label) pairs."""
-        succ: list[list[tuple[int, Word]]] = [[] for _ in self.labels]
-        for u, v, lab in self.edges:
-            succ[u].append((v, lab))
-        return succ
-
 
 def window_presentation(q: int, windows: Iterable[Word]) -> LabeledDigraph:
     """Standard presentation of the 1-step shift of finite type on `windows`.
@@ -375,10 +368,11 @@ def words_of_length(G: LabeledDigraph, n: int) -> frozenset[Word]:
     """All length-`n` words of the system presented by `G`.
 
     Words of the system are the words spelled inside bi-infinite label paths,
-    so enumeration runs on the essential subgraph: a path there spells its
-    start-vertex word followed by its edge labels.  Requires single-symbol
-    edge labels.  More than `ENUM_CAP` paths of length ``n - L`` in the
-    essential subgraph (``L`` the vertex word length) raise ValueError
+    so enumeration runs on the essential subgraph: one array walk reads
+    every sequence of ``n - L`` edge rows there (``L`` the vertex word
+    length), and each spells its start-vertex word followed by its edge
+    symbols.  Requires single-symbol edge labels.  More than `ENUM_CAP`
+    paths of length ``n - L`` in the essential subgraph raise ValueError
     before any walk starts.
     """
     return _enumerate_words(_word_graph(G, n), n)
@@ -414,16 +408,33 @@ def _enumerate_words(E: LabeledDigraph, n: int) -> frozenset[Word]:
         return frozenset(w[:n] for w in E.labels)
     if not _within_enum_cap(E, n - L):
         raise ValueError(f"length-{n} words: explicit enumeration capped at {ENUM_CAP} paths")
-    succ = E.successors()
-    frontier: dict[Word, set[int]] = {w: {u} for u, w in enumerate(E.labels)}
-    for _ in range(n - L):
-        nxt: dict[Word, set[int]] = {}
-        for word, ends in frontier.items():
-            for u in ends:
-                for v, lab in succ[u]:
-                    nxt.setdefault(word + lab, set()).add(v)
-        frontier = nxt
-    return frozenset(frontier)
+    start, _, symbols = _paths(E, n - L)
+    words = np.hstack((np.array(E.labels, dtype=symbols.dtype)[start], symbols))
+    return frozenset(tuple(w.tolist()) for w in words)
+
+
+def _paths(E: LabeledDigraph, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Start vertices, end vertices and symbols of every sequence of `m` edge rows.
+
+    One path per row sequence (a row's count does not repeat it) and one row
+    of the (N, m) symbol matrix per path, in the smallest unsigned dtype that
+    holds q - 1.  Each step repeats every path once per out-row of its end,
+    through the rows sorted by source.  Edge labels must be single symbols.
+    """
+    order = np.argsort(E.src, kind="stable")
+    dst = E.dst[order]
+    sym = np.array(E.words, dtype=np.min_scalar_type(E.q - 1)).reshape(-1)[E.lab[order]]
+    deg = np.bincount(E.src, minlength=E.n_vertices)
+    first = np.cumsum(deg) - deg
+    start = end = np.arange(E.n_vertices)
+    symbols = np.empty((E.n_vertices, 0), dtype=sym.dtype)
+    for _ in range(m):
+        k = deg[end]
+        # path i takes the rows first[end[i]] .. first[end[i]] + k[i] - 1
+        at = np.repeat(first[end] - np.cumsum(k) + k, k) + np.arange(k.sum())
+        start, end = np.repeat(start, k), dst[at]
+        symbols = np.hstack((np.repeat(symbols, k, axis=0), sym[at, None]))
+    return start, end, symbols
 
 
 def _within_enum_cap(E: LabeledDigraph, m: int) -> bool:

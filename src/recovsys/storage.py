@@ -25,7 +25,11 @@ class PeriodicPoints:
 
 @dataclass(frozen=True)
 class CycleStorageCode:
-    """Cyclic-shift-closed word set repaired by one shared neighbor rule."""
+    """Cyclic-shift-closed word set repaired by one shared neighbor rule.
+
+    The cycle has length n >= 3, so each position has two distinct
+    neighbors; q >= 1, and every codeword is a length-n word over [q].
+    """
 
     n: int
     q: int
@@ -33,11 +37,18 @@ class CycleStorageCode:
     recovery_table: Mapping[tuple[Word, Word], Word]
 
     def __post_init__(self) -> None:
+        if self.n < 3:
+            raise ValueError("a cycle needs length at least 3")
+        if self.q < 1:
+            raise ValueError("alphabet size must be at least 1")
         lengths = set(map(len, self.codewords)) - {self.n}
         if lengths:
             raise ValueError(
                 f"codewords of length {sorted(lengths)} in a code of length {self.n}"
             )
+        for w in self.codewords:
+            if min(w) < 0 or max(w) >= self.q:
+                raise ValueError(f"codeword {w} is not a word over [{self.q}]")
 
     def rate(self) -> float:
         """(1/n) log_q of the code size; empty codes rate -inf."""
@@ -68,9 +79,11 @@ def periodic_points(G: LabeledDigraph, n: int) -> PeriodicPoints:
     """Period-n points of the system presented by `G`.
 
     Closed paths lie in the essential subgraph ``E``; the exact count is the
-    trace of its n-th adjacency power.  Words come from walking every
-    length-n path of ``E`` when its edges emit single symbols and it has at
-    most `graphs.ENUM_CAP` such paths (tested first; else `words` is None).
+    trace of its n-th adjacency power.  When the edges of ``E`` emit single
+    symbols and it has at most `graphs.ENUM_CAP` length-n paths (tested
+    before any walk; else `words` is None), one array walk reads the symbols
+    of every sequence of n edge rows, and those that end where they start
+    are the words; a row's count does not repeat a walk.
     There are `count` words iff distinct closed paths spell distinct words,
     as in window presentations; two loops labeled 0 give two points, one word.
     """
@@ -80,19 +93,8 @@ def periodic_points(G: LabeledDigraph, n: int) -> PeriodicPoints:
     count = trace_power(adjacency(E), n)
     words: frozenset[Word] | None = None
     if E.edge_label_len <= 1 and graphs._within_enum_cap(E, n):
-        found: set[Word] = set()
-        succ = E.successors()
-        for start in range(E.n_vertices):
-            stack: list[tuple[int, tuple[int, ...]]] = [(start, ())]
-            while stack:
-                v, labs = stack.pop()
-                if len(labs) == n:
-                    if v == start:
-                        found.add(labs)
-                    continue
-                for w, lab in succ[v]:
-                    stack.append((w, labs + lab))
-        words = frozenset(found)
+        start, end, symbols = graphs._paths(E, n)
+        words = frozenset(tuple(w.tolist()) for w in symbols[start == end])
     return PeriodicPoints(count, words)
 
 

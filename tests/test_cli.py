@@ -104,6 +104,28 @@ def test_verify_storage_rejects_codewords_of_the_wrong_length(tmp_path, binary_s
         assert "error:" in res.output
 
 
+@pytest.mark.parametrize(
+    "code, table, q, n",
+    [
+        ("01\n10\n", "1 1 -> 0\n0 0 -> 1\n", "2", "2"),
+        ("0\n1\n", "0 0 -> 0\n1 1 -> 1\n", "2", "1"),
+        ("", "", "2", "-3"),
+        ("555\n", "5 5 -> 5\n", "2", "3"),
+        ("000\n", "0 0 -> 0\n", "0", "3"),
+    ],
+)
+def test_verify_storage_rejects_codes_that_are_not_cycle_codes_over_q(tmp_path, code, table, q, n):
+    # A shared repair rule can hold on codes of length < 3 and on symbols
+    # outside [q], so such inputs are rejected before any repair is checked.
+    cpath, tpath = tmp_path / "code.txt", tmp_path / "table.txt"
+    cpath.write_text(code)
+    tpath.write_text(table)
+    res = run("verify", "storage", "--code", str(cpath), "--table", str(tpath), "--q", q, "--n", n)
+    assert res.exit_code == 2
+    assert "PASS" not in res.stdout
+    assert res.stderr.startswith("error:")
+
+
 def test_measure_epsilon_reports_delta_and_gain():
     res = run(
         "measure", "epsilon", "--q", "2", "--k", "1", "--l", "1", "--eps", "0.286"

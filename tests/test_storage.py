@@ -68,6 +68,22 @@ def test_storage_code_rejects_short_cycles(binary_system):
         rs.storage_code_for_cycle(binary_system, 2)
 
 
+@pytest.mark.parametrize(
+    "n, q, words, match",
+    [
+        (2, 2, {(0, 1), (1, 0)}, "at least 3"),
+        (1, 2, {(0,), (1,)}, "at least 3"),
+        (-3, 2, set(), "at least 3"),
+        (3, 0, {(0, 0, 0)}, "alphabet size"),
+        (3, 2, {(5, 5, 5)}, r"\(5, 5, 5\) is not a word over \[2\]"),
+        (3, 2, {(0, -1, 0)}, r"not a word over \[2\]"),
+    ],
+)
+def test_cycle_storage_code_needs_a_cycle_code_over_q(n, q, words, match):
+    with pytest.raises(ValueError, match=match):
+        rs.CycleStorageCode(n, q, frozenset(words), {})
+
+
 def test_storage_code_enumeration_is_capped(trunc8_system):
     with pytest.raises(ValueError, match="enumeration cap"):
         rs.storage_code_for_cycle(trunc8_system, 40)
