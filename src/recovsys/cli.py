@@ -158,6 +158,13 @@ def verify_system(graph_path, k, l, out_table):
     click.echo(f"PASS {len(res.table)} boundary pairs")
 
 
+def _parse_file(parse, path):
+    try:
+        return parse(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 @verify.command("storage")
 @click.option("--code", "code_path", type=click.Path(exists=True), required=True)
 @click.option("--table", "table_path", type=click.Path(exists=True), required=True)
@@ -166,8 +173,8 @@ def verify_system(graph_path, k, l, out_table):
 @_domain_guard
 def verify_storage(code_path, table_path, q, n):
     """PASS iff every codeword symbol is repaired by the shared table."""
-    words = serialization.codewords_from_text(Path(code_path).read_text())
-    table = serialization.recovery_table_from_text(Path(table_path).read_text())
+    words = _parse_file(serialization.codewords_from_text, code_path)
+    table = _parse_file(serialization.recovery_table_from_text, table_path)
     code = storage.CycleStorageCode(n, q, words, table)
     res = storage.verify_storage_code(code)
     if not res.ok:

@@ -438,12 +438,13 @@ def _paths(E: LabeledDigraph, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 def _within_enum_cap(E: LabeledDigraph, m: int) -> bool:
-    """True iff the essential graph `E` has at most `ENUM_CAP` paths of length `m`.
+    """True iff `E` has at most `ENUM_CAP` paths of length `m`.
 
     ``v[u]`` counts the paths from ``u``: int64 products with the count rows,
-    clipped at ``ENUM_CAP + 1`` so nothing wraps.  In an essential graph every
-    vertex has an in-edge, so the total never falls as paths grow and any
-    clipped entry puts it over the cap: the answer is exact and comes early.
+    clipped at ``ENUM_CAP + 1`` so nothing wraps.  Every vertex of `E` must
+    have an out-edge, as in an essential graph or a stochastic chain; then no
+    ``v[u]`` falls as paths grow and any clipped entry puts the total over
+    the cap: the answer is exact and comes early.
     """
     clip = ENUM_CAP + 1
     count = np.minimum(E.count, clip)

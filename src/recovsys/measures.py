@@ -19,9 +19,12 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .graphs import (
+    ENUM_CAP,
     LabeledDigraph,
     Word,
     _labeled_by_target,
+    _paths,
+    _within_enum_cap,
     adjacency,
     higher_power,
     is_strongly_connected,
@@ -64,16 +67,18 @@ class MarkovMeasure:
         n = len(self.states)
         if P.shape != (n, n) or p.shape != (n,):
             raise ValueError("matrix and vector shapes must match the state count")
+        if not (np.isfinite(P).all() and np.isfinite(p).all()):
+            raise ValueError("transition and stationary entries must be finite")
         for prev, cur in zip(self.states, self.states[1:]):
             if prev >= cur:
                 raise ValueError("states must be strictly increasing words")
-        if n and P.min() < 0:
-            raise ValueError("transition probabilities must be nonnegative")
-        if n and np.abs(P.sum(axis=1) - 1.0).max() > STOCHASTIC_TOL:
-            raise ValueError("every transition row must sum to 1")
-        if n and abs(p.sum() - 1.0) > STOCHASTIC_TOL:
+        if abs(p.sum() - 1.0) > STOCHASTIC_TOL:
             raise ValueError("the stationary vector must sum to 1")
-        if n and np.abs(p @ P - p).max() > STOCHASTIC_TOL:
+        if P.min() < 0:
+            raise ValueError("transition probabilities must be nonnegative")
+        if np.abs(P.sum(axis=1) - 1.0).max() > STOCHASTIC_TOL:
+            raise ValueError("every transition row must sum to 1")
+        if np.abs(p @ P - p).max() > STOCHASTIC_TOL:
             raise ValueError("the vector is not stationary for the matrix")
         P.setflags(write=False)
         p.setflags(write=False)
@@ -164,11 +169,7 @@ def binary_entropy(x: float) -> float:
 def _hq(x: float, q: int) -> float:
     if x < 0 or x > 1:
         raise ValueError("entropy argument must lie in [0, 1]")
-    total = 0.0
-    for t in (x, 1.0 - x):
-        if t > 0:
-            total -= t * math.log(t)
-    return total / math.log(q)
+    return -sum(t * math.log(t) for t in (x, 1.0 - x) if t > 0) / math.log(q)
 
 
 def max_entropy_measure(G: LabeledDigraph) -> MarkovMeasure:
@@ -218,52 +219,35 @@ def cylinder_probability(M: MarkovMeasure, path: Sequence[Word]) -> float:
 def window_marginal(M: MarkovMeasure, n: int) -> dict[Word, float]:
     """Distribution of length-`n` symbol windows under the measure.
 
-    A window the size of the state word is the state marginal itself.
-    Longer windows require a sliding single-symbol chain and multiply
-    transition probabilities along the unique state path; shorter windows
-    marginalize the state distribution onto prefixes.
+    Windows up to the state word's length marginalize the states onto
+    prefixes.  Longer ones need a sliding single-symbol chain and are read
+    along every state path from a positive-mass state, under the `ENUM_CAP`
+    path test, multiplying transition probabilities in path order.
     """
     sl = M.state_len
     if n < 1:
         raise ValueError("window length must be at least 1")
-    if n == sl:
-        return {w: float(pr) for w, pr in zip(M.states, M.p)}
-    if n < sl:
-        out: dict[Word, float] = {}
-        for w, pr in zip(M.states, M.p):
-            out[w[:n]] = out.get(w[:n], 0.0) + float(pr)
-        return out
+    S = _state_array(M)
+    if n <= sl:
+        return _mass_by_word(S[:, :n], M.p)
     if M.emit != 1:
+        raise ValueError("windows longer than the state word need a single-symbol chain")
+    src, dst = np.nonzero(M.P > 0)
+    if not (S[src, 1:] == S[dst, :-1]).all():
         raise ValueError(
-            "windows longer than the state word need a single-symbol chain"
+            "positive transition between non-overlapping states; "
+            "this chain has no symbol-level reading"
         )
-    _check_sliding(M)
-    frontier: dict[Word, tuple[int, float]] = {
-        w: (i, float(pr)) for i, (w, pr) in enumerate(zip(M.states, M.p)) if pr > 0
-    }
-    index = M.state_index()
-    for _ in range(n - sl):
-        nxt: dict[Word, tuple[int, float]] = {}
-        for word, (u, pr) in frontier.items():
-            for v in np.nonzero(M.P[u] > 0)[0]:
-                nw = word + (M.states[v][-1],)
-                prev = nxt.get(nw)
-                mass = pr * float(M.P[u, v])
-                nxt[nw] = (int(v), prev[1] + mass if prev else mass)
-        frontier = nxt
-    return {w: pr for w, (_, pr) in frontier.items()}
-
-
-def _check_sliding(M: MarkovMeasure) -> None:
-    if M.state_len < 2:
-        return
-    for u in range(len(M.states)):
-        for v in np.nonzero(M.P[u] > 0)[0]:
-            if M.states[u][1:] != M.states[int(v)][:-1]:
-                raise ValueError(
-                    "positive transition between non-overlapping states; "
-                    "this chain has no symbol-level reading"
-                )
+    # Each edge is labelled by its target's id, so a walk's symbols are its states.
+    G = _labeled_by_target(len(S), tuple((i,) for i in range(len(S))), M.P > 0)
+    if not _within_enum_cap(G, n - sl):
+        raise ValueError(f"length-{n} windows: explicit enumeration capped at {ENUM_CAP} paths")
+    start, _, path = _paths(G, n - sl)
+    states = np.column_stack((start, path))[M.p[start] > 0]
+    mass = M.p[states[:, 0]]
+    for j in range(n - sl):
+        mass = mass * M.P[states[:, j], states[:, j + 1]]
+    return _mass_by_word(np.hstack((S[states[:, 0]], S[states[:, 1:], -1])), mass)
 
 
 def symbol_marginal(M: MarkovMeasure, n: int) -> dict[Word, float]:
@@ -278,23 +262,35 @@ def symbol_marginal(M: MarkovMeasure, n: int) -> dict[Word, float]:
     W = M.state_len
     if n > W:
         raise ValueError("phase-averaged windows are supported up to the block size")
-    acc: dict[Word, float] = {}
-    for i in range(M.emit):
-        if i + n <= W:
-            for w, pr in zip(M.states, M.p):
-                if pr > 0:
-                    key = w[i : i + n]
-                    acc[key] = acc.get(key, 0.0) + float(pr) / M.emit
-        else:
-            j = i + n - W
-            for u, pu in enumerate(M.p):
-                if pu <= 0:
-                    continue
-                for v in np.nonzero(M.P[u] > 0)[0]:
-                    key = M.states[u][i:] + M.states[int(v)][:j]
-                    mass = float(pu) * float(M.P[u, int(v)]) / M.emit
-                    acc[key] = acc.get(key, 0.0) + mass
-    return acc
+    S = _state_array(M)
+    live = M.p > 0
+    u, v = np.nonzero(live[:, None] & (M.P > 0))
+    pairs = np.hstack((S[u], S[v]))
+    # Phase i reads inside a state while i + n <= W and across a transition after.
+    words, mass = zip(*(
+        (S[live, i : i + n], M.p[live] / M.emit) if i + n <= W
+        else (pairs[:, i : i + n], M.p[u] * M.P[u, v] / M.emit)
+        for i in range(M.emit)
+    ))
+    return _mass_by_word(np.vstack(words), np.concatenate(mass))
+
+
+def _state_array(M: MarkovMeasure) -> np.ndarray:
+    return np.array(M.states, dtype=np.int64).reshape(len(M.states), M.state_len)
+
+
+def _mass_by_word(words: np.ndarray, mass: np.ndarray) -> dict[Word, float]:
+    """Total `mass` of each distinct row of `words`, keyed in numeric order.
+
+    A stable sort makes equal rows adjacent without reordering them, and
+    `np.bincount` adds each run's masses one by one in row order.
+    """
+    order = np.lexsort(words.T[::-1])
+    words, mass = words[order], mass[order]
+    new = np.ones(len(words), dtype=bool)
+    new[1:] = (words[1:] != words[:-1]).any(axis=1)
+    sums = np.bincount(np.cumsum(new) - 1, weights=mass)
+    return dict(zip(map(tuple, words[new].tolist()), sums.tolist()))
 
 
 def window_conditional_entropy(M: MarkovMeasure, k: int, l: int) -> WindowEntropyReport:
@@ -302,7 +298,9 @@ def window_conditional_entropy(M: MarkovMeasure, k: int, l: int) -> WindowEntrop
 
     Boundary pairs are all (left l-word, right l-word) combinations; pairs
     carrying zero probability are reported separately, mirroring the
-    positive-mass hypothesis of the recovery guarantee.
+    positive-mass hypothesis of the recovery guarantee.  `max_entropy` is
+    the largest entry, which is at least the pair-weighted average that the
+    abstract's conditional entropy reads as (see ERRATA.md).
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be at least 1")
@@ -315,22 +313,23 @@ def window_conditional_entropy(M: MarkovMeasure, k: int, l: int) -> WindowEntrop
         grouped.setdefault(key, {})[w[l : l + k]] = pr
     entries: dict[tuple[Word, Word], float] = {}
     zero: list[tuple[Word, Word]] = []
-    for u in product(range(M.q), repeat=l):
-        for v in product(range(M.q), repeat=l):
-            mids = grouped.get((u, v))
-            if not mids:
-                zero.append((u, v))
-                continue
-            total = sum(mids.values())
-            probs = np.array([m / total for m in mids.values()])
-            entries[(u, v)] = float(-_xlogx(probs).sum()) / math.log(M.q)
+    for pair in product(product(range(M.q), repeat=l), repeat=2):
+        mids = grouped.get(pair)
+        if not mids:
+            zero.append(pair)
+            continue
+        total = sum(mids.values())
+        probs = np.array([m / total for m in mids.values()])
+        entries[pair] = float(-_xlogx(probs).sum()) / math.log(M.q)
     return WindowEntropyReport(entries, tuple(zero), max(entries.values(), default=0.0))
 
 
 def is_epsilon_recoverable(M: MarkovMeasure, epsilon: float, k: int, l: int) -> bool:
     """True iff every populated boundary pair has middle entropy <= epsilon.
 
-    The comparison allows `RECOVERABLE_TOL` of rounding above epsilon.
+    That is the maximum over pairs, not the abstract's pair-weighted average,
+    so it is the stricter condition (see ERRATA.md).  The comparison allows
+    `RECOVERABLE_TOL` of rounding above epsilon.
     """
     report = window_conditional_entropy(M, k, l)
     return report.max_entropy <= epsilon + RECOVERABLE_TOL

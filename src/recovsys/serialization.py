@@ -8,6 +8,7 @@ significant digits, which round-trips doubles bit-identically.
 from __future__ import annotations
 
 import json
+import re
 from operator import index
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -118,15 +119,32 @@ def recovery_table_to_text(table: Mapping[tuple[Word, Word], Word]) -> str:
 
 
 def recovery_table_from_text(text: str) -> dict[tuple[Word, Word], Word]:
+    """One ``alpha beta -> middle`` line per boundary pair; blank lines are skipped.
+
+    A malformed line or a pair given twice raises ValueError naming the line.
+    """
     table: dict[tuple[Word, Word], Word] = {}
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln:
-            continue
-        lhs, rhs = ln.split("->")
-        alpha_s, beta_s = lhs.split()
-        table[(text_to_word(alpha_s), text_to_word(beta_s))] = text_to_word(rhs.strip())
+    for no, ln in _numbered_lines(text):
+        m = re.fullmatch(r"(\S+)\s+(\S+)\s*->\s*(\S+)", ln)
+        if m is None:
+            raise ValueError(f"line {no} {ln!r}: expected 'alpha beta -> middle'")
+        alpha, beta, middle = (_line_word(no, ln, w) for w in m.groups())
+        if (alpha, beta) in table:
+            raise ValueError(f"line {no} {ln!r}: boundary pair given twice")
+        table[alpha, beta] = middle
     return table
+
+
+def _numbered_lines(text: str) -> Iterable[tuple[int, str]]:
+    """The nonblank lines of `text`, stripped, with their 1-based numbers."""
+    return ((no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip())
+
+
+def _line_word(no: int, ln: str, s: str) -> Word:
+    try:
+        return text_to_word(s)
+    except ValueError as exc:
+        raise ValueError(f"line {no} {ln!r}: {exc}") from None
 
 
 def save_system(S: RecoverableSystem, graph_path: str | Path, table_path: str | Path) -> None:
@@ -189,6 +207,5 @@ def codewords_to_text(words: Iterable[Word]) -> str:
 
 
 def codewords_from_text(text: str) -> frozenset[Word]:
-    return frozenset(
-        text_to_word(ln.strip()) for ln in text.splitlines() if ln.strip()
-    )
+    """One codeword per nonblank line; a bad digit raises ValueError naming the line."""
+    return frozenset(_line_word(no, ln, ln) for no, ln in _numbered_lines(text))

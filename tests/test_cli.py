@@ -126,6 +126,27 @@ def test_verify_storage_rejects_codes_that_are_not_cycle_codes_over_q(tmp_path, 
     assert res.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "code, table, where",
+    [
+        ("012\n", "2 1 -> 0\n0 2 1\n", "table.txt: line 2 '0 2 1'"),
+        ("012\n", "2 1 0 -> 0\n", "table.txt: line 1 '2 1 0 -> 0'"),
+        ("012\n", "0 1 -> 0\n0 1 -> 1\n", "table.txt: line 2 '0 1 -> 1': boundary pair given twice"),
+        ("012\n", "2 1 -> 0\n\n0 ! -> 1\n", "table.txt: line 3 '0 ! -> 1'"),
+        ("012\n\n0!1\n", "2 1 -> 0\n", "code.txt: line 3 '0!1'"),
+    ],
+)
+def test_verify_storage_names_the_malformed_line(tmp_path, code, table, where):
+    cpath, tpath = tmp_path / "code.txt", tmp_path / "table.txt"
+    cpath.write_text(code)
+    tpath.write_text(table)
+    res = run("verify", "storage", "--code", str(cpath), "--table", str(tpath), "--q", "3", "--n", "3")
+    assert res.exit_code == 2
+    assert "PASS" not in res.stdout
+    assert res.stderr.startswith("error: ")
+    assert f"{tmp_path / where}" in res.stderr
+
+
 def test_measure_epsilon_reports_delta_and_gain():
     res = run(
         "measure", "epsilon", "--q", "2", "--k", "1", "--l", "1", "--eps", "0.286"

@@ -272,3 +272,65 @@ def test_measure_validation_rejects_bad_rows():
         rs.MarkovMeasure(
             2, ((0,), (1,)), np.full((2, 2), 0.5), np.array([0.9, 0.1]), 1
         )
+    with pytest.raises(ValueError, match="sum to 1"):
+        rs.MarkovMeasure(2, (), np.zeros((0, 0)), np.zeros(0), 1)
+
+
+def test_measure_validation_rejects_non_finite_entries():
+    nan = float("nan")
+    with pytest.raises(ValueError, match="finite"):
+        rs.MarkovMeasure(2, ((0,), (1,)), [[nan, nan], [0.5, 0.5]], [0.5, 0.5], 1)
+    with pytest.raises(ValueError, match="finite"):
+        rs.MarkovMeasure(2, ((0,), (1,)), np.full((2, 2), 0.5), [nan, 0.5], 1)
+    with pytest.raises(ValueError, match="finite"):
+        rs.MarkovMeasure(2, ((0,), (1,)), [[1.0, 0.0], [0.0, 1.0]], [float("inf"), 0.5], 1)
+
+
+def test_window_marginal_needs_a_single_symbol_chain_for_long_windows(reference_nu):
+    with pytest.raises(ValueError, match="single-symbol chain"):
+        rs.window_marginal(reference_nu.measure, reference_nu.measure.state_len + 1)
+
+
+def test_window_marginal_rejects_non_overlapping_transitions():
+    states = ((0, 0), (0, 1), (1, 0), (1, 1))
+    M = rs.MarkovMeasure(2, states, np.full((4, 4), 0.25), np.full(4, 0.25), 1)
+    assert rs.window_marginal(M, 2) == dict.fromkeys(states, 0.25)
+    with pytest.raises(ValueError, match="non-overlapping states"):
+        rs.window_marginal(M, 3)
+
+
+def test_symbol_marginal_stops_at_the_block_size(reference_nu):
+    with pytest.raises(ValueError, match="up to the block size"):
+        rs.symbol_marginal(reference_nu.measure, reference_nu.measure.state_len + 1)
+
+
+@pytest.mark.parametrize("q", [None, 4])
+def test_window_masses_are_state_path_cylinders(binary_system, q):
+    S = binary_system if q is None else rs.truncated_debruijn_system(q)
+    M = rs.max_entropy_measure(rs.essential_subgraph(S.presentation))
+    L = M.state_len
+    for n in range(L, L + 5):
+        marg = rs.window_marginal(M, n)
+        assert abs(sum(marg.values()) - 1.0) < 1e-12
+        for w, pr in marg.items():
+            path = [w[i : i + L] for i in range(n - L + 1)]
+            assert pr == rs.cylinder_probability(M, path)
+
+
+def test_window_marginal_is_capped(uniform_coin):
+    with pytest.raises(ValueError, match="enumeration cap"):
+        rs.window_marginal(uniform_coin, 25)
+
+
+def test_epsilon_condition_is_the_maximum_over_pairs():
+    # No two 1s in a row: only the boundary pair (0, 0) leaves its middle open.
+    M = rs.MarkovMeasure(2, ((0,), (1,)), [[0.5, 0.5], [1.0, 0.0]], [2 / 3, 1 / 3], 1)
+    report = rs.window_conditional_entropy(M, 1, 1)
+    weight = dict.fromkeys(report.entries, 0.0)
+    for w, pr in rs.window_marginal(M, 3).items():
+        weight[w[:1], w[2:]] += pr
+    average = sum(weight[pair] * h for pair, h in report.entries.items())
+    assert report.max_entropy == pytest.approx(rs.binary_entropy(1 / 3))
+    assert average == pytest.approx(rs.binary_entropy(1 / 3) / 2)
+    assert average < 0.5 < report.max_entropy
+    assert not rs.is_epsilon_recoverable(M, 0.5, 1, 1)

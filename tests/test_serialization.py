@@ -58,6 +58,17 @@ def test_measure_round_trip_is_bit_identical(tmp_path, binary_system):
     assert (loaded.p == built.measure.p).all()
 
 
+def test_load_measure_rejects_non_finite_entries(tmp_path, binary_system):
+    M = rs.max_entropy_measure(rs.essential_subgraph(binary_system.presentation))
+    text = ser.measure_to_text(M)
+    path = tmp_path / "measure.txt"
+    lines = text.splitlines()
+    lines[lines.index("P") + 1] = ",".join(["nan"] * len(M.states))
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="finite"):
+        ser.load_measure(path)
+
+
 def test_codewords_round_trip(binary_system):
     code = rs.storage_code_for_cycle(binary_system, 7)
     text = ser.codewords_to_text(code.codewords)
