@@ -437,6 +437,20 @@ def _paths(E: LabeledDigraph, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return start, end, symbols
 
 
+def _sorted_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`rows` in lexicographic order, the sorting permutation, and the run mask.
+
+    The sort is stable, so equal rows keep their input order; the mask marks
+    the first row of each run of equal rows.
+    """
+    # np.lexsort needs a key; rows with no columns are all equal.
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    rows = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows, order, new
+
+
 def _within_enum_cap(E: LabeledDigraph, m: int) -> bool:
     """True iff `E` has at most `ENUM_CAP` paths of length `m`.
 

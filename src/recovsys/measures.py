@@ -24,6 +24,7 @@ from .graphs import (
     Word,
     _labeled_by_target,
     _paths,
+    _sorted_runs,
     _within_enum_cap,
     adjacency,
     higher_power,
@@ -219,16 +220,19 @@ def cylinder_probability(M: MarkovMeasure, path: Sequence[Word]) -> float:
 def window_marginal(M: MarkovMeasure, n: int) -> dict[Word, float]:
     """Distribution of length-`n` symbol windows under the measure.
 
-    Windows up to the state word's length marginalize the states onto
-    prefixes.  Longer ones need a sliding single-symbol chain and are read
-    along every state path from a positive-mass state, under the `ENUM_CAP`
-    path test, multiplying transition probabilities in path order.
+    Windows of the state word's length are the states, which are distinct
+    and in order, with their own masses; shorter ones marginalize the states
+    onto prefixes.  Longer ones need a sliding single-symbol chain and are
+    read along every state path from a positive-mass state, under the
+    `ENUM_CAP` path test, multiplying transition probabilities in path order.
     """
     sl = M.state_len
     if n < 1:
         raise ValueError("window length must be at least 1")
+    if n == sl:
+        return dict(zip(M.states, M.p.tolist()))
     S = _state_array(M)
-    if n <= sl:
+    if n < sl:
         return _mass_by_word(S[:, :n], M.p)
     if M.emit != 1:
         raise ValueError("windows longer than the state word need a single-symbol chain")
@@ -285,11 +289,8 @@ def _mass_by_word(words: np.ndarray, mass: np.ndarray) -> dict[Word, float]:
     A stable sort makes equal rows adjacent without reordering them, and
     `np.bincount` adds each run's masses one by one in row order.
     """
-    order = np.lexsort(words.T[::-1])
-    words, mass = words[order], mass[order]
-    new = np.ones(len(words), dtype=bool)
-    new[1:] = (words[1:] != words[:-1]).any(axis=1)
-    sums = np.bincount(np.cumsum(new) - 1, weights=mass)
+    words, order, new = _sorted_runs(words)
+    sums = np.bincount(np.cumsum(new) - 1, weights=mass[order])
     return dict(zip(map(tuple, words[new].tolist()), sums.tolist()))
 
 

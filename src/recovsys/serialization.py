@@ -2,7 +2,10 @@
 
 Words are written as digit strings with digits beyond 9 encoded as lowercase
 letters (alphabets up to size 36).  Floating-point values are written with 17
-significant digits, which round-trips doubles bit-identically.
+significant digits, which round-trips doubles bit-identically.  Code files
+hold one codeword per line in sorted order; they are written from and read
+into the rows of a `WordRows` through byte lookup tables, with no per-symbol
+Python work.
 """
 
 from __future__ import annotations
@@ -17,9 +20,14 @@ import numpy as np
 
 from .graphs import LabeledDigraph, Word
 from .measures import MarkovMeasure
+from .storage import WordRows
 from .systems import ForbiddenSet, RecoverableSystem
 
 DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
+_DIGIT_BYTES = np.frombuffer(DIGITS.encode(), dtype=np.uint8)
+# The symbol of each byte, -1 for a byte that is not a digit.
+_BYTE_SYMBOLS = np.full(256, -1, dtype=np.int8)
+_BYTE_SYMBOLS[_DIGIT_BYTES] = np.arange(len(DIGITS))
 
 
 def word_to_text(w: Word) -> str:
@@ -202,10 +210,38 @@ def load_measure(path: str | Path) -> MarkovMeasure:
     return measure_from_text(Path(path).read_text())
 
 
-def codewords_to_text(words: Iterable[Word]) -> str:
-    return "\n".join(word_to_text(w) for w in sorted(words))
+def codewords_to_text(words: WordRows) -> str:
+    """The words as digit strings, one per line in sorted order."""
+    rows = words.rows
+    if rows.size and rows.max() >= len(DIGITS):
+        raise ValueError("text encoding supports alphabets up to size 36")
+    text = np.full((len(rows), rows.shape[1] + 1), ord("\n"), dtype=np.uint8)
+    text[:, :-1] = _DIGIT_BYTES[rows]
+    return text.tobytes()[:-1].decode()
 
 
-def codewords_from_text(text: str) -> frozenset[Word]:
-    """One codeword per nonblank line; a bad digit raises ValueError naming the line."""
-    return frozenset(_line_word(no, ln, ln) for no, ln in _numbered_lines(text))
+def codewords_from_text(text: str) -> WordRows:
+    """One codeword per nonblank line, stripped; a line given twice counts once.
+
+    A bad digit raises ValueError naming the first line with one, and lines
+    of different lengths name the first whose length differs from the first
+    nonblank line's.
+    """
+    lines = [ln.strip() for ln in text.splitlines()]
+    lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
+    # Replacing each non-ASCII character by "?" keeps one byte per character.
+    data = "".join(lines).encode("ascii", "replace")
+    symbols = _BYTE_SYMBOLS[np.frombuffer(data, dtype=np.uint8)]
+    if (symbols < 0).any():
+        i = np.searchsorted(np.cumsum(lengths), np.argmax(symbols < 0), side="right")
+        raise ValueError(f"line {i + 1} {lines[i]!r}: {lines[i]!r} is not a digit-string word")
+    nonblank = np.flatnonzero(lengths)
+    width = int(lengths[nonblank[0]]) if nonblank.size else 0
+    ragged = nonblank[lengths[nonblank] != width]
+    if ragged.size:
+        i = ragged[0]
+        raise ValueError(
+            f"line {i + 1} {lines[i]!r}: length {lengths[i]}, "
+            f"but line {nonblank[0] + 1} has length {width}"
+        )
+    return WordRows(symbols.view(np.uint8).reshape(nonblank.size, width))

@@ -2,25 +2,76 @@
 
 The words read around closed paths of a (1, 1)-recoverable presentation form
 a storage code on the cycle graph: every symbol is reproducible from its two
-neighbors through the one shared recovery rule of the system.
+neighbors through the one shared recovery rule of the system.  Word sets are
+held as `WordRows`, one sorted array of distinct symbol rows, and every check
+on a code runs over that array.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Set
 from dataclasses import dataclass
+from operator import index
 from typing import Mapping
+
+import numpy as np
 
 from . import graphs
 from .graphs import LabeledDigraph, Word, adjacency, essential_subgraph, log_base, trace_power
 from .systems import RecoverableSystem
 
+# Bound on each int64 temporary of `verify_storage_code`, which works on
+# blocks of rows so that no temporary grows with the code.
+_BLOCK_BYTES = 1 << 20
+
+
+class WordRows(Set):
+    """Read-only set of equal-length words held as rows of one symbol array.
+
+    `rows` is an (N, n) array, lexicographically sorted with no row
+    repeated, in the dtype it was given.  `len` reads N, iteration yields
+    the words as tuples in sorted order, and the first membership test
+    builds the frozenset that answers it and later ones.
+    """
+
+    __slots__ = ("rows", "_set")
+
+    def __init__(self, rows: np.ndarray) -> None:
+        rows, _, new = graphs._sorted_runs(rows)
+        self.rows = rows[new]
+        self.rows.flags.writeable = False
+        self._set: frozenset[Word] | None = None
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self):
+        return map(tuple, self.rows.tolist())
+
+    def __contains__(self, word: object) -> bool:
+        if self._set is None:
+            self._set = frozenset(self)
+        return word in self._set
+
+    def __repr__(self) -> str:
+        return f"WordRows({len(self)} words of length {self.rows.shape[1]})"
+
+    @classmethod
+    def _from_iterable(cls, words: Iterable[Word]) -> frozenset[Word]:
+        # Set algebra (&, |, -, ^) returns plain frozensets.
+        return frozenset(words)
+
 
 @dataclass(frozen=True)
 class PeriodicPoints:
-    """Exact count of closed label paths, plus the words when enumerated."""
+    """Exact count of closed label paths, plus the words when enumerated.
+
+    `words` holds the distinct words as `WordRows`, in the smallest unsigned
+    dtype that holds q - 1, or is None when they were not enumerated.
+    """
 
     count: int
-    words: frozenset[Word] | None
+    words: WordRows | None
 
 
 @dataclass(frozen=True)
@@ -29,11 +80,14 @@ class CycleStorageCode:
 
     The cycle has length n >= 3, so each position has two distinct
     neighbors; q >= 1, and every codeword is a length-n word over [q].
+    `codewords` may be given as `WordRows`, kept as they are, or as any
+    iterable of words, held as `WordRows` in the smallest unsigned dtype
+    that holds their largest symbol.
     """
 
     n: int
     q: int
-    codewords: frozenset[Word]
+    codewords: WordRows
     recovery_table: Mapping[tuple[Word, Word], Word]
 
     def __post_init__(self) -> None:
@@ -41,14 +95,25 @@ class CycleStorageCode:
             raise ValueError("a cycle needs length at least 3")
         if self.q < 1:
             raise ValueError("alphabet size must be at least 1")
-        lengths = set(map(len, self.codewords)) - {self.n}
+        given = isinstance(self.codewords, WordRows)
+        if given:
+            rows = self.codewords.rows
+            lengths = {rows.shape[1]} - {self.n} if len(rows) else set()
+        else:
+            words = list(self.codewords)
+            lengths = set(map(len, words)) - {self.n}
         if lengths:
             raise ValueError(
                 f"codewords of length {sorted(lengths)} in a code of length {self.n}"
             )
-        for w in self.codewords:
-            if min(w) < 0 or max(w) >= self.q:
-                raise ValueError(f"codeword {w} is not a word over [{self.q}]")
+        if not given:
+            rows = np.array(words, dtype=np.int64).reshape(len(words), self.n)
+        if rows.size and (rows.min() < 0 or rows.max() >= self.q):
+            bad = rows[((rows < 0) | (rows >= self.q)).any(axis=1)]
+            raise ValueError(f"codeword {min(map(tuple, bad.tolist()))} is not a word over [{self.q}]")
+        if not given:
+            dtype = np.min_scalar_type(rows.max() if rows.size else 0)
+            object.__setattr__(self, "codewords", WordRows(rows.astype(dtype)))
 
     def rate(self) -> float:
         """(1/n) log_q of the code size; empty codes rate -inf."""
@@ -82,8 +147,8 @@ def periodic_points(G: LabeledDigraph, n: int) -> PeriodicPoints:
     trace of its n-th adjacency power.  When the edges of ``E`` emit single
     symbols and it has at most `graphs.ENUM_CAP` length-n paths (tested
     before any walk; else `words` is None), one array walk reads the symbols
-    of every sequence of n edge rows, and those that end where they start
-    are the words; a row's count does not repeat a walk.
+    of every sequence of n edge rows, and the distinct rows of those that
+    end where they start are the words; a row's count does not repeat a walk.
     There are `count` words iff distinct closed paths spell distinct words,
     as in window presentations; two loops labeled 0 give two points, one word.
     """
@@ -91,10 +156,10 @@ def periodic_points(G: LabeledDigraph, n: int) -> PeriodicPoints:
         raise ValueError("the period must be at least 1")
     E = essential_subgraph(G)
     count = trace_power(adjacency(E), n)
-    words: frozenset[Word] | None = None
+    words = None
     if E.edge_label_len <= 1 and graphs._within_enum_cap(E, n):
         start, end, symbols = graphs._paths(E, n)
-        words = frozenset(tuple(w.tolist()) for w in symbols[start == end])
+        words = WordRows(symbols[start == end])
     return PeriodicPoints(count, words)
 
 
@@ -121,12 +186,44 @@ def verify_storage_code(C: CycleStorageCode) -> StorageVerification:
 
     Returns the first violating (codeword, position) in sorted order when a
     neighbor pair is missing from the table or decodes to the wrong symbol.
+    Only entries whose pair and middle are single symbols that occur in the
+    codewords can repair a position.  Each such entry, and each position of
+    a block of rows, is packed as the bytes of (left, middle, right, 0) into
+    one key, and the block's keys are looked up in the entries' sorted keys
+    at once.
     """
-    for w in sorted(C.codewords):
-        for i in range(C.n):
-            left = (w[(i - 1) % C.n],)
-            right = (w[(i + 1) % C.n],)
-            repaired = C.recovery_table.get((left, right))
-            if repaired != (w[i],):
-                return StorageVerification(False, (w, i))
+    rows = C.codewords.rows
+    # Symbols past the codewords' largest repair nothing; the rest fit the rows' dtype.
+    top = int(rows.max()) + 1 if rows.size else 0
+    # No position's key ends in 1: this entry only keeps the table nonempty.
+    repairs = [(0, 0, 0, 1)]
+    for (alpha, beta), middle in C.recovery_table.items():
+        entry = (_symbol(alpha, top), _symbol(middle, top), _symbol(beta, top), 0)
+        if None not in entry:
+            repairs.append(entry)
+    # Keys of up to 8 bytes compare as integers, wider ones as raw bytes.
+    width = 4 * rows.dtype.itemsize
+    key = np.dtype(f"u{width}") if width <= 8 else np.dtype((np.void, width))
+    table = np.sort(np.array(repairs, dtype=rows.dtype).view(key)[:, 0])
+    per_block = max(1, _BLOCK_BYTES // (8 * C.n))
+    for lo in range(0, len(rows), per_block):
+        block = rows[lo : lo + per_block]
+        keys = np.stack(
+            (np.roll(block, 1, axis=1), block, np.roll(block, -1, axis=1), np.zeros_like(block)),
+            axis=-1,
+        ).view(key)[..., 0]
+        ok = table.take(np.searchsorted(table, keys), mode="clip") == keys
+        if not ok.all():
+            r, i = divmod(int(np.argmin(ok)), C.n)
+            return StorageVerification(False, (tuple(block[r].tolist()), i))
     return StorageVerification(True)
+
+
+def _symbol(word: Word, q: int) -> int | None:
+    """The symbol of a one-symbol word over [q], else None."""
+    try:
+        (s,) = word
+        s = index(s)
+    except (TypeError, ValueError):
+        return None
+    return s if 0 <= s < q else None

@@ -147,6 +147,25 @@ def test_verify_storage_names_the_malformed_line(tmp_path, code, table, where):
     assert f"{tmp_path / where}" in res.stderr
 
 
+def test_verify_storage_counts_a_repeated_codeword_once(tmp_path):
+    cpath, tpath = tmp_path / "code.txt", tmp_path / "table.txt"
+    cpath.write_text("012\n120\n012\n201\n")
+    tpath.write_text("2 1 -> 0\n0 2 -> 1\n1 0 -> 2\n")
+    res = run("verify", "storage", "--code", str(cpath), "--table", str(tpath), "--q", "3", "--n", "3")
+    assert res.exit_code == 0
+    assert res.stdout.startswith("PASS 3 codewords")
+
+
+def test_verify_storage_names_the_first_ragged_line(tmp_path):
+    cpath, tpath = tmp_path / "code.txt", tmp_path / "table.txt"
+    cpath.write_text("012\n\n120\n20\n1\n")
+    tpath.write_text("2 1 -> 0\n0 2 -> 1\n1 0 -> 2\n")
+    res = run("verify", "storage", "--code", str(cpath), "--table", str(tpath), "--q", "3", "--n", "3")
+    assert res.exit_code == 2
+    assert "PASS" not in res.stdout
+    assert f"{cpath}: line 4 '20': length 2, but line 1 has length 3" in res.stderr
+
+
 def test_measure_epsilon_reports_delta_and_gain():
     res = run(
         "measure", "epsilon", "--q", "2", "--k", "1", "--l", "1", "--eps", "0.286"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recovsys as rs
+from recovsys import measures
 from recovsys.graphs import LabeledDigraph
 from recovsys.measures import higher_block_presentation
 
@@ -334,3 +335,11 @@ def test_epsilon_condition_is_the_maximum_over_pairs():
     assert average == pytest.approx(rs.binary_entropy(1 / 3) / 2)
     assert average < 0.5 < report.max_entropy
     assert not rs.is_epsilon_recoverable(M, 0.5, 1, 1)
+
+
+def test_state_length_windows_are_the_states_and_their_masses():
+    M = rs.epsilon_construction(rs.truncated_debruijn_system(13), 0.1).measure
+    windows = rs.window_marginal(M, M.state_len)
+    runs = measures._mass_by_word(measures._state_array(M), M.p)
+    assert list(windows) == list(runs)
+    assert [x.hex() for x in windows.values()] == [x.hex() for x in runs.values()]

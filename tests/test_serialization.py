@@ -83,3 +83,42 @@ def test_system_export(tmp_path, trunc8_system):
     assert ser.recovery_table_from_text(tpath.read_text()) == dict(
         trunc8_system.recovery_table
     )
+
+
+@pytest.mark.parametrize("name, n", [("binary_system", 38), ("trunc8_system", 11)])
+def test_codewords_text_is_one_sorted_word_per_line(request, name, n):
+    code = rs.storage_code_for_cycle(request.getfixturevalue(name), n)
+    text = ser.codewords_to_text(code.codewords)
+    assert text == "\n".join(ser.word_to_text(w) for w in sorted(code.codewords))
+    assert ser.codewords_from_text(text) == code.codewords
+
+
+def test_codewords_from_text_reads_padded_crlf_lines_and_repeats_once():
+    words = ser.codewords_from_text("  120\r\n\r\n012 \r\n\t201\r\n012\r\n")
+    assert list(words) == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+    assert len(ser.codewords_from_text("\n \n")) == 0
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        ("012\n\n01\n120\n", "line 3 '01': length 2, but line 1 has length 3"),
+        ("\n 01 \n10\n012\n", "line 4 '012': length 3, but line 2 has length 2"),
+        ("012\n01\n0!2\n", "line 3 '0!2': '0!2' is not a digit-string word"),
+        ("012\n0 2\n", "line 2 '0 2': '0 2' is not a digit-string word"),
+        ("012\n0é2\n", "line 2 '0é2': '0é2' is not a digit-string word"),
+        ("012\n\n!12\n", "line 3 '!12': '!12' is not a digit-string word"),
+        ("0\ud800\n", "line 1 '0\\ud800': '0\\ud800' is not a digit-string word"),
+    ],
+)
+def test_codewords_from_text_names_the_bad_line(text, where):
+    with pytest.raises(ValueError) as info:
+        ser.codewords_from_text(text)
+    assert str(info.value) == where
+
+
+def test_codewords_to_text_needs_symbols_below_36():
+    code = rs.CycleStorageCode(3, 40, frozenset({(0, 1, 2), (35, 36, 0)}), {})
+    with pytest.raises(ValueError, match="text encoding supports alphabets up to size 36"):
+        ser.codewords_to_text(code.codewords)
+    assert ser.codewords_to_text(rs.CycleStorageCode(3, 36, frozenset({(35, 0, 9)}), {}).codewords) == "z09"

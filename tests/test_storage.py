@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recovsys as rs
+from recovsys import serialization as ser
 from recovsys.graphs import LabeledDigraph, word_from_int
+from recovsys.storage import StorageVerification
 
 PERRIN_MATRIX = np.array([[0, 1, 1], [0, 0, 1], [1, 0, 0]])
 
@@ -189,3 +191,96 @@ def test_trace_and_periodic_counts_agree(trunc8_system):
     A = rs.adjacency(trunc8_system.presentation)
     for n in (1, 3, 5, 9, 40):
         assert rs.periodic_points(trunc8_system.presentation, n).count == rs.trace_power(A, n)
+
+
+def verify_by_loop(C):
+    """Oracle: look up every position of every codeword, in sorted order."""
+    for w in sorted(C.codewords):
+        for i in range(C.n):
+            left = (w[(i - 1) % C.n],)
+            right = (w[(i + 1) % C.n],)
+            repaired = C.recovery_table.get((left, right))
+            if repaired != (w[i],):
+                return StorageVerification(False, (w, i))
+    return StorageVerification(True)
+
+
+@st.composite
+def codes_and_tables(draw):
+    """A code over [q] with a table that repairs some positions, not all.
+
+    The table holds the entries some codewords need, then entries with
+    missing or rewritten middles, middles of two symbols or outside [q],
+    and boundary words outside [q] or of two symbols.
+    """
+    q = draw(st.sampled_from([1, 2, 3, 4, 256, 300]))
+    n = draw(st.integers(3, 6))
+    word = st.tuples(*[st.integers(0, q - 1)] * n)
+    words = draw(st.lists(word, max_size=8))
+    table = {}
+    for w in draw(st.lists(st.sampled_from(words), max_size=4)) if words else []:
+        for i in range(n):
+            table[(w[i - 1],), (w[(i + 1) % n],)] = (w[i],)
+    symbol = st.integers(-1, q + 1)
+    side = st.one_of(st.tuples(symbol), st.tuples(symbol, symbol))
+    middle = st.one_of(st.tuples(symbol), st.tuples(symbol, symbol), st.just(()))
+    for key in draw(st.lists(st.sampled_from(sorted(table)), max_size=3)) if table else []:
+        if draw(st.booleans()):
+            table.pop(key, None)
+        else:
+            table[key] = draw(middle)
+    table.update(draw(st.dictionaries(st.tuples(side, side), middle, max_size=6)))
+    return rs.CycleStorageCode(n, q, frozenset(words), table)
+
+
+@settings(max_examples=300, deadline=None)
+@given(codes_and_tables())
+def test_verify_storage_code_matches_the_loop(C):
+    assert rs.verify_storage_code(C) == verify_by_loop(C)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 200, 1 << 20])
+def test_verify_storage_code_finds_the_first_violation_in_any_block(binary_system, monkeypatch, block_bytes):
+    # 12 codewords of 9 symbols: one row per block, two, or all in one.
+    monkeypatch.setattr(rs.storage, "_BLOCK_BYTES", block_bytes)
+    code = rs.storage_code_for_cycle(binary_system, 9)
+    tables = [dict(code.recovery_table)]
+    for key, (middle,) in code.recovery_table.items():
+        tables.append({**code.recovery_table, key: (1 - middle,)})
+        tables.append({k: v for k, v in code.recovery_table.items() if k != key})
+    tables.append({k: (1 - m,) for k, (m,) in sorted(code.recovery_table.items())[1:]})
+    found = set()
+    for table in tables:
+        broken = rs.CycleStorageCode(9, 2, code.codewords, table)
+        res = rs.verify_storage_code(broken)
+        assert res == verify_by_loop(broken)
+        found.add(res.violation)
+    assert len(found) > 3
+
+
+def test_word_rows_are_sorted_distinct_and_read_only(binary_system):
+    pts = rs.periodic_points(binary_system.presentation, 12)
+    rows = pts.words.rows
+    assert rows.dtype == np.uint8 and not rows.flags.writeable
+    assert list(pts.words) == sorted(set(pts.words))
+    assert len(pts.words) == len(rows) == pts.count
+    code = rs.CycleStorageCode(3, 2, [(0, 1, 1), (1, 1, 0), (0, 1, 1)], {})
+    assert list(code.codewords) == [(0, 1, 1), (1, 1, 0)]
+    assert (0, 1, 1) in code.codewords and (1, 1, 1) not in code.codewords
+    assert code.codewords & {(0, 1, 1)} == frozenset({(0, 1, 1)})
+
+
+def test_cycle_storage_code_names_the_first_bad_word_in_sorted_order():
+    with pytest.raises(ValueError, match=r"codeword \(0, 5, 0\) is not a word over \[2\]"):
+        rs.CycleStorageCode(3, 2, [(3, 0, 0), (0, 1, 1), (0, 5, 0), (1, 7, 1)], {})
+
+
+@pytest.mark.parametrize("q", [300, 2**64, 10**23])
+def test_codes_read_from_text_are_verified_at_any_q(q):
+    # The text rows are uint8, whatever q is; the table may name larger symbols.
+    table = {((2,), (1,)): (0,), ((0,), (2,)): (1,), ((1,), (0,)): (2,), ((q - 1,), (0,)): (1,)}
+    code = rs.CycleStorageCode(3, q, ser.codewords_from_text("012\n120\n201\n"), table)
+    assert code.codewords.rows.dtype == np.uint8
+    assert rs.verify_storage_code(code).ok
+    table[(1,), (0,)] = (q - 1,)
+    assert rs.verify_storage_code(code) == verify_by_loop(code)
