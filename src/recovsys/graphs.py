@@ -25,7 +25,7 @@ Edge = tuple[int, int, Word]
 PERRON_REL_TOL = 1e-14
 PERRON_POWER_STEPS = 256
 PERRON_CERT_TOL = 1e-12
-PERRON_CERT_STEPS = 2048
+PERRON_CERT_STEPS = 32
 ENUM_CAP = 1_000_000
 
 
@@ -301,11 +301,13 @@ def perron_pair(A: np.ndarray) -> tuple[float, np.ndarray]:
     power iteration from the uniform vector runs first, for at most
     `PERRON_POWER_STEPS` steps, and returns once the best bracket is
     `PERRON_REL_TOL` wide relative.  If it stalls or runs out of steps,
-    the iteration restarts from the Perron column of ``numpy.linalg.eig``
-    and returns once the bracket is `PERRON_CERT_TOL` wide relative.  The
-    eigenvalue returned is the bracket's midpoint; a bracket still wider
-    than `PERRON_CERT_TOL` after `PERRON_CERT_STEPS` more steps raises
-    RuntimeError, so no uncertified estimate is ever returned.
+    each further step brackets ``v`` and solves ``(s I - M) w = v`` with
+    ``s`` just above the bracket (shifted inverse iteration, Golub & Van
+    Loan, *Matrix Computations*, 7.6.1): as ``s > lam + 1``, ``s I - M`` is
+    a nonsingular M-matrix, whose inverse is nonnegative, so ``w`` stays
+    positive.  Once the bracket is `PERRON_CERT_TOL` wide relative its
+    midpoint is returned; still wider after `PERRON_CERT_STEPS` steps, it
+    raises RuntimeError, so no uncertified estimate is ever returned.
     """
     A = np.asarray(A, dtype=float)
     M = A + np.eye(A.shape[0])
@@ -325,21 +327,18 @@ def perron_pair(A: np.ndarray) -> tuple[float, np.ndarray]:
         stall = 0 if improved else stall + 1
         if stall > 64:
             break
-    vals, vecs = np.linalg.eig(A)
-    v = M @ np.abs(vecs[:, np.argmax(vals.real)])
-    v = v / v.max()
-    # An entry of v that rounded to zero gives an inf or nan ratio; nan
-    # bounds lose every comparison below, so they never tighten the bracket,
-    # and an infinite hi_best fails the closing test.
+    # hi_best is finite at every solve.  The absolute value keeps v >= 0
+    # under rounding; a zero entry gives an inf or nan ratio, which never
+    # tightens the bracket (nan loses every comparison, inf fails the test).
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(PERRON_CERT_STEPS):
-            w = M @ v
-            ratios = w / v
+            ratios = (M @ v) / v
             lo_best = max(lo_best, float(ratios.min()))
             hi_best = min(hi_best, float(ratios.max()))
-            v = w / w.max()
             if lo_best >= (1.0 - PERRON_CERT_TOL) * hi_best:
                 return 0.5 * (lo_best + hi_best) - 1.0, v / v.sum()
+            w = np.abs(np.linalg.solve(hi_best * (1 + 2**-40) * np.eye(len(v)) - M, v))
+            v = w / w.max()
     raise RuntimeError(
         f"Perron solver did not converge: lam + 1 in [{lo_best!r}, {hi_best!r}] "
         f"after {PERRON_CERT_STEPS} certification steps"

@@ -2,10 +2,11 @@
 
 Words are written as digit strings with digits beyond 9 encoded as lowercase
 letters (alphabets up to size 36).  Floating-point values are written with 17
-significant digits, which round-trips doubles bit-identically.  Code files
-hold one codeword per line in sorted order; they are written from and read
-into the rows of a `WordRows` through byte lookup tables, with no per-symbol
-Python work.
+significant digits, which round-trips doubles bit-identically; a measure file
+formats each distinct value once and gathers its cells' text from those.
+Code files hold one codeword per line in sorted order; they are written from
+and read into the rows of a `WordRows` through byte lookup tables, with no
+per-symbol Python work.
 """
 
 from __future__ import annotations
@@ -168,38 +169,61 @@ def measure_to_text(M: MarkovMeasure) -> str:
         f"states {len(M.states)}",
     ]
     lines.extend(word_to_text(w) for w in M.states)
-    # Zero cells skip `format`: a measure's cells are products of
-    # nonnegative factors, so a zero is +0.0, whose text is "0".
-    lines.append("P")
-    for row in M.P.tolist():
-        lines.append(",".join(fmt(x) if x else "0" for x in row))
-    lines.append("p")
-    lines.append(",".join(fmt(x) if x else "0" for x in M.p.tolist()))
+    # Each distinct value of P and p is formatted once.  A measure's cells
+    # are products of nonnegative factors, so a zero is +0.0, whose text is "0".
+    values, inverse = np.unique(np.vstack((M.P, M.p)), return_inverse=True)
+    text = np.array([fmt(x) if x else "0" for x in values.tolist()], dtype=object)
+    rows = [",".join(row) for row in text[inverse.reshape(-1, len(M.p))].tolist()]
+    lines += ["P", *rows[:-1], "p", rows[-1]]
     return "\n".join(lines)
 
 
 def measure_from_text(text: str) -> MarkovMeasure:
-    lines = text.splitlines()
-    header = {}
+    """Read the format `measure_to_text` writes.
+
+    A missing, short or malformed line raises ValueError naming the line.
+    """
+    lines = [ln.strip() for ln in text.splitlines()]
     pos = 0
-    for _ in range(4):
-        key, value = lines[pos].split()
-        header[key] = int(value)
+
+    def take(what: str) -> str:
+        nonlocal pos
+        if pos == len(lines):
+            raise ValueError(f"line {pos + 1}: file ends where {what} should be")
         pos += 1
+        return lines[pos - 1]
+
+    def fail(msg: str) -> ValueError:
+        return ValueError(f"line {pos} {lines[pos - 1]!r}: {msg}")
+
+    header = {}
+    for key in ("q", "emit", "log_base", "states"):
+        m = re.fullmatch(rf"{key}\s+(\d+)", take(f"the {key} line"))
+        if m is None:
+            raise fail(f"expected '{key} <integer>'")
+        header[key] = int(m[1])
     n = header["states"]
-    states = tuple(text_to_word(lines[pos + i].strip()) for i in range(n))
-    pos += n
-    if lines[pos].strip() != "P":
-        raise ValueError("malformed measure file: missing P block")
-    pos += 1
-    P = np.array(
-        [[float(x) for x in lines[pos + i].split(",")] for i in range(n)]
-    )
-    pos += n
-    if lines[pos].strip() != "p":
-        raise ValueError("malformed measure file: missing p row")
-    p = np.array([float(x) for x in lines[pos + 1].split(",")])
-    return MarkovMeasure(header["q"], states, P, p, header["emit"])
+    states = []
+    for i in range(n):
+        ln = take(f"state {i}")
+        states.append(_line_word(pos, ln, ln))
+    if take("the P block") != "P":
+        raise fail("expected the P block")
+
+    def row(what: str) -> list[float]:
+        cells = take(what).split(",")
+        if len(cells) != n:
+            raise fail(f"{len(cells)} cells, expected {n}")
+        try:
+            return [float(x) for x in cells]
+        except ValueError as exc:
+            raise fail(str(exc)) from None
+
+    P = np.array([row(f"row {i} of P") for i in range(n)])
+    if take("the p row") != "p":
+        raise fail("expected the p row")
+    p = np.array(row("the p row"))
+    return MarkovMeasure(header["q"], tuple(states), P, p, header["emit"])
 
 
 def save_measure(M: MarkovMeasure, path: str | Path) -> None:

@@ -37,8 +37,11 @@ class WordRows(Set):
     __slots__ = ("rows", "_set")
 
     def __init__(self, rows: np.ndarray) -> None:
-        rows, _, new = graphs._sorted_runs(rows)
-        self.rows = rows[new]
+        if _strictly_increasing(rows):
+            self.rows = rows.copy()
+        else:
+            rows, _, new = graphs._sorted_runs(rows)
+            self.rows = rows[new]
         self.rows.flags.writeable = False
         self._set: frozenset[Word] | None = None
 
@@ -227,3 +230,14 @@ def _symbol(word: Word, q: int) -> int | None:
     except (TypeError, ValueError):
         return None
     return s if 0 <= s < q else None
+
+
+def _strictly_increasing(rows: np.ndarray) -> bool:
+    """True iff every row is lexicographically greater than the row before."""
+    if len(rows) < 2:
+        return True
+    diff = rows[1:] != rows[:-1]
+    if not diff.any(axis=1).all():
+        return False
+    at = diff.argmax(axis=1)[:, None]
+    return bool((np.take_along_axis(rows[1:], at, 1) > np.take_along_axis(rows[:-1], at, 1)).all())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import recovsys as rs
+from recovsys.graphs import LabeledDigraph, word_from_int
 
 BINARY_FORBIDDEN = frozenset({(0, 0, 0), (1, 1, 1), (1, 1, 0), (0, 1, 1)})
 
@@ -79,3 +80,10 @@ def plastic_number() -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def chorded_cycle_graph(n, length, start):
+    """n-cycle with edges labelled 0 plus one chord start -> start+length labelled 1."""
+    labels = tuple(word_from_int(i, 2, max(1, (n - 1).bit_length())) for i in range(n))
+    edges = [(i, (i + 1) % n, (0,)) for i in range(n)] + [(start, (start + length) % n, (1,))]
+    return LabeledDigraph(2, labels, edges)

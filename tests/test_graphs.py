@@ -266,13 +266,15 @@ def test_perron_raises_when_the_bracket_stays_open(monkeypatch, power_steps):
 
 
 def test_perron_start_with_zero_entries_does_not_certify(monkeypatch):
-    # Until the start vector's support fills the cycle there is no finite
-    # upper bound, so three steps from e_0 must end in an error.
+    # A solve that returns e_0 leaves zero entries in the iterate, whose
+    # ratios are inf or nan and must never tighten the bracket: the first
+    # step (the uniform vector, not a Perron vector here) leaves it open,
+    # and three steps must end in an error.
     monkeypatch.setattr(rs.graphs, "PERRON_POWER_STEPS", 0)
     monkeypatch.setattr(rs.graphs, "PERRON_CERT_STEPS", 3)
-    monkeypatch.setattr(np.linalg, "eig", lambda A: (np.ones(len(A)), np.eye(len(A))))
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.eye(len(b))[0])
     with pytest.raises(RuntimeError, match="did not converge"):
-        rs.perron_eigenvalue(chorded_cycle(12))
+        rs.perron_eigenvalue(chorded_cycle(12, [(0, 5, 1)]))
 
 
 def test_count_words_full_shift():

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from recovsys import measures
 from recovsys.graphs import LabeledDigraph
 from recovsys.measures import higher_block_presentation
 
-from conftest import plastic_number
+from conftest import chorded_cycle_graph, plastic_number
 
 REFERENCE_P = np.array(
     [
@@ -61,6 +62,46 @@ def test_max_entropy_on_cycle_is_deterministic():
     M = rs.max_entropy_measure(G)
     assert set(np.unique(M.P)) <= {0.0, 1.0}
     assert rs.entropy_rate(M) == 0.0
+
+
+def chorded_cycle_root(n, length):
+    """Perron value of `chorded_cycle_graph`, 0 < length < n: the root above 1
+    of lam**-n + lam**-(n - length + 1) = 1, by bisection in 50-digit decimals.
+
+    Returns a Decimal."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        lo, hi = Decimal(1), Decimal(2)
+        for _ in range(170):
+            mid = (lo + hi) / 2
+            if mid**-n + mid ** -(n - length + 1) > 1:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+
+def test_chorded_cycle_root_matches_an_independent_value():
+    # log2 of the root for the 300-cycle with a 50-step chord, as computed
+    # in 40-digit arithmetic by mpmath and rounded to 17 significant digits.
+    with localcontext() as ctx:
+        ctx.prec = 50
+        log2 = chorded_cycle_root(300, 50).ln() / Decimal(2).ln()
+    assert abs(log2 - Decimal("0.0036397611981914549")) <= Decimal("5e-20")
+
+
+@pytest.mark.parametrize("escalate", [False, True])
+@pytest.mark.parametrize(
+    "n, length, start", [(300, 50, 0), (300, 50, 123), (300, 299, 7), (120, 2, 5), (40, 9, 39)]
+)
+def test_max_entropy_matches_the_exact_chorded_cycle_root(monkeypatch, escalate, n, length, start):
+    if escalate:
+        monkeypatch.setattr(rs.graphs, "PERRON_POWER_STEPS", 0)
+    G = chorded_cycle_graph(n, length, start)
+    lam = float(chorded_cycle_root(n, length))
+    assert abs(rs.graphs.perron_pair(rs.adjacency(G).astype(float))[0] - lam) <= 1e-12 * (lam + 1)
+    h = rs.entropy_rate(rs.max_entropy_measure(G))
+    assert abs(2.0**h - lam) <= 1e-12 * (lam + 1)
 
 
 def test_max_entropy_rejects_disconnected():

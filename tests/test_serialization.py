@@ -3,6 +3,9 @@ import pytest
 
 import recovsys as rs
 from recovsys import serialization as ser
+from recovsys.graphs import word_from_int
+
+from conftest import chorded_cycle_graph
 
 
 def test_word_text_round_trip():
@@ -67,6 +70,70 @@ def test_load_measure_rejects_non_finite_entries(tmp_path, binary_system):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="finite"):
         ser.load_measure(path)
+
+
+def per_cell_measure_text(M):
+    """`measure_to_text` as one `fmt` call per nonzero cell: the oracle."""
+    lines = [f"q {M.q}", f"emit {M.emit}", f"log_base {M.log_base}", f"states {len(M.states)}"]
+    lines += [ser.word_to_text(w) for w in M.states]
+    lines.append("P")
+    lines += [",".join(ser.fmt(x) if x else "0" for x in row) for row in M.P.tolist()]
+    lines += ["p", ",".join(ser.fmt(x) if x else "0" for x in M.p.tolist())]
+    return "\n".join(lines)
+
+
+def random_chain():
+    """A chain on the 8 binary words of length 3 whose entries all differ."""
+    rng = np.random.default_rng(11)
+    P = rng.random((8, 8)) + 0.01
+    P /= P.sum(axis=1, keepdims=True)
+    p = np.full(8, 1 / 8)
+    for _ in range(500):
+        p = p @ P
+    states = tuple(word_from_int(i, 2, 3) for i in range(8))
+    return rs.MarkovMeasure(2, states, P, p / p.sum(), 1)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: rs.epsilon_construction(rs.truncated_debruijn_system(9), 0.1).measure,
+        lambda: rs.max_entropy_measure(chorded_cycle_graph(300, 50, 17)),
+        random_chain,
+    ],
+    ids=["epsilon_truncated_q9", "maxent_chorded_cycle300", "random_distinct_entries"],
+)
+def test_measure_text_equals_the_per_cell_join(make):
+    M = make()
+    assert ser.measure_to_text(M) == per_cell_measure_text(M)
+    loaded = ser.measure_from_text(ser.measure_to_text(M))
+    assert (loaded.P == M.P).all() and (loaded.p == M.p).all()
+
+
+def malformed_measure(binary_system, edit):
+    # Lines 1-4 are the header, 5-7 the states, 8 "P", 9-11 the rows of P,
+    # 12 "p" and 13 the stationary vector.
+    M = rs.max_entropy_measure(rs.essential_subgraph(binary_system.presentation))
+    lines = ser.measure_to_text(M).splitlines()
+    return "\n".join(edit(lines, lines.index("P"))) + "\n"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda ls, at: ls[: at + 2] + [ls[at + 2].rsplit(",", 1)[0]] + ls[at + 3 :],
+         r"line 10 '0,0': 2 cells, expected 3"),
+        (lambda ls, at: ls[: at + 3], r"line 11: file ends where row 2 of P should be"),
+        (lambda ls, at: ls[: at + 1] + ["x" + ls[at + 1][1:]] + ls[at + 2 :],
+         r"line 9 'x,1,0': could not convert string to float: 'x'"),
+        (lambda ls, at: ls[:at] + ls[at + 1 :], r"line 8 '0,1,0': expected the P block"),
+        (lambda ls, at: ls[:-2] + ls[-1:], r"line 12 '0\.177[0-9.,]*': expected the p row"),
+    ],
+    ids=["short_row", "truncated", "bad_cell", "no_P_block", "no_p_row"],
+)
+def test_malformed_measure_files_name_the_line(binary_system, edit, message):
+    with pytest.raises(ValueError, match=message):
+        ser.measure_from_text(malformed_measure(binary_system, edit))
 
 
 def test_codewords_round_trip(binary_system):

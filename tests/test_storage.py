@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import recovsys as rs
 from recovsys import serialization as ser
 from recovsys.graphs import LabeledDigraph, word_from_int
-from recovsys.storage import StorageVerification
+from recovsys.storage import StorageVerification, WordRows
 
 PERRIN_MATRIX = np.array([[0, 1, 1], [0, 0, 1], [1, 0, 0]])
 
@@ -268,6 +268,29 @@ def test_word_rows_are_sorted_distinct_and_read_only(binary_system):
     assert list(code.codewords) == [(0, 1, 1), (1, 1, 0)]
     assert (0, 1, 1) in code.codewords and (1, 1, 1) not in code.codewords
     assert code.codewords & {(0, 1, 1)} == frozenset({(0, 1, 1)})
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+def test_word_rows_sort_unsorted_input_and_keep_sorted_input(dtype):
+    rng = np.random.default_rng(7)
+    raw = rng.integers(0, 3, size=(400, 6)).astype(dtype)
+    raw[1::7] = raw[::7][: len(raw[1::7])]  # repeats, some adjacent
+    words = WordRows(raw)
+    assert list(words) == sorted(set(map(tuple, raw.tolist())))
+    assert words.rows.dtype == dtype and not words.rows.flags.writeable
+    again = WordRows(words.rows)
+    assert np.array_equal(again.rows, words.rows)
+    assert again.rows.dtype == dtype and not again.rows.flags.writeable
+    # A sorted input is copied, never frozen in place.
+    sorted_rows = words.rows.copy()
+    kept = WordRows(sorted_rows)
+    assert np.array_equal(kept.rows, sorted_rows) and sorted_rows.flags.writeable
+    # Rows that are sorted but repeat, or increase only in a later column
+    # after a decrease, are not strictly increasing and still get sorted.
+    for rows in ([[0, 1], [0, 1], [1, 0]], [[0, 2], [1, 0], [0, 3]], [[1, 0], [0, 9]]):
+        rows = np.array(rows, dtype=dtype)
+        assert list(WordRows(rows)) == sorted(set(map(tuple, rows.tolist())))
+    assert WordRows(np.empty((2, 0), dtype=dtype)).rows.shape == (1, 0)
 
 
 def test_cycle_storage_code_names_the_first_bad_word_in_sorted_order():
