@@ -436,6 +436,42 @@ def _paths(E: LabeledDigraph, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return start, end, symbols
 
 
+def _closed_paths(E: LabeledDigraph, n: int) -> np.ndarray:
+    """Sorted distinct symbol rows of the closed sequences of `n` edge rows.
+
+    Meet in the middle: every first half of ``h = n // 2`` rows, from s to
+    m, joins the run of second halves from m back to s in the second halves
+    sorted by (start, end).  A pair is held as its two halves' symbol ranks,
+    so the sorted distinct pairs are the words in lexicographic order.  The
+    walks hold the paths of lengths h and n - h, the join one entry per
+    closed sequence; the caller tests both against `ENUM_CAP` first.
+    """
+    h = n // 2
+    s, m, first = _paths(E, h)
+    m2, s2, second = _paths(E, n - h)
+    first, r1 = _ranked(first)
+    second, r2 = _ranked(second)
+    key = m2 * E.n_vertices + s2
+    by = np.argsort(key)
+    key, want = key[by], m * E.n_vertices + s
+    lo = np.searchsorted(key, want, "left")
+    k = np.searchsorted(key, want, "right") - lo
+    at = by[np.repeat(lo - np.cumsum(k) + k, k) + np.arange(k.sum())]
+    radix = max(len(second), 1)
+    # A sort and a run mask: np.unique would hash the pairs before sorting.
+    pairs = np.sort(np.repeat(r1 * radix, k) + r2[at])
+    pairs = pairs[np.diff(pairs, prepend=-1) > 0]
+    return np.hstack((first[pairs // radix], second[pairs % radix]))
+
+
+def _ranked(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of `rows` in sorted order, and each row's index among them."""
+    rows, order, new = _sorted_runs(rows)
+    rank = np.empty(len(rows), dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return rows[new], rank
+
+
 def _sorted_runs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`rows` in lexicographic order, the sorting permutation, and the run mask.
 

@@ -24,7 +24,7 @@ from .graphs import (
     Word,
     _labeled_by_target,
     _paths,
-    _sorted_runs,
+    _ranked,
     _within_enum_cap,
     adjacency,
     higher_power,
@@ -179,13 +179,22 @@ def max_entropy_measure(G: LabeledDigraph) -> MarkovMeasure:
     Left and right Perron vectors x, y are normalized to ``x . y = 1``; the
     chain has ``P[u, v] = A[u, v] * y[v] / (lam * y[u])`` and stationary
     vector ``p = x * y``, and its entropy rate equals the capacity of the
-    presented system.  Requires a strongly connected graph with edges.
+    presented system.  Requires a strongly connected graph with edges and
+    at most one edge from any vertex to any other: a chain on vertices
+    cannot tell parallel edges apart, so its entropy would miss theirs.
     """
     if not is_strongly_connected(G):
         raise ValueError("the max-entropy measure needs a strongly connected graph")
     if not G.src.size:
         raise ValueError("the max-entropy measure needs at least one edge")
-    A = adjacency(G).astype(float)
+    A = adjacency(G)
+    if A.max() > 1:
+        u, v = np.argwhere(A > 1)[0]
+        raise ValueError(
+            f"the max-entropy measure needs at most one edge per vertex pair; "
+            f"vertex {u} has {A[u, v]} edges to vertex {v}"
+        )
+    A = A.astype(float)
     lam, y = perron_pair(A)
     _, x = perron_pair(A.T)
     x = x / float(x @ y)
@@ -286,12 +295,11 @@ def _state_array(M: MarkovMeasure) -> np.ndarray:
 def _mass_by_word(words: np.ndarray, mass: np.ndarray) -> dict[Word, float]:
     """Total `mass` of each distinct row of `words`, keyed in numeric order.
 
-    A stable sort makes equal rows adjacent without reordering them, and
-    `np.bincount` adds each run's masses one by one in row order.
+    `np.bincount` adds each distinct row's masses one by one in row order.
     """
-    words, order, new = _sorted_runs(words)
-    sums = np.bincount(np.cumsum(new) - 1, weights=mass[order])
-    return dict(zip(map(tuple, words[new].tolist()), sums.tolist()))
+    words, rank = _ranked(words)
+    sums = np.bincount(rank, weights=mass)
+    return dict(zip(map(tuple, words.tolist()), sums.tolist()))
 
 
 def window_conditional_entropy(M: MarkovMeasure, k: int, l: int) -> WindowEntropyReport:

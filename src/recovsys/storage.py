@@ -4,7 +4,10 @@ The words read around closed paths of a (1, 1)-recoverable presentation form
 a storage code on the cycle graph: every symbol is reproducible from its two
 neighbors through the one shared recovery rule of the system.  Word sets are
 held as `WordRows`, one sorted array of distinct symbol rows, and every check
-on a code runs over that array.
+on a code runs over that array.  Period-n words are read by joining the walks
+of the two half lengths on their endpoints, which yields the rows already
+sorted; `graphs.ENUM_CAP` bounds the closed-walk count and the longer half's
+path count, and is tested before any walk starts.
 """
 
 from __future__ import annotations
@@ -148,21 +151,24 @@ def periodic_points(G: LabeledDigraph, n: int) -> PeriodicPoints:
 
     Closed paths lie in the essential subgraph ``E``; the exact count is the
     trace of its n-th adjacency power.  When the edges of ``E`` emit single
-    symbols and it has at most `graphs.ENUM_CAP` length-n paths (tested
-    before any walk; else `words` is None), one array walk reads the symbols
-    of every sequence of n edge rows, and the distinct rows of those that
-    end where they start are the words; a row's count does not repeat a walk.
-    There are `count` words iff distinct closed paths spell distinct words,
-    as in window presentations; two loops labeled 0 give two points, one word.
+    symbols, and both the count and the number of paths of length
+    ``n - n // 2`` are at most `graphs.ENUM_CAP` (tested before any walk;
+    else `words` is None), the words are read by meeting in the middle: the
+    walks of the two half lengths are joined on their shared endpoints, one
+    joined row per closed sequence of edge rows, and the distinct rows come
+    out already sorted.  The count bounds the joined rows, and in an
+    essential graph the longer half has at least as many paths as the
+    shorter; a row's count does not repeat a walk.  There are `count` words
+    iff distinct closed paths spell distinct words, as in window
+    presentations; two loops labeled 0 give two points, one word.
     """
     if n < 1:
         raise ValueError("the period must be at least 1")
     E = essential_subgraph(G)
     count = trace_power(adjacency(E), n)
     words = None
-    if E.edge_label_len <= 1 and graphs._within_enum_cap(E, n):
-        start, end, symbols = graphs._paths(E, n)
-        words = WordRows(symbols[start == end])
+    if E.edge_label_len <= 1 and count <= graphs.ENUM_CAP and graphs._within_enum_cap(E, n - n // 2):
+        words = WordRows(graphs._closed_paths(E, n))
     return PeriodicPoints(count, words)
 
 
@@ -171,8 +177,8 @@ def storage_code_for_cycle(S: RecoverableSystem, n: int) -> CycleStorageCode:
 
     Needs a (1, 1)-recoverable system and n >= 3 (each position must have
     two distinct neighbors); the recovery table is shared with `S`.  More
-    than `graphs.ENUM_CAP` length-n paths in the essential presentation
-    raise ValueError.
+    than `graphs.ENUM_CAP` period-n points, or paths of length ``n - n // 2``,
+    in the essential presentation raise ValueError.
     """
     if S.k != 1 or S.l != 1:
         raise ValueError("cycle codes come from (1, 1)-recoverable systems")
@@ -180,7 +186,10 @@ def storage_code_for_cycle(S: RecoverableSystem, n: int) -> CycleStorageCode:
         raise ValueError("a cycle needs length at least 3")
     pts = periodic_points(S.presentation, n)
     if pts.words is None:
-        raise ValueError(f"period-{n} walk over the enumeration cap of {graphs.ENUM_CAP} paths")
+        raise ValueError(
+            f"period-{n} closed walks or half-length paths over the enumeration cap "
+            f"of {graphs.ENUM_CAP} paths"
+        )
     return CycleStorageCode(n, S.q, pts.words, S.recovery_table)
 
 

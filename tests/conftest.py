@@ -3,6 +3,7 @@ import pytest
 
 import recovsys as rs
 from recovsys.graphs import LabeledDigraph, word_from_int
+from recovsys.storage import WordRows
 
 BINARY_FORBIDDEN = frozenset({(0, 0, 0), (1, 1, 1), (1, 1, 0), (0, 1, 1)})
 
@@ -87,3 +88,13 @@ def chorded_cycle_graph(n, length, start):
     labels = tuple(word_from_int(i, 2, max(1, (n - 1).bit_length())) for i in range(n))
     edges = [(i, (i + 1) % n, (0,)) for i in range(n)] + [(start, (start + length) % n, (1,))]
     return LabeledDigraph(2, labels, edges)
+
+
+def open_walk_points(G, n):
+    """Oracle: the words of every length-n walk of the essential graph that closes.
+
+    Walks all length-n paths with `graphs._paths`, keeps those that end where
+    they start and lets `WordRows` sort the rows and drop repeats.
+    """
+    start, end, symbols = rs.graphs._paths(rs.essential_subgraph(G), n)
+    return WordRows(symbols[start == end]).rows

@@ -6,6 +6,7 @@ from click.testing import CliRunner
 import recovsys as rs
 from recovsys import serialization as ser
 from recovsys.cli import main
+from recovsys.graphs import LabeledDigraph
 
 
 def run(*args):
@@ -214,6 +215,15 @@ def test_measure_maxent_on_edge_cover(tmp_path, edge4_system):
     assert res.exit_code == 0
     h = float(res.output.split()[1])
     assert abs(h - 0.5) < 1e-9
+
+
+def test_measure_maxent_rejects_parallel_edges(tmp_path):
+    gpath = tmp_path / "g.json"
+    ser.save_graph(LabeledDigraph(2, ((0,),), ((0, 0, (0,)), (0, 0, (1,)))), gpath)
+    res = run("measure", "maxent", "--graph", str(gpath))
+    assert res.exit_code == 2
+    assert "vertex 0 has 2 edges to vertex 0" in res.output
+    assert not any(line.startswith("h ") for line in res.output.splitlines())
 
 
 def test_report_bounds_csv_and_determinism():

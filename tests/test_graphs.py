@@ -3,14 +3,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import recovsys as rs
 from recovsys import serialization as ser
 from recovsys.graphs import LabeledDigraph
 
-from conftest import plastic_number
+from conftest import open_walk_points, plastic_number
 
 DB2_MATRIX = np.array(
     [
@@ -627,12 +627,56 @@ def test_enumeration_cap_is_decided_before_any_walk(monkeypatch):
 def test_enumeration_cap_boundary(monkeypatch, cap, fits):
     monkeypatch.setattr(rs.graphs, "ENUM_CAP", cap)
     G = rs.de_bruijn(2, 1)  # 8 paths of length 2
-    assert (rs.periodic_points(G, 2).words is not None) == fits
+    # Period-n points are capped on the closed-walk count and the paths of
+    # length n - n // 2, not on all length-n paths: at n = 3 both are 8.
+    A = rs.adjacency(G)
+    assert rs.trace_power(A, 3) == rs.path_count(A, 2) == 8
+    assert (rs.periodic_points(G, 3).words is not None) == fits
     if fits:
         assert len(rs.words_of_length(G, 3)) == 8
     else:
         with pytest.raises(ValueError, match="capped"):
             rs.words_of_length(G, 3)
+
+
+@pytest.mark.parametrize("n, boundary", [(1, 4), (4, 16)])
+def test_periodic_cap_is_the_count_or_the_longer_half(monkeypatch, n, boundary):
+    # De Bruijn(2, 1) has 2**n closed walks of length n and 2**(m + 1) paths
+    # of length m: the half paths bind at n = 1 (4 > 2), the count at n = 4.
+    G = rs.de_bruijn(2, 1)
+    A = rs.adjacency(G)
+    assert max(rs.trace_power(A, n), rs.path_count(A, n - n // 2)) == boundary
+    for cap in (boundary, boundary - 1):
+        monkeypatch.setattr(rs.graphs, "ENUM_CAP", cap)
+        assert (rs.periodic_points(G, n).words is not None) == (cap == boundary)
+
+
+@st.composite
+def counted_multigraphs(draw):
+    """`multigraphs()` with each row's count drawn from 1..3."""
+    G = draw(multigraphs())
+    count = draw(st.lists(st.integers(1, 3), min_size=G.count.size, max_size=G.count.size))
+    return LabeledDigraph._from_rows(G.q, G.labels, G.words, G.src, G.dst, G.lab, count)
+
+
+@settings(max_examples=200, deadline=None)
+@given(counted_multigraphs(), st.integers(1, 8))
+@example(LabeledDigraph(3, ((0,),), ((0, 0, (2,)), (0, 0, (2,)))), 5)  # two loops, one label
+@example(LabeledDigraph._from_rows(3, ((0,), (1,)), ((1,),), (0, 1), (1, 0), (0, 0), (3, 2)), 4)  # counts 3, 2
+@example(LabeledDigraph(3, ((0,), (1,)), ((0, 1, (0,)), (0, 1, (1,)))), 3)  # no closed walk
+@example(LabeledDigraph(3, (), ()), 1)
+def test_closed_walks_match_the_open_walk_filter(G, n):
+    A = rs.adjacency(rs.essential_subgraph(G))
+    pts = rs.periodic_points(G, n)
+    assert (pts.words is None) == (max(pts.count, rs.path_count(A, n - n // 2)) > rs.graphs.ENUM_CAP)
+    # The oracle walks every length-n path.
+    if rs.path_count(A, n) <= 50_000:
+        want = open_walk_points(G, n)
+        # The joined rows come out sorted and distinct, before `WordRows`.
+        for rows in (pts.words.rows, rs.graphs._closed_paths(rs.essential_subgraph(G), n)):
+            assert rows.dtype == want.dtype
+            assert np.array_equal(rows, want)
+        assert len(pts.words) <= pts.count
 
 
 @settings(max_examples=100, deadline=None)

@@ -104,6 +104,20 @@ def test_max_entropy_matches_the_exact_chorded_cycle_root(monkeypatch, escalate,
     assert abs(2.0**h - lam) <= 1e-12 * (lam + 1)
 
 
+@pytest.mark.parametrize(
+    "G, pair",
+    [
+        (LabeledDigraph(2, ((0,),), ((0, 0, (0,)), (0, 0, (1,)))), "vertex 0 has 2 edges to vertex 0"),
+        (chorded_cycle_graph(120, 1, 5), "vertex 5 has 2 edges to vertex 6"),
+    ],
+)
+def test_max_entropy_rejects_parallel_edges(G, pair):
+    # A chain on vertices would give h = 0 for both: the full binary shift
+    # (capacity 1) and a 120-cycle whose chord doubles one cycle edge.
+    with pytest.raises(ValueError, match=f"at most one edge per vertex pair; {pair}$"):
+        rs.max_entropy_measure(G)
+
+
 def test_max_entropy_rejects_disconnected():
     G = LabeledDigraph(2, ((0,), (1,)), ((0, 0, (0,)), (1, 1, (1,))))
     with pytest.raises(ValueError):

@@ -10,6 +10,8 @@ from recovsys import serialization as ser
 from recovsys.graphs import LabeledDigraph, word_from_int
 from recovsys.storage import StorageVerification, WordRows
 
+from conftest import open_walk_points
+
 PERRIN_MATRIX = np.array([[0, 1, 1], [0, 0, 1], [1, 0, 0]])
 
 
@@ -44,10 +46,12 @@ def test_periodic_points_of_binary_system(binary_system):
 
 def test_periodic_word_enumeration_matches_count(binary_system):
     G = binary_system.presentation
-    for n in range(1, 16):
+    for n in range(1, 39):
         pts = rs.periodic_points(G, n)
-        assert pts.words is not None
-        assert len(pts.words) == pts.count
+        want = open_walk_points(G, n)
+        assert len(pts.words) == pts.count == len(want) == rs.perrin_count(n)
+        assert pts.words.rows.dtype == want.dtype
+        assert np.array_equal(pts.words.rows, want)
 
 
 def test_periodic_points_self_loop_count():
@@ -91,12 +95,40 @@ def test_storage_code_enumeration_is_capped(trunc8_system):
         rs.storage_code_for_cycle(trunc8_system, 40)
 
 
-def test_storage_cap_counts_the_walk_not_the_points(trunc8_system):
-    # 472,448 period-13 points, but 3,799,168 length-13 paths to walk.
+def test_storage_cap_counts_the_walk_not_the_points(trunc8_system, monkeypatch):
+    # The walk is two half walks joined on their endpoints: at period 13 it
+    # holds 9,136 paths of length 7 and one entry per closed walk, 472,448,
+    # never the 3,799,168 length-13 paths.  The larger number is the boundary.
+    A = rs.adjacency(rs.essential_subgraph(trunc8_system.presentation))
+    assert (rs.trace_power(A, 13), rs.path_count(A, 7)) == (472_448, 9_136)
+    monkeypatch.setattr(rs.graphs, "ENUM_CAP", 472_448)
+    assert len(rs.storage_code_for_cycle(trunc8_system, 13).codewords) == 472_448
+    monkeypatch.setattr(rs.graphs, "ENUM_CAP", 472_447)
     with pytest.raises(ValueError, match="enumeration cap") as info:
         rs.storage_code_for_cycle(trunc8_system, 13)
-    assert "enumeration cap of 1000000 paths" in str(info.value)
-    assert "472448" not in str(info.value)
+    assert "enumeration cap of 472447 paths" in str(info.value)
+
+
+def test_truncated_q8_period_13_code_is_enumerated(trunc8_system):
+    A = rs.adjacency(trunc8_system.presentation)
+    code = rs.storage_code_for_cycle(trunc8_system, 13)
+    assert len(code.codewords) == rs.trace_power(A, 13) == 472_448
+    assert code.codewords.rows.dtype == np.uint8
+    assert rs.verify_storage_code(code).ok
+
+
+@pytest.mark.parametrize("n, cap", [(14, None), (3, 59)])
+def test_storage_refusal_comes_before_any_walk(trunc8_system, monkeypatch, n, cap):
+    # n = 14: 1,290,752 closed walks; n = 3: 20 closed walks, 60 paths of length 2.
+    def no_walk(E, m):
+        raise AssertionError("a walk started")
+
+    monkeypatch.setattr(rs.graphs, "_paths", no_walk)
+    if cap is not None:
+        monkeypatch.setattr(rs.graphs, "ENUM_CAP", cap)
+    with pytest.raises(ValueError, match="enumeration cap"):
+        rs.storage_code_for_cycle(trunc8_system, n)
+    assert rs.periodic_points(trunc8_system.presentation, n).words is None
 
 
 def test_deterministic_loops_can_share_a_word():
