@@ -229,20 +229,20 @@ def measure_epsilon(q, k, l, eps, graph_path, out_measure, out_graph):
     else:
         _, S = systems.exhaustive_max_capacity(q, k, l)
     built = measures.epsilon_construction(S, eps)
+    # Written first, so a refused or failed write prints no results.
+    if out_measure:
+        serialization.save_measure(built, out_measure)
     h_mu = measures.entropy_rate(built.base_measure)
-    h_nu = measures.entropy_rate(built.measure)
-    report = measures.window_conditional_entropy(built.measure, k, l)
-    base = built.measure.log_base
+    h_nu = built.entropy_rate()
+    report = built.window_conditional_entropy()
+    base = built.base_measure.log_base
     click.echo(f"delta {fmt(built.params.delta)}")
     click.echo(f"h_mu {fmt(h_mu)} (log base {base})")
     click.echo(f"h_nu {fmt(h_nu)} (log base {base})")
     click.echo(f"gain {fmt(h_nu - h_mu)} (log base {base})")
     click.echo(f"max_window_entropy {fmt(report.max_entropy)} (log base {q})")
-    click.echo(
-        f"epsilon_recoverable {measures.is_epsilon_recoverable(built.measure, eps, k, l)}"
-    )
+    click.echo(f"epsilon_recoverable {report.within(eps)}")
     if out_measure:
-        serialization.save_measure(built.measure, out_measure)
         click.echo(f"wrote measure {out_measure}")
     if out_graph:
         serialization.save_graph(built.graph, out_graph)

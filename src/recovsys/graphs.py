@@ -200,10 +200,50 @@ def higher_power(G: LabeledDigraph, m: int) -> LabeledDigraph:
     each transition emits a whole vertex word.  The adjacency matrix of the
     result equals ``adjacency(G) ** m`` entrywise: one row per vertex pair
     joined by a path, in row-major order, with the path count as its count.
+
+    The power is a sparse product over the edge rows, with no V x V matrix:
+    each step joins the path rows on their end to the edge rows sorted by
+    source, and sums the counts of equal (start, end) pairs after a sort.
+    Counts are int64 while ``r**m < 2**63`` for the largest row sum ``r``,
+    which bounds every entry and partial sum, and Python ints past it.
     """
     if m < 1:
         raise ValueError("path length m must be at least 1")
-    return _labeled_by_target(G.q, G.labels, _exact_power(adjacency(G), m))
+    n = G.n_vertices
+    key, count = _summed_by_key(G.src * n + G.dst, G.count)
+    src, dst = np.divmod(key, n)
+    _, sums = _summed_by_key(src, count.astype(object))
+    r = max(sums, default=0)
+    if not (r < 2 or m < 63 and r**m < 2**63):
+        count = count.astype(object)
+    deg = np.bincount(src, minlength=n)
+    first = np.cumsum(deg) - deg
+    start, end, paths = src, dst, count
+    for _ in range(m - 1):
+        k = deg[end]
+        at = _spans(first[end], k)
+        key, paths = _summed_by_key(np.repeat(start, k) * n + dst[at], np.repeat(paths, k) * count[at])
+        start, end = np.divmod(key, n)
+    live = paths > 0
+    return _rows_by_target(G.q, G.labels, start[live], end[live], paths[live])
+
+
+def _spans(first: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The positions ``first[i] .. first[i] + k[i] - 1`` for every i, concatenated."""
+    return np.repeat(first - np.cumsum(k) + k, k) + np.arange(k.sum())
+
+
+def _summed_by_key(key: np.ndarray, count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct keys in increasing order, each with the sum of its counts.
+
+    A sort and `np.add.reduceat`, so int64 and Python-int counts add exactly.
+    """
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    if not starts.size:
+        return key, count[:0]
+    return key[starts], np.add.reduceat(count[order], starts)
 
 
 def scc_decompose(G: LabeledDigraph) -> list[tuple[int, ...]]:
@@ -247,7 +287,7 @@ def essential_subgraph(G: LabeledDigraph) -> LabeledDigraph:
         gone = []
         for order, start, deg in lists:
             span = deg[dead]
-            at = np.repeat(start[dead] - np.cumsum(span) + span, span) + np.arange(span.sum())
+            at = _spans(start[dead], span)
             gone.append(order[at])
         # a row is met again when its other end dies, and then both its ends
         # are dead: their degrees are never read again
@@ -429,8 +469,7 @@ def _paths(E: LabeledDigraph, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     symbols = np.empty((E.n_vertices, 0), dtype=sym.dtype)
     for _ in range(m):
         k = deg[end]
-        # path i takes the rows first[end[i]] .. first[end[i]] + k[i] - 1
-        at = np.repeat(first[end] - np.cumsum(k) + k, k) + np.arange(k.sum())
+        at = _spans(first[end], k)
         start, end = np.repeat(start, k), dst[at]
         symbols = np.hstack((np.repeat(symbols, k, axis=0), sym[at, None]))
     return start, end, symbols
@@ -456,7 +495,7 @@ def _closed_paths(E: LabeledDigraph, n: int) -> np.ndarray:
     key, want = key[by], m * E.n_vertices + s
     lo = np.searchsorted(key, want, "left")
     k = np.searchsorted(key, want, "right") - lo
-    at = by[np.repeat(lo - np.cumsum(k) + k, k) + np.arange(k.sum())]
+    at = by[_spans(lo, k)]
     radix = max(len(second), 1)
     # A sort and a run mask: np.unique would hash the pairs before sorting.
     pairs = np.sort(np.repeat(r1 * radix, k) + r2[at])
@@ -522,14 +561,21 @@ def _is_deterministic(G: LabeledDigraph) -> bool:
 def _labeled_by_target(q: int, labels: tuple[Word, ...], counts: np.ndarray) -> LabeledDigraph:
     """Graph with ``counts[u, v]`` edges from u to v, each labeled by the word of v.
 
-    One row per nonzero entry, in row-major order.  A count past int64
-    raises instead of wrapping.
+    One row per nonzero entry, in row-major order.
     """
-    if counts.dtype == object and counts.max(initial=0) >= 2**63:
-        raise ValueError("an edge multiplicity does not fit in int64")
     flat = np.flatnonzero(counts)
     src, dst = np.divmod(flat, len(labels))
-    return LabeledDigraph._from_rows(q, labels, labels, src, dst, dst, counts.ravel()[flat])
+    return _rows_by_target(q, labels, src, dst, counts.ravel()[flat])
+
+
+def _rows_by_target(q: int, labels: tuple[Word, ...], src, dst, count) -> LabeledDigraph:
+    """Graph with the rows (src, dst, count), each labeled by the word of dst.
+
+    A count past int64 raises instead of wrapping.
+    """
+    if count.dtype == object and count.max(initial=0) >= 2**63:
+        raise ValueError("an edge multiplicity does not fit in int64")
+    return LabeledDigraph._from_rows(q, labels, labels, src, dst, dst, count)
 
 
 def _exact_power(A: np.ndarray | Sequence[Sequence[int]], e: int) -> np.ndarray:
@@ -538,8 +584,9 @@ def _exact_power(A: np.ndarray | Sequence[Sequence[int]], e: int) -> np.ndarray:
     Every entry of ``A**j``, and every partial sum of a product of two such
     powers, is at most ``r**j`` for the largest row sum ``r``; so when
     ``r**e < 2**63`` numpy int64 cannot wrap and is used, and otherwise the
-    power is taken over Python ints (object dtype).  This is the only place
-    that raises an integer matrix to a power.  Entries must be integers;
+    power is taken over Python ints (object dtype).  It serves the dense
+    counts of `trace_power` and `path_count`; `higher_power` multiplies
+    edge rows under the same guard instead.  Entries must be integers;
     integer-valued floats are accepted.
     """
     if e < 0:

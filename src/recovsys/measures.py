@@ -25,6 +25,7 @@ from .graphs import (
     _labeled_by_target,
     _paths,
     _ranked,
+    _sorted_runs,
     _within_enum_cap,
     adjacency,
     higher_power,
@@ -130,10 +131,23 @@ class WindowEntropyReport:
     zero_pairs: tuple[tuple[Word, Word], ...]
     max_entropy: float
 
+    def within(self, epsilon: float) -> bool:
+        """True iff `max_entropy` is at most epsilon, up to `RECOVERABLE_TOL`."""
+        return self.max_entropy <= epsilon + RECOVERABLE_TOL
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class EpsilonConstruction:
-    """Perturbed measure, with its ingredients.
+    """Perturbed measure nu, held as factors of its base measure mu.
+
+    State i of nu is a window whose parent, the state ``parent[i]`` of mu,
+    differs from it at most in the middle k-word; ``weight[i]`` is
+    1 - delta for the parent's own window and delta / (q**k - 1) for each
+    ghost, so the children of one parent carry weights summing to 1.  Then
+    ``nu.P = mu.P[parent][:, parent] * weight`` and ``nu.p = p =
+    mu.p[parent] * weight``.  The entropy rate and the window report are
+    computed from these factors; `measure`, the dense and checked chain,
+    is built only when read.
 
     `graph` is the presentation of the perturbed measure: one edge, labeled
     by its target, wherever the base chain moves between the two states'
@@ -141,18 +155,46 @@ class EpsilonConstruction:
     edges are present even when delta is 0.
     """
 
-    measure: MarkovMeasure
     base_measure: MarkovMeasure
     params: EpsilonParams
+    states: tuple[Word, ...]
+    parent: np.ndarray
+    weight: np.ndarray
+    p: np.ndarray
+
+    @cached_property
+    def measure(self) -> MarkovMeasure:
+        """The dense chain, built and checked by `MarkovMeasure` on first read."""
+        mu = self.base_measure
+        P = mu.P[np.ix_(self.parent, self.parent)] * self.weight
+        return MarkovMeasure(mu.q, self.states, P, self.p, mu.emit)
 
     @cached_property
     def graph(self) -> LabeledDigraph:
-        k, l = self.params.k, self.params.l
-        states = self.measure.states
-        owner = {(w[:l], w[l + k :]): i for i, w in enumerate(self.base_measure.states)}
-        parent = np.array([owner[w[:l], w[l + k :]] for w in states])
-        pattern = (self.base_measure.P > 0)[:, parent][parent]
-        return _labeled_by_target(self.measure.q, states, pattern)
+        pattern = (self.base_measure.P > 0)[:, self.parent][self.parent]
+        return _labeled_by_target(self.base_measure.q, self.states, pattern)
+
+    def entropy_rate(self) -> float:
+        """`entropy_rate` of `measure`, from the factors in O(|mu|**2).
+
+        Row i of nu.P spreads each entry of mu.P's row ``parent[i]`` over
+        the children of its column with their weights, so its entropy is
+        that row's plus ``H_w = -(1-delta) ln(1-delta) - delta ln(delta /
+        (q**k - 1))``.
+        """
+        mu, delta = self.base_measure, self.params.delta
+        spread = mu.q**self.params.k - 1
+        h_w = -float(_xlogx(np.array([1 - delta, delta / spread])) @ [1, spread])
+        rows = -_xlogx(mu.P).sum(axis=1)
+        return float(self.p @ (rows[self.parent] + h_w)) / math.log(mu.log_base)
+
+    def window_conditional_entropy(self) -> WindowEntropyReport:
+        """`window_conditional_entropy(measure, k, l)`, read off the states and p.
+
+        Each state of nu is a window of length 2l + k, with mass p.
+        """
+        marginal = dict(zip(self.states, self.p.tolist()))
+        return _window_report(marginal, self.base_measure.q, self.params.k, self.params.l)
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
@@ -313,7 +355,11 @@ def window_conditional_entropy(M: MarkovMeasure, k: int, l: int) -> WindowEntrop
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be at least 1")
-    marg = window_marginal(M, 2 * l + k)
+    return _window_report(window_marginal(M, 2 * l + k), M.q, k, l)
+
+
+def _window_report(marg: Mapping[Word, float], q: int, k: int, l: int) -> WindowEntropyReport:
+    """The report of `window_conditional_entropy` on a window marginal."""
     grouped: dict[tuple[Word, Word], dict[Word, float]] = {}
     for w, pr in marg.items():
         if pr <= 0:
@@ -322,14 +368,14 @@ def window_conditional_entropy(M: MarkovMeasure, k: int, l: int) -> WindowEntrop
         grouped.setdefault(key, {})[w[l : l + k]] = pr
     entries: dict[tuple[Word, Word], float] = {}
     zero: list[tuple[Word, Word]] = []
-    for pair in product(product(range(M.q), repeat=l), repeat=2):
+    for pair in product(product(range(q), repeat=l), repeat=2):
         mids = grouped.get(pair)
         if not mids:
             zero.append(pair)
             continue
         total = sum(mids.values())
         probs = np.array([m / total for m in mids.values()])
-        entries[pair] = float(-_xlogx(probs).sum()) / math.log(M.q)
+        entries[pair] = float(-_xlogx(probs).sum()) / math.log(q)
     return WindowEntropyReport(entries, tuple(zero), max(entries.values(), default=0.0))
 
 
@@ -340,8 +386,7 @@ def is_epsilon_recoverable(M: MarkovMeasure, epsilon: float, k: int, l: int) -> 
     so it is the stricter condition (see ERRATA.md).  The comparison allows
     `RECOVERABLE_TOL` of rounding above epsilon.
     """
-    report = window_conditional_entropy(M, k, l)
-    return report.max_entropy <= epsilon + RECOVERABLE_TOL
+    return window_conditional_entropy(M, k, l).within(epsilon)
 
 
 def delta_from_epsilon(epsilon: float, q: int, k: int) -> float:
@@ -409,35 +454,52 @@ def epsilon_construction(S: RecoverableSystem, epsilon: float) -> EpsilonConstru
     with the middle word replaced; transitions route mass delta to ghosts
     (split evenly) and keep 1 - delta on real targets: a transition carries
     the base mass between the two parents times the target's weight, and a
-    state's mass is its parent's times its own weight.  The returned
-    measure is stationary by construction and its entropy rate exceeds the
-    base measure's by exactly ``epsilon / (2l + k)``.  Its presentation,
-    `EpsilonConstruction.graph`, is derived on first read.
+    state's mass is its parent's times its own weight.  The measure is kept
+    as these factors (see `EpsilonConstruction`): the states are the base
+    windows' rows repeated, their middles overwritten and sorted, and the
+    checks of `MarkovMeasure` run on the factors in O(|mu|**2), with no
+    dense chain.  Its entropy rate exceeds the base measure's by exactly
+    ``epsilon / (2l + k)``.  A window reached from two base windows raises
+    AssertionError: the input is not recoverable.
     """
-    W = 2 * S.l + S.k
-    params = EpsilonParams(
-        epsilon, S.q, S.k, S.l, delta_from_epsilon(epsilon, S.q, S.k)
-    )
-    G = higher_block_presentation(S)
-    Gm = higher_power(G, W)
-    mu = max_entropy_measure(Gm)
-    owner: dict[Word, int] = {}
-    for i, w in enumerate(mu.states):
-        for a in product(range(S.q), repeat=S.k):
-            g = w[: S.l] + a + w[S.l + S.k :]
-            if g in owner:
-                raise AssertionError(
-                    f"window {g} has two parents; the input is not recoverable"
-                )
-            owner[g] = i
-    states = tuple(sorted(owner))
-    parent = np.array([owner[w] for w in states])
-    real = np.array([w == mu.states[i] for w, i in zip(states, parent)])
-    spread = S.q**S.k - 1
-    weight = np.where(real, 1 - params.delta, params.delta / spread)
-    P = mu.P[np.ix_(parent, parent)] * weight
+    W, k, l = 2 * S.l + S.k, S.k, S.l
+    params = EpsilonParams(epsilon, S.q, k, l, delta_from_epsilon(epsilon, S.q, k))
+    mu = max_entropy_measure(higher_power(higher_block_presentation(S), W))
+    base = _state_array(mu)
+    middles = np.array(list(product(range(S.q), repeat=k)), dtype=np.int64)
+    windows = np.repeat(base, len(middles), axis=0)
+    windows[:, l : l + k] = np.tile(middles, (len(base), 1))
+    parent = np.repeat(np.arange(len(base)), len(middles))
+    real = (windows[:, l : l + k] == base[parent, l : l + k]).all(axis=1)
+    windows, order, new = _sorted_runs(windows)
+    if not new.all():
+        g = tuple(windows[np.argmin(new)].tolist())
+        raise AssertionError(f"window {g} has two parents; the input is not recoverable")
+    parent, real = parent[order], real[order]
+    weight = np.where(real, 1 - params.delta, params.delta / (len(middles) - 1))
     p = mu.p[parent] * weight
-    return EpsilonConstruction(MarkovMeasure(S.q, states, P, p, W), mu, params)
+    _check_factored_chain(mu, parent, weight, p)
+    for a in (parent, weight, p):
+        a.setflags(write=False)
+    states = tuple(map(tuple, windows.tolist()))
+    return EpsilonConstruction(mu, params, states, parent, weight, p)
+
+
+def _check_factored_chain(mu: MarkovMeasure, parent: np.ndarray, weight: np.ndarray, p: np.ndarray) -> None:
+    """The checks of `MarkovMeasure` on ``(mu.P[parent][:, parent] * weight, p)``.
+
+    With ``s[a]`` the weight of the children of a, row i sums to
+    ``(mu.P @ s)[parent[i]]`` and ``p @ P`` is ``((mu.p * s) @ mu.P)[parent]
+    * weight``.  Every base state has children, and the factors are finite
+    and nonnegative, so these are the dense checks exactly.
+    """
+    s = np.bincount(parent, weights=weight, minlength=len(mu.p))
+    if abs(p.sum() - 1.0) > STOCHASTIC_TOL:
+        raise ValueError("the stationary vector must sum to 1")
+    if np.abs(mu.P @ s - 1.0).max() > STOCHASTIC_TOL:
+        raise ValueError("every transition row must sum to 1")
+    if np.abs(((mu.p * s) @ mu.P)[parent] * weight - p).max() > STOCHASTIC_TOL:
+        raise ValueError("the vector is not stationary for the matrix")
 
 
 def markov_approximation(marginal: Mapping[Word, float], m: int, q: int) -> MarkovMeasure:

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .graphs import LabeledDigraph, Word
-from .measures import MarkovMeasure
+from .measures import EpsilonConstruction, MarkovMeasure
 from .storage import WordRows
 from .systems import ForbiddenSet, RecoverableSystem
 
@@ -29,6 +29,9 @@ _DIGIT_BYTES = np.frombuffer(DIGITS.encode(), dtype=np.uint8)
 # The symbol of each byte, -1 for a byte that is not a digit.
 _BYTE_SYMBOLS = np.full(256, -1, dtype=np.int8)
 _BYTE_SYMBOLS[_DIGIT_BYTES] = np.arange(len(DIGITS))
+# Largest measure file, in cells (states**2): truncated q=16, 4,096 states,
+# writes about 335 MB of text.
+MEASURE_TEXT_CELLS = 4096**2
 
 
 def word_to_text(w: Word) -> str:
@@ -161,20 +164,36 @@ def save_system(S: RecoverableSystem, graph_path: str | Path, table_path: str | 
     Path(table_path).write_text(recovery_table_to_text(S.recovery_table) + "\n")
 
 
-def measure_to_text(M: MarkovMeasure) -> str:
-    lines = [
-        f"q {M.q}",
-        f"emit {M.emit}",
-        f"log_base {M.log_base}",
-        f"states {len(M.states)}",
-    ]
+def measure_to_text(M: MarkovMeasure | EpsilonConstruction) -> str:
+    """The measure's header, states, P rows and p row, one cell per state.
+
+    An `EpsilonConstruction` is written as its `measure`, byte for byte,
+    without building it: its P rows are the rows ``mu.P[:, parent] *
+    weight`` of its base measure mu, row i being row ``parent[i]``, and
+    each cell is the same float product as in the dense chain.  A file is
+    states**2 cells, so more than `MEASURE_TEXT_CELLS` raise ValueError
+    before any row or text is made.
+    """
+    n = len(M.states)
+    if n * n > MEASURE_TEXT_CELLS:
+        raise ValueError(
+            f"a measure on {n} states is {n * n} cells of text, "
+            f"over the cap of {MEASURE_TEXT_CELLS}"
+        )
+    if isinstance(M, EpsilonConstruction):
+        q, emit = M.base_measure.q, M.base_measure.emit
+        P, row_of = M.base_measure.P[:, M.parent] * M.weight, M.parent.tolist()
+    else:
+        q, emit, P, row_of = M.q, M.emit, M.P, range(n)
+    lines = [f"q {q}", f"emit {emit}", f"log_base {q**emit}", f"states {n}"]
     lines.extend(word_to_text(w) for w in M.states)
-    # Each distinct value of P and p is formatted once.  A measure's cells
-    # are products of nonnegative factors, so a zero is +0.0, whose text is "0".
-    values, inverse = np.unique(np.vstack((M.P, M.p)), return_inverse=True)
+    # Each distinct value of P and p is formatted once, and each row of P
+    # joined once.  A measure's cells are products of nonnegative factors,
+    # so a zero is +0.0, whose text is "0".
+    values, inverse = np.unique(np.vstack((P, M.p)), return_inverse=True)
     text = np.array([fmt(x) if x else "0" for x in values.tolist()], dtype=object)
-    rows = [",".join(row) for row in text[inverse.reshape(-1, len(M.p))].tolist()]
-    lines += ["P", *rows[:-1], "p", rows[-1]]
+    rows = [",".join(row) for row in text[inverse.reshape(-1, n)].tolist()]
+    lines += ["P", *(rows[i] for i in row_of), "p", rows[-1]]
     return "\n".join(lines)
 
 
@@ -226,7 +245,7 @@ def measure_from_text(text: str) -> MarkovMeasure:
     return MarkovMeasure(header["q"], tuple(states), P, p, header["emit"])
 
 
-def save_measure(M: MarkovMeasure, path: str | Path) -> None:
+def save_measure(M: MarkovMeasure | EpsilonConstruction, path: str | Path) -> None:
     Path(path).write_text(measure_to_text(M) + "\n")
 
 

@@ -41,11 +41,26 @@ class WordRows(Set):
 
     def __init__(self, rows: np.ndarray) -> None:
         if _strictly_increasing(rows):
-            self.rows = rows.copy()
+            rows = rows.copy()
         else:
             rows, _, new = graphs._sorted_runs(rows)
-            self.rows = rows[new]
-        self.rows.flags.writeable = False
+            rows = rows[new]
+        self._hold(rows)
+
+    @classmethod
+    def _sorted(cls, rows: np.ndarray) -> WordRows:
+        """Rows already sorted and distinct, held as they are, with no check.
+
+        Only for the output of `graphs._closed_paths`, whose order the tests
+        check; every other caller goes through the check in `__init__`.
+        """
+        words = cls.__new__(cls)
+        words._hold(rows)
+        return words
+
+    def _hold(self, rows: np.ndarray) -> None:
+        rows.flags.writeable = False
+        self.rows = rows
         self._set: frozenset[Word] | None = None
 
     def __len__(self) -> int:
@@ -168,7 +183,7 @@ def periodic_points(G: LabeledDigraph, n: int) -> PeriodicPoints:
     count = trace_power(adjacency(E), n)
     words = None
     if E.edge_label_len <= 1 and count <= graphs.ENUM_CAP and graphs._within_enum_cap(E, n - n // 2):
-        words = WordRows(graphs._closed_paths(E, n))
+        words = WordRows._sorted(graphs._closed_paths(E, n))
     return PeriodicPoints(count, words)
 
 

@@ -1,5 +1,8 @@
 import json
+import math
+from decimal import Decimal, localcontext
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -193,11 +196,87 @@ def test_measure_epsilon_on_the_ternary_search_optimum():
     assert res.output == (
         "delta 0.019555992053003596\n"
         "h_mu 0.43801787948594245 (log base 27)\n"
-        "h_nu 0.47135121281927572 (log base 27)\n"
-        "gain 0.03333333333333327 (log base 27)\n"
+        "h_nu 0.47135121281927589 (log base 27)\n"
+        "gain 0.033333333333333437 (log base 27)\n"
         "max_window_entropy 0.10000000000000006 (log base 3)\n"
         "epsilon_recoverable True\n"
     )
+
+
+BENCH_EPSILONS = (0.05, 0.08, 0.1, 0.12, 0.15, 0.286)
+
+
+def decimal_entropy_rate(M):
+    """Entropy rate of the dense chain `M`, summed in 40-digit decimals.
+
+    Every float of P and p is read exactly; each distinct value of P gets
+    one 40-digit ``x ln x``, and each row adds them with their multiplicities.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 40
+        values, inverse = np.unique(M.P, return_inverse=True)
+        inverse = inverse.reshape(M.P.shape)
+        xlnx = [Decimal(v) * Decimal(v).ln() if v else Decimal(0) for v in values.tolist()]
+        total = Decimal(0)
+        for pi, row in zip(M.p.tolist(), inverse):
+            times = np.bincount(row, minlength=len(values))
+            total -= Decimal(pi) * sum(int(times[v]) * xlnx[v] for v in np.flatnonzero(times))
+        return total / Decimal(M.log_base).ln()
+
+
+@pytest.mark.parametrize(
+    "system, args",
+    [
+        ((2, 1, 1), ["--q", "2"]),
+        ((3, 1, 1), ["--q", "3"]),
+        ((2, 2, 1), ["--q", "2", "--k", "2"]),
+        (4, ["--q", "4"]),
+        (9, ["--q", "9"]),
+    ],
+    ids=["search_q2_k1", "search_q3_k1", "search_q2_k2", "truncated_q4", "truncated_q9"],
+)
+def test_measure_epsilon_h_nu_is_within_8_ulp_of_a_decimal_oracle(tmp_path, system, args):
+    if isinstance(system, tuple):
+        _, S = rs.exhaustive_max_capacity(*system)
+    else:
+        S = rs.truncated_debruijn_system(system)
+        ser.save_graph(S.presentation, tmp_path / "g.json")
+        args = args + ["--graph", str(tmp_path / "g.json")]
+    for eps in BENCH_EPSILONS:
+        res = run("measure", "epsilon", *args, "--eps", str(eps))
+        assert res.exit_code == 0
+        h_nu = float(res.output.splitlines()[2].split()[1])
+        exact = decimal_entropy_rate(rs.epsilon_construction(S, eps).measure)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            assert abs(Decimal(h_nu) - exact) <= 8 * Decimal(math.ulp(float(exact)))
+
+
+def test_measure_epsilon_writes_the_dense_measure_text(tmp_path):
+    S = rs.truncated_debruijn_system(13)
+    ser.save_graph(S.presentation, tmp_path / "g.json")
+    out = tmp_path / "nu.txt"
+    res = run("measure", "epsilon", "--q", "13", "--graph", str(tmp_path / "g.json"),
+              "--eps", "0.12", "--out-measure", str(out))
+    assert res.exit_code == 0
+    assert res.output.endswith(f"wrote measure {out}\n")
+    assert out.read_text() == ser.measure_to_text(rs.epsilon_construction(S, 0.12).measure) + "\n"
+
+
+def test_measure_epsilon_refuses_a_measure_file_over_the_cap(tmp_path, monkeypatch):
+    _, S = rs.exhaustive_max_capacity(2, 1, 1)
+    n = len(rs.epsilon_construction(S, 0.1).states)
+    out = tmp_path / "nu.txt"
+    args = ["measure", "epsilon", "--q", "2", "--eps", "0.1", "--out-measure", str(out)]
+    monkeypatch.setattr(ser, "MEASURE_TEXT_CELLS", n * n - 1)
+    res = run(*args)
+    assert res.exit_code == 2
+    assert f"a measure on {n} states is {n * n} cells of text, over the cap of {n * n - 1}" in res.stderr
+    assert res.stdout == ""
+    assert not out.exists()
+    monkeypatch.setattr(ser, "MEASURE_TEXT_CELLS", n * n)
+    assert run(*args).exit_code == 0
+    assert out.read_text() == ser.measure_to_text(rs.epsilon_construction(S, 0.1).measure) + "\n"
 
 
 def test_measure_epsilon_writes_the_epsilon_graph(tmp_path):

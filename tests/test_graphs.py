@@ -120,8 +120,14 @@ def test_window_power_graph_out_degrees(binary_system):
 @settings(max_examples=50, deadline=None)
 @given(small_graph_strategy(), st.integers(min_value=1, max_value=5))
 def test_higher_power_adjacency_is_matrix_power(G, m):
-    A = rs.adjacency(G)
-    assert np.array_equal(rs.adjacency(rs.higher_power(G, m)), np.linalg.matrix_power(A, m))
+    A = np.linalg.matrix_power(rs.adjacency(G), m)
+    H = rs.higher_power(G, m)
+    assert np.array_equal(rs.adjacency(H), A)
+    # One row per nonzero entry of the power, in row-major order.
+    src, dst = np.nonzero(A)
+    assert H.src.tolist() == src.tolist() and H.dst.tolist() == dst.tolist()
+    assert H.count.tolist() == A[src, dst].tolist()
+    assert H.lab.tolist() == dst.tolist() and H.words == G.labels
 
 
 def test_strong_connectivity_examples(trunc8_system):
@@ -549,6 +555,15 @@ def test_higher_power_rejects_counts_past_int64():
         rs.higher_power(G, 40)
 
 
+def test_higher_power_past_the_guard_keeps_counts_that_fit_and_rejects_the_rest():
+    # Row sums 2: 2**63 is not below 2**63, so m = 63 already takes Python
+    # ints, and its 2**62 paths per pair still fit.
+    G = rs.de_bruijn(2, 1)
+    assert rs.higher_power(G, 63).count.tolist() == [2**62] * 4
+    with pytest.raises(ValueError, match="does not fit in int64"):
+        rs.higher_power(G, 64)
+
+
 def test_word_functions_check_their_input_and_peel_once(monkeypatch):
     two_symbol = rs.higher_power(rs.de_bruijn(2, 2), 2)
     for words in (rs.words_of_length, rs.count_words):
@@ -672,8 +687,11 @@ def test_closed_walks_match_the_open_walk_filter(G, n):
     # The oracle walks every length-n path.
     if rs.path_count(A, n) <= 50_000:
         want = open_walk_points(G, n)
-        # The joined rows come out sorted and distinct, before `WordRows`.
-        for rows in (pts.words.rows, rs.graphs._closed_paths(rs.essential_subgraph(G), n)):
+        # The joined rows come out sorted and distinct, before `WordRows`,
+        # which holds them with no check of its own.
+        joined = rs.graphs._closed_paths(rs.essential_subgraph(G), n)
+        assert rs.storage._strictly_increasing(joined)
+        for rows in (pts.words.rows, joined):
             assert rows.dtype == want.dtype
             assert np.array_equal(rows, want)
         assert len(pts.words) <= pts.count

@@ -237,6 +237,60 @@ def test_epsilon_construction_rejects_two_parents():
         rs.epsilon_construction(S, 0.1)
 
 
+@pytest.fixture(scope="module", params=["binary_q2", "search_q2_k2", "truncated_q8", "truncated_q13"])
+def factored_nu(request, binary_system):
+    systems = {
+        "binary_q2": lambda: binary_system,
+        "search_q2_k2": lambda: rs.exhaustive_max_capacity(2, 2, 1)[1],
+        "truncated_q8": lambda: rs.truncated_debruijn_system(8),
+        "truncated_q13": lambda: rs.truncated_debruijn_system(13),
+    }
+    return rs.epsilon_construction(systems[request.param](), 0.12)
+
+
+def test_lazy_epsilon_measure_is_the_dense_product_of_its_factors(factored_nu):
+    mu, parent, weight = factored_nu.base_measure, factored_nu.parent, factored_nu.weight
+    nu = factored_nu.measure
+    assert nu.states == factored_nu.states
+    assert np.array_equal(nu.P, mu.P[np.ix_(parent, parent)] * weight)
+    assert np.array_equal(nu.p, mu.p[parent] * weight)
+    assert np.array_equal(nu.p, factored_nu.p)
+
+
+def test_factored_window_report_equals_the_dense_one(factored_nu):
+    k, l = factored_nu.params.k, factored_nu.params.l
+    assert factored_nu.window_conditional_entropy() == rs.window_conditional_entropy(
+        factored_nu.measure, k, l
+    )
+
+
+def test_factored_entropy_rate_matches_the_dense_one(factored_nu):
+    h = factored_nu.entropy_rate()
+    assert abs(h - rs.entropy_rate(factored_nu.measure)) <= 1e-12
+    gain = h - rs.entropy_rate(factored_nu.base_measure)
+    assert abs(gain - 0.12 / (2 * factored_nu.params.l + factored_nu.params.k)) < 1e-9
+
+
+def test_factored_measure_text_equals_the_dense_text(factored_nu):
+    from recovsys import serialization as ser
+
+    assert ser.measure_to_text(factored_nu) == ser.measure_to_text(factored_nu.measure)
+
+
+def test_factored_chain_check_rejects_broken_factors(factored_nu):
+    mu, parent, weight, p = (
+        factored_nu.base_measure, factored_nu.parent, factored_nu.weight, factored_nu.p
+    )
+    measures._check_factored_chain(mu, parent, weight, p)
+    with pytest.raises(ValueError, match="row must sum to 1"):
+        measures._check_factored_chain(mu, parent, weight * 1.01, p * 1.01 / (p * 1.01).sum())
+    with pytest.raises(ValueError, match="must sum to 1"):
+        measures._check_factored_chain(mu, parent, weight, p * 1.01)
+    shifted = np.roll(p, 1)
+    with pytest.raises(ValueError, match="not stationary"):
+        measures._check_factored_chain(mu, parent, weight, shifted)
+
+
 def test_epsilon_construction_stationarity(reference_nu):
     nu = reference_nu.measure
     assert np.abs(nu.p @ nu.P - nu.p).max() < 1e-12

@@ -302,6 +302,16 @@ def test_word_rows_are_sorted_distinct_and_read_only(binary_system):
     assert code.codewords & {(0, 1, 1)} == frozenset({(0, 1, 1)})
 
 
+@pytest.mark.parametrize("name, n", [("binary_system", 38), ("trunc8_system", 11)])
+def test_closed_walk_rows_come_out_sorted_and_distinct(request, name, n):
+    # `periodic_points` holds these rows in `WordRows` without checking them.
+    E = rs.essential_subgraph(request.getfixturevalue(name).presentation)
+    rows = rs.graphs._closed_paths(E, n)
+    assert rs.storage._strictly_increasing(rows)
+    assert len(rows) == rs.trace_power(rs.adjacency(E), n)
+    assert np.array_equal(rs.periodic_points(E, n).words.rows, rows)
+
+
 @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
 def test_word_rows_sort_unsorted_input_and_keep_sorted_input(dtype):
     rng = np.random.default_rng(7)
