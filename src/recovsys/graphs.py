@@ -323,10 +323,9 @@ def perron_eigenvalue(A: np.ndarray | Sequence[Sequence[float]]) -> float:
         raise ValueError("adjacency matrix must be nonnegative")
     best = 0.0
     for comp in _matrix_sccs(M):
-        sub = M[np.ix_(comp, comp)]
-        if sub.shape[0] == 1 and sub[0, 0] == 0.0:
+        if len(comp) == 1 and M[comp[0], comp[0]] == 0.0:
             continue
-        lam, _ = perron_pair(sub)
+        lam, _ = perron_pair(M[np.ix_(comp, comp)])
         best = max(best, lam)
     return best
 

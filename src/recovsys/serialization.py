@@ -1,4 +1,4 @@
-"""File formats: graphs, matrices, forbidden sets, measures, and codes.
+"""File formats: graphs, matrices, recovery tables, measures, and codes.
 
 Words are written as digit strings with digits beyond 9 encoded as lowercase
 letters (alphabets up to size 36).  Floating-point values are written with 17
@@ -22,7 +22,7 @@ import numpy as np
 from .graphs import LabeledDigraph, Word
 from .measures import EpsilonConstruction, MarkovMeasure
 from .storage import WordRows
-from .systems import ForbiddenSet, RecoverableSystem
+from .systems import RecoverableSystem
 
 DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _DIGIT_BYTES = np.frombuffer(DIGITS.encode(), dtype=np.uint8)
@@ -100,27 +100,6 @@ def matrix_to_csv(A: np.ndarray) -> str:
 
 def save_matrix_csv(A: np.ndarray, path: str | Path) -> None:
     Path(path).write_text(matrix_to_csv(A) + "\n")
-
-
-def forbidden_to_text(F: ForbiddenSet) -> str:
-    lines = [f"{F.q} {F.k} {F.l}"]
-    lines.extend(word_to_text(w) for w in sorted(F.words))
-    return "\n".join(lines)
-
-
-def forbidden_from_text(text: str) -> ForbiddenSet:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    q, k, l = (int(x) for x in lines[0].split())
-    words = frozenset(text_to_word(ln.strip()) for ln in lines[1:])
-    return ForbiddenSet(q, k, l, words)
-
-
-def save_forbidden(F: ForbiddenSet, path: str | Path) -> None:
-    Path(path).write_text(forbidden_to_text(F) + "\n")
-
-
-def load_forbidden(path: str | Path) -> ForbiddenSet:
-    return forbidden_from_text(Path(path).read_text())
 
 
 def recovery_table_to_text(table: Mapping[tuple[Word, Word], Word]) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from typing import Mapping
 
 import numpy as np
@@ -401,8 +401,20 @@ def exhaustive_max_capacity(
     radius of its window-overlap matrix.  Ties within 1e-12 keep the
     earliest function in enumeration order.
 
-    Every candidate first gets a Collatz-Wielandt upper bound on its
-    spectral radius (`_search_bounds`).  Candidates are then certified with
+    Alphabet permutations and reversal map recovery functions to recovery
+    functions: a permutation s sends ``(u, v) -> m`` to
+    ``(s u, s v) -> s m``, and reversal sends it to
+    ``(rev v, rev u) -> rev m``.  Each maps a candidate's overlap matrix to
+    a conjugate or transposed one, with the same spectrum (Lind & Marcus,
+    *Symbolic Dynamics and Coding*, ch. 4).  So only the least index of
+    each orbit under these ``q! * 2`` maps is scanned (`_orbit_minima`).
+    The earliest candidate of largest radius comes before every other
+    member of its orbit, so it is scanned, and the scan over orbit minima
+    returns the witness and value of a scan over every candidate.
+
+    Every kept candidate gets a Collatz-Wielandt upper bound on its
+    spectral radius from sparse power steps, one `bincount` over its
+    windows each (`_search_bounds`).  Candidates are then certified with
     `perron_eigenvalue` in descending order of bound, until the next bound
     shows that no remaining candidate can certify above a line that lies
     more than 1e-12 below the best certified radius, and no certified
@@ -426,16 +438,24 @@ def exhaustive_max_capacity(
         )
     n = q ** (2 * l + k - 1)
     cells = _window_cells(q, n, pairs, middles)
-    hi = _search_bounds(cells, n)
     rows = np.arange(len(pairs))
+    kept = _orbit_minima(_symmetry_tables(q, pairs, middles))
+    per_stack = max(1, _STACK_BYTES // (8 * n))
+    hi = np.concatenate(
+        [
+            _search_bounds(cells[rows, _digits(kept[start : start + per_stack], cells)], n)
+            for start in range(0, len(kept), per_stack)
+        ]
+    )
     lams: dict[int, float] = {}
     top = -1.0
-    for c in np.argsort(-hi, kind="stable"):
+    for i in np.argsort(-hi, kind="stable"):
         # hi >= rho + 1, and perron_eigenvalue is within 1e-12 of rho
         # (relative): no candidate from here on certifies above `line`
-        line = hi[c] * (1.0 + 2e-12) - 1.0
+        line = hi[i] * (1.0 + 2e-12) - 1.0
         if line + 1e-12 < top and not any(line <= lam <= line + 1e-12 for lam in lams.values()):
             break
+        c = int(kept[i])
         A = np.zeros(n * n, dtype=np.int64)
         A[cells[rows, _digits(c, cells)]] = 1
         lams[c] = perron_eigenvalue(A.reshape(n, n))
@@ -480,31 +500,85 @@ def _digits(index: np.ndarray | int, cells: np.ndarray) -> np.ndarray:
     return np.asarray(index)[..., None] // base ** np.arange(n_pairs - 1, -1, -1) % base
 
 
-def _search_bounds(cells: np.ndarray, n: int) -> np.ndarray:
-    """Upper bound on ``rho(A_c) + 1`` for every candidate c of the search.
+def _symmetry_tables(
+    q: int, pairs: list[tuple[Word, Word]], middles: list[Word]
+) -> np.ndarray:
+    """Index tables of the alphabet permutations and reversal, identity first.
 
-    The overlap matrices are built in stacks of about `_STACK_BYTES` as
-    ``M = A_c + I`` in float64, and `_BOUND_STEPS` power steps run on the
-    whole stack from the all-ones vector.  For any nonnegative M and any
-    positive v, ``rho(M) <= max(Mv / v)`` (Collatz-Wielandt; Lind & Marcus,
-    ch. 4), reducible or not, and M's unit diagonal keeps v positive, so
-    the least maximum over the steps bounds ``rho(A_c) + 1``.
+    A permutation s maps the window ``u m v`` to ``s(u) s(m) s(v)``, and
+    reversal maps it to ``rev(v) rev(m) rev(u)``: each maps a recovery
+    function to another.  Entry ``[g, p, j]`` is the term that pair p with
+    middle j adds to the enumeration index of the image under map g, so the
+    image of candidate c has index ``sum_p T[g, p, digit_p(c)]``.
     """
-    n_candidates = cells.shape[1] ** cells.shape[0]
-    per_stack = max(1, _STACK_BYTES // (8 * n * n))
-    rows, diag = np.arange(cells.shape[0]), np.arange(n)
-    bounds = np.empty(n_candidates)
-    for start in range(0, n_candidates, per_stack):
-        flat = cells[rows, _digits(np.arange(start, min(start + per_stack, n_candidates)), cells)]
-        M = np.zeros((len(flat), n * n))
-        M[np.arange(len(flat))[:, None], flat] = 1.0
-        M = M.reshape(-1, n, n)
-        M[:, diag, diag] += 1.0
-        v = np.ones((len(flat), n, 1))
-        hi = np.full(len(flat), np.inf)
-        for _ in range(_BOUND_STEPS):
-            w = M @ v
-            hi = np.minimum(hi, (w / v).max(axis=(1, 2)))
-            v = w / w.max(axis=1, keepdims=True)
-        bounds[start : start + len(flat)] = hi
-    return bounds
+    pair_words = np.array([u + v for u, v in pairs])
+    mid_words = np.array(middles)
+    weight = len(middles) ** np.arange(len(pairs) - 1, -1, -1)
+    tables = []
+    for perm in map(np.array, permutations(range(q))):
+        for flip in (slice(None), slice(None, None, -1)):
+            pair_img = _ranks(perm[pair_words[:, flip]], q)
+            mid_img = _ranks(perm[mid_words[:, flip]], q)
+            tables.append(weight[pair_img, None] * mid_img)
+    return np.array(tables)
+
+
+def _ranks(words: np.ndarray, q: int) -> np.ndarray:
+    """Rank of each row among the words of its length, as `product` orders them."""
+    return words @ q ** np.arange(words.shape[1] - 1, -1, -1)
+
+
+def _orbit_minima(tables: np.ndarray) -> np.ndarray:
+    """Candidates, ascending, that are the least index of their orbit.
+
+    `tables` are those of `_symmetry_tables`.  Candidates are scanned in
+    blocks that share their leading digits, of at most ``_STACK_BYTES / 8``
+    candidates: within a block, the image indices under a map are one sum
+    for the leading pairs plus, for the trailing pairs, an outer sum that
+    is the same for every block.
+    """
+    n_maps, n_pairs, base = tables.shape
+    tail = next(t for t in range(n_pairs, -1, -1) if base**t <= _STACK_BYTES // 8)
+    split = n_pairs - tail
+    heads = [_index_sums(table[:split]) for table in tables[1:]]
+    tails = [_index_sums(table[split:]) for table in tables[1:]]
+    kept = []
+    for block in range(base**split):
+        index = np.arange(block * base**tail, (block + 1) * base**tail)
+        keep = np.ones(len(index), dtype=bool)
+        for head, rest in zip(heads, tails):
+            keep &= index <= head[block] + rest
+        kept.append(index[keep])
+    return np.concatenate(kept)
+
+
+def _index_sums(rows: np.ndarray) -> np.ndarray:
+    """``sum_p rows[p, d_p]`` for every digit tuple d, in enumeration order."""
+    sums = np.zeros(1, dtype=np.int64)
+    for row in rows:
+        sums = (sums[:, None] + row).ravel()
+    return sums
+
+
+def _search_bounds(flat: np.ndarray, n: int) -> np.ndarray:
+    """Upper bound on ``rho(A_c) + 1`` for each row of a stack of candidates.
+
+    Row c of `flat` holds the overlap-matrix cells ``src * n + dst`` of
+    candidate c's windows, one per boundary pair (see `_window_cells`).
+    `_BOUND_STEPS` power steps ``v <- (A_c + I) v`` run on the whole stack
+    from the all-ones vector, each a gather and a `bincount` over the
+    windows.  For any nonnegative M and any positive v,
+    ``rho(M) <= max(Mv / v)`` (Collatz-Wielandt; Lind & Marcus, ch. 4),
+    reducible or not, and M's unit diagonal keeps v positive, so the least
+    maximum over the steps bounds ``rho(A_c) + 1``.
+    """
+    size = len(flat) * n
+    offsets = np.arange(0, size, n)[:, None]
+    src, dst = (flat // n + offsets).ravel(), (flat % n + offsets).ravel()
+    v = np.ones((len(flat), n))
+    hi = np.full(len(flat), np.inf)
+    for _ in range(_BOUND_STEPS):
+        w = v + np.bincount(src, weights=v.ravel()[dst], minlength=size).reshape(v.shape)
+        hi = np.minimum(hi, (w / v).max(axis=1))
+        v = w / w.max(axis=1, keepdims=True)
+    return hi

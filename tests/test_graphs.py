@@ -283,6 +283,36 @@ def test_perron_start_with_zero_entries_does_not_certify(monkeypatch):
         rs.perron_eigenvalue(chorded_cycle(12, [(0, 5, 1)]))
 
 
+def _perron_slicing_every_component(M):
+    """perron_eigenvalue as it was before trivial components skipped the slice,
+    with the number of components it solved."""
+    best, solved = 0.0, 0
+    for comp in rs.graphs._matrix_sccs(M):
+        sub = M[np.ix_(comp, comp)]
+        if sub.shape[0] == 1 and sub[0, 0] == 0.0:
+            continue
+        solved += 1
+        best = max(best, rs.graphs.perron_pair(sub)[0])
+    return best, solved
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_perron_solves_only_nontrivial_components(monkeypatch, seed):
+    # Sparse 0/1 matrices: mostly singleton components, some with a
+    # self-loop, and a few cycles through back edges.
+    rng = np.random.default_rng(seed)
+    n = 80
+    M = (rng.random((n, n)) < 1.2 / n).astype(float)
+    expected, solved = _perron_slicing_every_component(M)
+    assert len(rs.graphs._matrix_sccs(M)) - solved >= n // 2
+    calls = []
+    perron_pair = rs.graphs.perron_pair
+    monkeypatch.setattr(rs.graphs, "perron_pair", lambda sub: calls.append(sub) or perron_pair(sub))
+    assert rs.perron_eigenvalue(M) == expected
+    assert len(calls) == solved
+    assert all(len(sub) > 1 or sub[0, 0] > 0 for sub in calls)
+
+
 def test_count_words_full_shift():
     assert rs.count_words(rs.de_bruijn(2, 2), 3) == 8
 

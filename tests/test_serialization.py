@@ -33,17 +33,6 @@ def test_matrix_csv(tmp_path):
     assert np.array_equal(np.array(rows), A)
 
 
-def test_forbidden_set_round_trip(tmp_path):
-    F = rs.ForbiddenSet(
-        2, 1, 1, frozenset({(0, 0, 0), (1, 1, 1), (1, 1, 0), (0, 1, 1)})
-    )
-    path = tmp_path / "forbidden.txt"
-    ser.save_forbidden(F, path)
-    loaded = ser.load_forbidden(path)
-    assert loaded == F
-    assert path.read_text().splitlines()[0] == "2 1 1"
-
-
 def test_recovery_table_round_trip(binary_system):
     text = ser.recovery_table_to_text(binary_system.recovery_table)
     assert "->" in text

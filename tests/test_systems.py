@@ -330,8 +330,10 @@ def test_search_bounds_every_candidate_and_keeps_the_scan_winner(q, k, l):
     pairs = rs.systems._boundary_pairs(q, l)
     middles = list(product(range(q), repeat=k))
     n = q ** (2 * l + k - 1)
-    hi = rs.systems._search_bounds(rs.systems._window_cells(q, n, pairs, middles), n)
-    assert len(hi) == len(middles) ** len(pairs)
+    cells = rs.systems._window_cells(q, n, pairs, middles)
+    every = np.arange(len(middles) ** len(pairs))
+    hi = rs.systems._search_bounds(cells[np.arange(len(pairs)), rs.systems._digits(every, cells)], n)
+    assert len(hi) == len(every)
     best_lam, best = -1.0, None
     for c, choice in enumerate(product(middles, repeat=len(pairs))):
         A = np.zeros((n, n), dtype=np.int64)
@@ -346,6 +348,131 @@ def test_search_bounds_every_candidate_and_keeps_the_scan_winner(q, k, l):
     assert value == rs.graphs.log_base(best_lam, q)
     windows = (u + keep + v for (u, v), keep in zip(pairs, best))
     assert S.presentation == rs.graphs.window_presentation(q, windows)
+
+
+def _dense_scan(q, k, l):
+    """The exhaustive search as it ran before orbit pruning: dense (B, n, n)
+    Collatz-Wielandt bounds on every candidate, certification in bound
+    order, then the tie rule over the certified candidates."""
+    sy = rs.systems
+    pairs = sy._boundary_pairs(q, l)
+    middles = list(product(range(q), repeat=k))
+    n = q ** (2 * l + k - 1)
+    cells = sy._window_cells(q, n, pairs, middles)
+    n_candidates = len(middles) ** len(pairs)
+    per_stack = max(1, sy._STACK_BYTES // (8 * n * n))
+    rows, diag = np.arange(len(pairs)), np.arange(n)
+    hi = np.empty(n_candidates)
+    for start in range(0, n_candidates, per_stack):
+        flat = cells[rows, sy._digits(np.arange(start, min(start + per_stack, n_candidates)), cells)]
+        M = np.zeros((len(flat), n * n))
+        M[np.arange(len(flat))[:, None], flat] = 1.0
+        M = M.reshape(-1, n, n)
+        M[:, diag, diag] += 1.0
+        v = np.ones((len(flat), n, 1))
+        bound = np.full(len(flat), np.inf)
+        for _ in range(sy._BOUND_STEPS):
+            w = M @ v
+            bound = np.minimum(bound, (w / v).max(axis=(1, 2)))
+            v = w / w.max(axis=1, keepdims=True)
+        hi[start : start + len(flat)] = bound
+    lams, top = {}, -1.0
+    for c in np.argsort(-hi, kind="stable"):
+        line = hi[c] * (1.0 + 2e-12) - 1.0
+        if line + 1e-12 < top and not any(line <= lam <= line + 1e-12 for lam in lams.values()):
+            break
+        A = np.zeros(n * n, dtype=np.int64)
+        A[cells[rows, sy._digits(c, cells)]] = 1
+        lams[c] = rs.perron_eigenvalue(A.reshape(n, n))
+        top = max(top, lams[c])
+    best_lam, best = -1.0, 0
+    for c in sorted(lams):
+        if lams[c] > best_lam + 1e-12:
+            best_lam, best = lams[c], c
+    windows = (u + middles[j] + v for (u, v), j in zip(pairs, sy._digits(best, cells)))
+    value = float("-inf") if best_lam == 0.0 else rs.graphs.log_base(best_lam, q)
+    return value, rs.graphs.window_presentation(q, windows)
+
+
+@pytest.mark.parametrize("q, k, l", [(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 1, 1), (2, 3, 1), (2, 1, 2)])
+def test_orbit_search_keeps_the_dense_scan_witness(q, k, l):
+    value, S = rs.exhaustive_max_capacity(q, k, l)
+    expected, presentation = _dense_scan(q, k, l)
+    assert value == expected
+    assert S.presentation == presentation
+
+
+def _recovery_functions(q, k, l):
+    pairs = rs.systems._boundary_pairs(q, l)
+    middles = list(product(range(q), repeat=k))
+    return pairs, middles, list(product(middles, repeat=len(pairs)))
+
+
+def _symmetry_maps(pairs, middles, q):
+    """Every alphabet permutation s, (u, v) -> m  |->  (s u, s v) -> s m, and
+    each composed with reversal, (u, v) -> m  |->  (rev v, rev u) -> rev m,
+    as the new position of each pair and the image of each middle."""
+    l = len(pairs[0][0])
+    position = {pair: i for i, pair in enumerate(pairs)}
+    maps = []
+    for s in permutations(range(q)):
+        for flip in (1, -1):
+            def act(w):
+                return tuple(s[a] for a in w[::flip])
+
+            targets = [position[w[:l], w[l:]] for w in (act(u + v) for u, v in pairs)]
+            maps.append((targets, {m: act(m) for m in middles}))
+    return maps
+
+
+def _image(f, symmetry):
+    targets, middle_map = symmetry
+    g = [None] * len(f)
+    for target, m in zip(targets, f):
+        g[target] = middle_map[m]
+    return tuple(g)
+
+
+@pytest.mark.parametrize("q, k, l", [(2, 1, 1), (2, 2, 1), (3, 1, 1)])
+def test_orbit_minima_match_a_closure_of_the_symmetries(q, k, l):
+    pairs, middles, functions = _recovery_functions(q, k, l)
+    maps = _symmetry_maps(pairs, middles, q)
+    minima, seen = [], set()
+    for c, f in enumerate(functions):
+        if f in seen:
+            continue
+        minima.append(c)
+        seen.add(f)
+        frontier = [f]
+        while frontier:
+            h = frontier.pop()
+            for g in (_image(h, symmetry) for symmetry in maps):
+                if g not in seen:
+                    seen.add(g)
+                    frontier.append(g)
+    tables = rs.systems._symmetry_tables(q, pairs, middles)
+    assert rs.systems._orbit_minima(tables).tolist() == minima
+
+
+def _overlap_matrix(f, pairs, q, n):
+    A = np.zeros((n, n))
+    for (u, v), m in zip(pairs, f):
+        w = u + m + v
+        A[rs.graphs.word_to_int(w[:-1], q), rs.graphs.word_to_int(w[1:], q)] = 1
+    return A
+
+
+@pytest.mark.parametrize("q, k, l", [(2, 1, 1), (2, 2, 1), (3, 1, 1)])
+def test_symmetric_images_have_the_same_spectral_radius(q, k, l):
+    pairs, middles, functions = _recovery_functions(q, k, l)
+    maps = _symmetry_maps(pairs, middles, q)
+    n = q ** (2 * l + k - 1)
+    rng = np.random.default_rng(2 * q + 3 * k)
+    for c in rng.choice(len(functions), size=min(len(functions), 24), replace=False):
+        rho = max(abs(np.linalg.eigvals(_overlap_matrix(functions[c], pairs, q, n))))
+        for symmetry in maps:
+            image = max(abs(np.linalg.eigvals(_overlap_matrix(_image(functions[c], symmetry), pairs, q, n))))
+            assert abs(image - rho) <= 1e-9 * (rho + 1)
 
 
 def test_exhaustive_ternary_witness():
