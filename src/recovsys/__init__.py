@@ -26,7 +26,6 @@ from .measures import (
     MarkovMeasure,
     WindowEntropyReport,
     binary_entropy,
-    cylinder_probability,
     delta_from_epsilon,
     entropy_rate,
     epsilon_construction,

@@ -31,6 +31,13 @@ def _domain_guard(f):
     return wrapper
 
 
+def _parse_file(parse, path):
+    try:
+        return parse(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 @click.group()
 def main() -> None:
     """Recoverable-system constructions, verification, and measures."""
@@ -49,9 +56,7 @@ def _emit_system(S: systems.RecoverableSystem, out_graph, out_table) -> None:
         serialization.save_graph(S.presentation, out_graph)
         click.echo(f"wrote graph {out_graph}")
     if out_table:
-        Path(out_table).write_text(
-            serialization.recovery_table_to_text(S.recovery_table) + "\n"
-        )
+        serialization.save_recovery_table(S.recovery_table, out_table)
         click.echo(f"wrote recovery table {out_table}")
 
 
@@ -141,7 +146,8 @@ def verify() -> None:
 @_domain_guard
 def verify_system(graph_path, k, l, out_table):
     """PASS iff the graph presents a (k, l)-recoverable system."""
-    res = systems.verify_recoverable(serialization.load_graph(graph_path), k, l)
+    G = _parse_file(serialization.graph_from_json, graph_path)
+    res = systems.verify_recoverable(G, k, l)
     if not res.ok:
         a, b, w1, w2 = res.conflict
         click.echo(
@@ -152,17 +158,8 @@ def verify_system(graph_path, k, l, out_table):
         )
         sys.exit(1)
     if out_table:
-        Path(out_table).write_text(
-            serialization.recovery_table_to_text(res.table) + "\n"
-        )
+        serialization.save_recovery_table(res.table, out_table)
     click.echo(f"PASS {len(res.table)} boundary pairs")
-
-
-def _parse_file(parse, path):
-    try:
-        return parse(Path(path).read_text())
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 @verify.command("storage")
@@ -195,7 +192,7 @@ def measure() -> None:
 @_domain_guard
 def measure_maxent(graph_path, out):
     """Max-entropy measure of the essential part of a presentation."""
-    G = essential_subgraph(serialization.load_graph(graph_path))
+    G = essential_subgraph(_parse_file(serialization.graph_from_json, graph_path))
     M = measures.max_entropy_measure(G)
     click.echo(f"h {fmt(measures.entropy_rate(M))} (log base {M.log_base})")
     if out:
@@ -221,7 +218,7 @@ def measure_maxent(graph_path, out):
 def measure_epsilon(q, k, l, eps, graph_path, out_measure, out_graph):
     """Entropy-epsilon measure built from a recoverable system."""
     if graph_path:
-        G = serialization.load_graph(graph_path)
+        G = _parse_file(serialization.graph_from_json, graph_path)
         res = systems.verify_recoverable(G, k, l)
         if not res.ok:
             raise ValueError(f"input graph is not (k={k}, l={l})-recoverable")

@@ -557,16 +557,6 @@ def _is_deterministic(G: LabeledDigraph) -> bool:
     return np.unique(G.src * len(G.words) + G.lab).size == G.count.sum()
 
 
-def _labeled_by_target(q: int, labels: tuple[Word, ...], counts: np.ndarray) -> LabeledDigraph:
-    """Graph with ``counts[u, v]`` edges from u to v, each labeled by the word of v.
-
-    One row per nonzero entry, in row-major order.
-    """
-    flat = np.flatnonzero(counts)
-    src, dst = np.divmod(flat, len(labels))
-    return _rows_by_target(q, labels, src, dst, counts.ravel()[flat])
-
-
 def _rows_by_target(q: int, labels: tuple[Word, ...], src, dst, count) -> LabeledDigraph:
     """Graph with the rows (src, dst, count), each labeled by the word of dst.
 

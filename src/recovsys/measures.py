@@ -14,7 +14,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -22,9 +22,9 @@ from .graphs import (
     ENUM_CAP,
     LabeledDigraph,
     Word,
-    _labeled_by_target,
     _paths,
     _ranked,
+    _rows_by_target,
     _sorted_runs,
     _within_enum_cap,
     adjacency,
@@ -92,9 +92,6 @@ class MarkovMeasure:
     @property
     def state_len(self) -> int:
         return len(self.states[0]) if self.states else 0
-
-    def state_index(self) -> dict[Word, int]:
-        return {w: i for i, w in enumerate(self.states)}
 
 
 class InconsistentMarginalError(ValueError):
@@ -171,8 +168,8 @@ class EpsilonConstruction:
 
     @cached_property
     def graph(self) -> LabeledDigraph:
-        pattern = (self.base_measure.P > 0)[:, self.parent][self.parent]
-        return _labeled_by_target(self.base_measure.q, self.states, pattern)
+        src, dst = np.nonzero((self.base_measure.P > 0)[:, self.parent][self.parent])
+        return _rows_by_target(self.base_measure.q, self.states, src, dst, np.ones_like(src))
 
     def entropy_rate(self) -> float:
         """`entropy_rate` of `measure`, from the factors in O(|mu|**2).
@@ -253,21 +250,6 @@ def entropy_rate(M: MarkovMeasure) -> float:
     return float(M.p @ rows) / math.log(M.log_base)
 
 
-def cylinder_probability(M: MarkovMeasure, path: Sequence[Word]) -> float:
-    """Probability of observing the given state sequence."""
-    if not path:
-        raise ValueError("the state sequence must be nonempty")
-    index = M.state_index()
-    try:
-        ids = [index[w] for w in path]
-    except KeyError as exc:
-        raise KeyError(f"unknown state label {exc.args[0]}") from None
-    prob = float(M.p[ids[0]])
-    for u, v in zip(ids, ids[1:]):
-        prob *= float(M.P[u, v])
-    return prob
-
-
 def window_marginal(M: MarkovMeasure, n: int) -> dict[Word, float]:
     """Distribution of length-`n` symbol windows under the measure.
 
@@ -294,7 +276,7 @@ def window_marginal(M: MarkovMeasure, n: int) -> dict[Word, float]:
             "this chain has no symbol-level reading"
         )
     # Each edge is labelled by its target's id, so a walk's symbols are its states.
-    G = _labeled_by_target(len(S), tuple((i,) for i in range(len(S))), M.P > 0)
+    G = _rows_by_target(len(S), tuple((i,) for i in range(len(S))), src, dst, np.ones_like(src))
     if not _within_enum_cap(G, n - sl):
         raise ValueError(f"length-{n} windows: explicit enumeration capped at {ENUM_CAP} paths")
     start, _, path = _paths(G, n - sl)

@@ -4,6 +4,9 @@ Words are written as digit strings with digits beyond 9 encoded as lowercase
 letters (alphabets up to size 36).  Floating-point values are written with 17
 significant digits, which round-trips doubles bit-identically; a measure file
 formats each distinct value once and gathers its cells' text from those.
+Measures are only written: no command reads a measure file back.  Graphs,
+recovery tables and codes are also read, and a malformed file raises
+ValueError naming the missing graph field or the bad table or code line.
 Code files hold one codeword per line in sorted order; they are written from
 and read into the rows of a `WordRows` through byte lookup tables, with no
 per-symbol Python work.
@@ -15,14 +18,13 @@ import json
 import re
 from operator import index
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
 from .graphs import LabeledDigraph, Word
 from .measures import EpsilonConstruction, MarkovMeasure
 from .storage import WordRows
-from .systems import RecoverableSystem
 
 DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _DIGIT_BYTES = np.frombuffer(DIGITS.encode(), dtype=np.uint8)
@@ -76,6 +78,8 @@ def graph_from_json(text: str) -> LabeledDigraph:
         )
         q = index(doc["q"])
         label_len = index(doc["label_len"])
+    except KeyError as exc:
+        raise ValueError(f"malformed graph file: missing field {exc}") from None
     except TypeError as exc:
         raise ValueError(f"malformed graph file: {exc}") from None
     if [i for i, _ in vertices] != list(range(len(vertices))):
@@ -88,10 +92,6 @@ def graph_from_json(text: str) -> LabeledDigraph:
 
 def save_graph(G: LabeledDigraph, path: str | Path) -> None:
     Path(path).write_text(graph_to_json(G) + "\n")
-
-
-def load_graph(path: str | Path) -> LabeledDigraph:
-    return graph_from_json(Path(path).read_text())
 
 
 def matrix_to_csv(A: np.ndarray) -> str:
@@ -109,38 +109,30 @@ def recovery_table_to_text(table: Mapping[tuple[Word, Word], Word]) -> str:
     return "\n".join(lines)
 
 
+def save_recovery_table(table: Mapping[tuple[Word, Word], Word], path: str | Path) -> None:
+    Path(path).write_text(recovery_table_to_text(table) + "\n")
+
+
 def recovery_table_from_text(text: str) -> dict[tuple[Word, Word], Word]:
     """One ``alpha beta -> middle`` line per boundary pair; blank lines are skipped.
 
     A malformed line or a pair given twice raises ValueError naming the line.
     """
     table: dict[tuple[Word, Word], Word] = {}
-    for no, ln in _numbered_lines(text):
+    for no, ln in enumerate(text.splitlines(), 1):
+        if not (ln := ln.strip()):
+            continue
         m = re.fullmatch(r"(\S+)\s+(\S+)\s*->\s*(\S+)", ln)
         if m is None:
             raise ValueError(f"line {no} {ln!r}: expected 'alpha beta -> middle'")
-        alpha, beta, middle = (_line_word(no, ln, w) for w in m.groups())
+        try:
+            alpha, beta, middle = map(text_to_word, m.groups())
+        except ValueError as exc:
+            raise ValueError(f"line {no} {ln!r}: {exc}") from None
         if (alpha, beta) in table:
             raise ValueError(f"line {no} {ln!r}: boundary pair given twice")
         table[alpha, beta] = middle
     return table
-
-
-def _numbered_lines(text: str) -> Iterable[tuple[int, str]]:
-    """The nonblank lines of `text`, stripped, with their 1-based numbers."""
-    return ((no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1) if ln.strip())
-
-
-def _line_word(no: int, ln: str, s: str) -> Word:
-    try:
-        return text_to_word(s)
-    except ValueError as exc:
-        raise ValueError(f"line {no} {ln!r}: {exc}") from None
-
-
-def save_system(S: RecoverableSystem, graph_path: str | Path, table_path: str | Path) -> None:
-    save_graph(S.presentation, graph_path)
-    Path(table_path).write_text(recovery_table_to_text(S.recovery_table) + "\n")
 
 
 def measure_to_text(M: MarkovMeasure | EpsilonConstruction) -> str:
@@ -176,60 +168,8 @@ def measure_to_text(M: MarkovMeasure | EpsilonConstruction) -> str:
     return "\n".join(lines)
 
 
-def measure_from_text(text: str) -> MarkovMeasure:
-    """Read the format `measure_to_text` writes.
-
-    A missing, short or malformed line raises ValueError naming the line.
-    """
-    lines = [ln.strip() for ln in text.splitlines()]
-    pos = 0
-
-    def take(what: str) -> str:
-        nonlocal pos
-        if pos == len(lines):
-            raise ValueError(f"line {pos + 1}: file ends where {what} should be")
-        pos += 1
-        return lines[pos - 1]
-
-    def fail(msg: str) -> ValueError:
-        return ValueError(f"line {pos} {lines[pos - 1]!r}: {msg}")
-
-    header = {}
-    for key in ("q", "emit", "log_base", "states"):
-        m = re.fullmatch(rf"{key}\s+(\d+)", take(f"the {key} line"))
-        if m is None:
-            raise fail(f"expected '{key} <integer>'")
-        header[key] = int(m[1])
-    n = header["states"]
-    states = []
-    for i in range(n):
-        ln = take(f"state {i}")
-        states.append(_line_word(pos, ln, ln))
-    if take("the P block") != "P":
-        raise fail("expected the P block")
-
-    def row(what: str) -> list[float]:
-        cells = take(what).split(",")
-        if len(cells) != n:
-            raise fail(f"{len(cells)} cells, expected {n}")
-        try:
-            return [float(x) for x in cells]
-        except ValueError as exc:
-            raise fail(str(exc)) from None
-
-    P = np.array([row(f"row {i} of P") for i in range(n)])
-    if take("the p row") != "p":
-        raise fail("expected the p row")
-    p = np.array(row("the p row"))
-    return MarkovMeasure(header["q"], tuple(states), P, p, header["emit"])
-
-
 def save_measure(M: MarkovMeasure | EpsilonConstruction, path: str | Path) -> None:
     Path(path).write_text(measure_to_text(M) + "\n")
-
-
-def load_measure(path: str | Path) -> MarkovMeasure:
-    return measure_from_text(Path(path).read_text())
 
 
 def codewords_to_text(words: WordRows) -> str:

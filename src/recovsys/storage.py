@@ -101,9 +101,8 @@ class CycleStorageCode:
 
     The cycle has length n >= 3, so each position has two distinct
     neighbors; q >= 1, and every codeword is a length-n word over [q].
-    `codewords` may be given as `WordRows`, kept as they are, or as any
-    iterable of words, held as `WordRows` in the smallest unsigned dtype
-    that holds their largest symbol.
+    `codewords` is a `WordRows`, kept as it is: the period-n points of
+    `storage_code_for_cycle` or the rows of a code file.
     """
 
     n: int
@@ -116,25 +115,12 @@ class CycleStorageCode:
             raise ValueError("a cycle needs length at least 3")
         if self.q < 1:
             raise ValueError("alphabet size must be at least 1")
-        given = isinstance(self.codewords, WordRows)
-        if given:
-            rows = self.codewords.rows
-            lengths = {rows.shape[1]} - {self.n} if len(rows) else set()
-        else:
-            words = list(self.codewords)
-            lengths = set(map(len, words)) - {self.n}
-        if lengths:
-            raise ValueError(
-                f"codewords of length {sorted(lengths)} in a code of length {self.n}"
-            )
-        if not given:
-            rows = np.array(words, dtype=np.int64).reshape(len(words), self.n)
+        rows = self.codewords.rows
+        if len(rows) and rows.shape[1] != self.n:
+            raise ValueError(f"codewords of length [{rows.shape[1]}] in a code of length {self.n}")
         if rows.size and (rows.min() < 0 or rows.max() >= self.q):
             bad = rows[((rows < 0) | (rows >= self.q)).any(axis=1)]
             raise ValueError(f"codeword {min(map(tuple, bad.tolist()))} is not a word over [{self.q}]")
-        if not given:
-            dtype = np.min_scalar_type(rows.max() if rows.size else 0)
-            object.__setattr__(self, "codewords", WordRows(rows.astype(dtype)))
 
     def rate(self) -> float:
         """(1/n) log_q of the code size; empty codes rate -inf."""

@@ -98,3 +98,16 @@ def open_walk_points(G, n):
     """
     start, end, symbols = rs.graphs._paths(rs.essential_subgraph(G), n)
     return WordRows(symbols[start == end]).rows
+
+
+def cycle_code(n, q, words, table=None):
+    """`rs.CycleStorageCode` on words given as tuples, held as `WordRows`.
+
+    Rows of nonnegative symbols take the smallest unsigned dtype that holds
+    them, as periodic points do; rows with a negative symbol stay int64.
+    """
+    words = sorted(words)
+    rows = np.array(words, dtype=np.int64).reshape(len(words), -1 if words else 0)
+    if rows.size and rows.min() >= 0:
+        rows = rows.astype(np.min_scalar_type(rows.max()))
+    return rs.CycleStorageCode(n, q, WordRows(rows), {} if table is None else table)

@@ -73,6 +73,16 @@ def test_verify_system_unwritable_table_is_an_error(tmp_path, trunc8_system):
     assert "PASS" not in res.output
 
 
+def test_construct_and_verify_write_the_same_table(tmp_path, trunc8_system):
+    g, t1, t2 = (tmp_path / name for name in ("g.json", "t1.table", "t2.table"))
+    res = run("construct", "truncated", "--q", "8", "--out-graph", str(g), "--out-table", str(t1))
+    assert res.exit_code == 0
+    res = run("verify", "system", "--graph", str(g), "--k", "1", "--l", "1", "--out-table", str(t2))
+    assert res.exit_code == 0
+    assert t1.read_bytes() == t2.read_bytes()
+    assert t1.read_text() == ser.recovery_table_to_text(trunc8_system.recovery_table) + "\n"
+
+
 def test_verify_storage_roundtrip(tmp_path, binary_system):
     code = rs.storage_code_for_cycle(binary_system, 5)
     cpath = tmp_path / "code.txt"
@@ -284,7 +294,7 @@ def test_measure_epsilon_writes_the_epsilon_graph(tmp_path):
     res = run("measure", "epsilon", "--q", "2", "--eps", "0.1", "--out-graph", str(gpath))
     assert res.exit_code == 0
     _, S = rs.exhaustive_max_capacity(2, 1, 1)
-    assert ser.load_graph(gpath) == rs.epsilon_construction(S, 0.1).graph
+    assert ser.graph_from_json(gpath.read_text()) == rs.epsilon_construction(S, 0.1).graph
 
 
 def test_measure_maxent_on_edge_cover(tmp_path, edge4_system):
@@ -357,6 +367,32 @@ def test_malformed_graph_files_are_usage_errors(tmp_path, name):
         assert res.exit_code == 2
         assert "malformed graph file" in res.output
         assert "PASS" not in res.output
+
+
+BROKEN_GRAPH_FILES = {
+    "no edges field": ('{"q": 2, "vertices": []}', "malformed graph file: missing field 'edges'"),
+    "not JSON": ("not json", "Expecting value: line 1 column 1 (char 0)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_GRAPH_FILES))
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("verify", "system", "--k", "1", "--l", "1"),
+        ("measure", "maxent"),
+        ("measure", "epsilon", "--q", "2", "--eps", "0.1"),
+    ],
+    ids=["verify system", "measure maxent", "measure epsilon"],
+)
+def test_broken_graph_files_name_the_file_and_the_field(tmp_path, args, name):
+    text, message = BROKEN_GRAPH_FILES[name]
+    path = tmp_path / "g.json"
+    path.write_text(text)
+    res = run(*args, "--graph", str(path))
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {path}: {message}\n"
+    assert res.stdout == ""
 
 
 def test_measure_epsilon_rejects_nan():

@@ -128,16 +128,6 @@ def test_entropy_rate_of_uniform_coin(uniform_coin):
     assert abs(rs.entropy_rate(uniform_coin) - 1.0) < 1e-12
 
 
-def test_cylinder_probability(reference_mu):
-    p_start = rs.cylinder_probability(reference_mu, [(0, 0, 1)])
-    assert abs(p_start - reference_mu.p[0]) < 1e-15
-    two_step = rs.cylinder_probability(reference_mu, [(0, 0, 1), (0, 1, 0)])
-    assert abs(two_step - 0.177 * 0.57) < 5e-3
-    assert rs.cylinder_probability(reference_mu, [(0, 0, 1), (1, 0, 1)]) == 0.0
-    with pytest.raises(KeyError):
-        rs.cylinder_probability(reference_mu, [(1, 1, 1)])
-
-
 def test_window_entropy_of_perturbed_measure_is_epsilon(reference_nu):
     report = rs.window_conditional_entropy(reference_nu.measure, 1, 1)
     assert report.entries
@@ -195,7 +185,7 @@ def test_delta_solves_the_rate_equation(qk, frac):
 def test_epsilon_construction_with_zero_budget(binary_system, reference_mu):
     built = rs.epsilon_construction(binary_system, 0.0)
     ghosts = [w for w in built.measure.states if w not in reference_mu.states]
-    idx = built.measure.state_index()
+    idx = {w: i for i, w in enumerate(built.measure.states)}
     assert all(built.measure.p[idx[g]] == 0.0 for g in ghosts)
     mu_idx = {w: i for i, w in enumerate(reference_mu.states)}
     for w in reference_mu.states:
@@ -419,12 +409,16 @@ def test_window_masses_are_state_path_cylinders(binary_system, q):
     S = binary_system if q is None else rs.truncated_debruijn_system(q)
     M = rs.max_entropy_measure(rs.essential_subgraph(S.presentation))
     L = M.state_len
+    index = {w: i for i, w in enumerate(M.states)}
     for n in range(L, L + 5):
         marg = rs.window_marginal(M, n)
         assert abs(sum(marg.values()) - 1.0) < 1e-12
         for w, pr in marg.items():
-            path = [w[i : i + L] for i in range(n - L + 1)]
-            assert pr == rs.cylinder_probability(M, path)
+            ids = [index[w[i : i + L]] for i in range(n - L + 1)]
+            cylinder = float(M.p[ids[0]])
+            for u, v in zip(ids, ids[1:]):
+                cylinder *= float(M.P[u, v])
+            assert pr == cylinder
 
 
 def test_window_marginal_is_capped(uniform_coin):

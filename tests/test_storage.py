@@ -10,7 +10,7 @@ from recovsys import serialization as ser
 from recovsys.graphs import LabeledDigraph, word_from_int
 from recovsys.storage import StorageVerification, WordRows
 
-from conftest import open_walk_points
+from conftest import cycle_code, open_walk_points
 
 PERRIN_MATRIX = np.array([[0, 1, 1], [0, 0, 1], [1, 0, 0]])
 
@@ -87,7 +87,7 @@ def test_storage_code_rejects_short_cycles(binary_system):
 )
 def test_cycle_storage_code_needs_a_cycle_code_over_q(n, q, words, match):
     with pytest.raises(ValueError, match=match):
-        rs.CycleStorageCode(n, q, frozenset(words), {})
+        cycle_code(n, q, words)
 
 
 def test_storage_code_enumeration_is_capped(trunc8_system):
@@ -201,21 +201,16 @@ def test_codewords_closed_under_cyclic_shift(binary_system, edge4_system):
 
 def test_hand_built_violation_is_reported():
     table = {((0,), (0,)): (0,), ((1,), (1,)): (0,)}
-    code = rs.CycleStorageCode(
-        5, 2, frozenset({(0,) * 5, (1,) * 5}), table
-    )
+    code = cycle_code(5, 2, {(0,) * 5, (1,) * 5}, table)
     res = rs.verify_storage_code(code)
     assert not res.ok
     assert res.violation == ((1, 1, 1, 1, 1), 0)
-    fixed = rs.CycleStorageCode(
-        5, 2, frozenset({(0,) * 5, (1,) * 5}),
-        {((0,), (0,)): (0,), ((1,), (1,)): (1,)},
-    )
+    fixed = cycle_code(5, 2, {(0,) * 5, (1,) * 5}, {((0,), (0,)): (0,), ((1,), (1,)): (1,)})
     assert rs.verify_storage_code(fixed).ok
 
 
 def test_missing_table_entry_is_a_violation():
-    code = rs.CycleStorageCode(3, 2, frozenset({(0, 0, 0)}), {})
+    code = cycle_code(3, 2, {(0, 0, 0)})
     assert not rs.verify_storage_code(code).ok
 
 
@@ -262,7 +257,7 @@ def codes_and_tables(draw):
         else:
             table[key] = draw(middle)
     table.update(draw(st.dictionaries(st.tuples(side, side), middle, max_size=6)))
-    return rs.CycleStorageCode(n, q, frozenset(words), table)
+    return cycle_code(n, q, words, table)
 
 
 @settings(max_examples=300, deadline=None)
@@ -296,7 +291,7 @@ def test_word_rows_are_sorted_distinct_and_read_only(binary_system):
     assert rows.dtype == np.uint8 and not rows.flags.writeable
     assert list(pts.words) == sorted(set(pts.words))
     assert len(pts.words) == len(rows) == pts.count
-    code = rs.CycleStorageCode(3, 2, [(0, 1, 1), (1, 1, 0), (0, 1, 1)], {})
+    code = cycle_code(3, 2, [(0, 1, 1), (1, 1, 0), (0, 1, 1)])
     assert list(code.codewords) == [(0, 1, 1), (1, 1, 0)]
     assert (0, 1, 1) in code.codewords and (1, 1, 1) not in code.codewords
     assert code.codewords & {(0, 1, 1)} == frozenset({(0, 1, 1)})
@@ -337,7 +332,7 @@ def test_word_rows_sort_unsorted_input_and_keep_sorted_input(dtype):
 
 def test_cycle_storage_code_names_the_first_bad_word_in_sorted_order():
     with pytest.raises(ValueError, match=r"codeword \(0, 5, 0\) is not a word over \[2\]"):
-        rs.CycleStorageCode(3, 2, [(3, 0, 0), (0, 1, 1), (0, 5, 0), (1, 7, 1)], {})
+        cycle_code(3, 2, [(3, 0, 0), (0, 1, 1), (0, 5, 0), (1, 7, 1)])
 
 
 @pytest.mark.parametrize("q", [300, 2**64, 10**23])
