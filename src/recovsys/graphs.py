@@ -441,14 +441,24 @@ def _word_graph(G: LabeledDigraph, n: int) -> LabeledDigraph:
 
 
 def _enumerate_words(E: LabeledDigraph, n: int) -> frozenset[Word]:
+    return frozenset(map(tuple, _word_rows(E, n).tolist()))
+
+
+def _word_rows(E: LabeledDigraph, n: int) -> np.ndarray:
+    """The (N, n) array of the length-`n` words spelled in `E`, repeats kept.
+
+    One row per sequence of ``n - L`` edge rows, its start-vertex word then
+    its symbols, or, when ``n <= L``, one row per vertex, the first n
+    symbols of its word; in the smallest unsigned dtype that holds q - 1.
+    """
     L = E.label_len
-    if not E.labels or n <= L:
-        return frozenset(w[:n] for w in E.labels)
+    labels = np.array(E.labels, dtype=np.min_scalar_type(E.q - 1)).reshape(len(E.labels), L)
+    if n <= L:
+        return labels[:, :n]
     if not _within_enum_cap(E, n - L):
         raise ValueError(f"length-{n} words: explicit enumeration capped at {ENUM_CAP} paths")
     start, _, symbols = _paths(E, n - L)
-    words = np.hstack((np.array(E.labels, dtype=symbols.dtype)[start], symbols))
-    return frozenset(tuple(w.tolist()) for w in words)
+    return np.hstack((labels[start], symbols))
 
 
 def _paths(E: LabeledDigraph, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

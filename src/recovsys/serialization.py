@@ -9,7 +9,11 @@ recovery tables and codes are also read, and a malformed file raises
 ValueError naming the missing graph field or the bad table or code line.
 Code files hold one codeword per line in sorted order; they are written from
 and read into the rows of a `WordRows` through byte lookup tables, with no
-per-symbol Python work.
+per-symbol Python work.  Recovery tables are written the same way, from one
+sorted array of their entries.  Graphs are written from their edge rows, one
+formatted string per vertex and per edge, in the layout of
+``json.dumps(..., indent=1)``.  A symbol outside [0, 36) is refused by every
+writer before any text is made.
 """
 
 from __future__ import annotations
@@ -31,14 +35,15 @@ _DIGIT_BYTES = np.frombuffer(DIGITS.encode(), dtype=np.uint8)
 # The symbol of each byte, -1 for a byte that is not a digit.
 _BYTE_SYMBOLS = np.full(256, -1, dtype=np.int8)
 _BYTE_SYMBOLS[_DIGIT_BYTES] = np.arange(len(DIGITS))
+_SYMBOL_RANGE = "text encoding supports alphabets up to size 36: symbols 0 to 35"
 # Largest measure file, in cells (states**2): truncated q=16, 4,096 states,
 # writes about 335 MB of text.
 MEASURE_TEXT_CELLS = 4096**2
 
 
 def word_to_text(w: Word) -> str:
-    if any(c >= len(DIGITS) for c in w):
-        raise ValueError("text encoding supports alphabets up to size 36")
+    if w and (min(w) < 0 or max(w) >= len(DIGITS)):
+        raise ValueError(_SYMBOL_RANGE)
     return "".join(DIGITS[c] for c in w)
 
 
@@ -54,18 +59,30 @@ def fmt(x: float) -> str:
 
 
 def graph_to_json(G: LabeledDigraph) -> str:
-    doc = {
-        "q": G.q,
-        "label_len": G.label_len,
-        "vertices": [
-            {"id": i, "label": word_to_text(w)} for i, w in enumerate(G.labels)
-        ],
-        "edges": [
-            {"from": u, "to": v, "label": word_to_text(lab)}
-            for u, v, lab in G.edges
-        ],
-    }
-    return json.dumps(doc, indent=1)
+    """The text of ``json.dumps(doc, indent=1)`` for the graph's document.
+
+    `doc` holds q, label_len, the vertices as ``{"id", "label"}`` and the
+    edges as ``{"from", "to", "label"}`` in `G.edges` order.  The text is
+    written from the rows, each row repeated `count` times, with each
+    vertex label and each label word formatted once.
+    """
+    words = [word_to_text(w) for w in G.words]
+    vertices = [
+        f'  {{\n   "id": {i},\n   "label": "{word_to_text(w)}"\n  }}' for i, w in enumerate(G.labels)
+    ]
+    src, dst, lab = (np.repeat(row, G.count).tolist() for row in (G.src, G.dst, G.lab))
+    edges = [
+        f'  {{\n   "from": {u},\n   "to": {v},\n   "label": "{words[a]}"\n  }}'
+        for u, v, a in zip(src, dst, lab)
+    ]
+    return (
+        f'{{\n "q": {G.q},\n "label_len": {G.label_len},\n'
+        f' "vertices": {_json_list(vertices)},\n "edges": {_json_list(edges)}\n}}'
+    )
+
+
+def _json_list(items: list[str]) -> str:
+    return "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
 
 
 def graph_from_json(text: str) -> LabeledDigraph:
@@ -103,10 +120,30 @@ def save_matrix_csv(A: np.ndarray, path: str | Path) -> None:
 
 
 def recovery_table_to_text(table: Mapping[tuple[Word, Word], Word]) -> str:
-    lines = []
-    for (alpha, beta), w in sorted(table.items()):
-        lines.append(f"{word_to_text(alpha)} {word_to_text(beta)} -> {word_to_text(w)}")
-    return "\n".join(lines)
+    """One ``alpha beta -> middle`` line per entry, in (alpha, beta) order.
+
+    The entries become one array of (alpha, beta, middle) rows, sorted as
+    ``sorted(table.items())`` sorts them.  Alpha, beta and middle words must
+    each have one length throughout: otherwise ValueError names the first
+    entry whose lengths differ from the first entry's.
+    """
+    if not table:
+        return ""
+    items = list(table.items())
+    lengths = [(len(alpha), len(beta), len(w)) for (alpha, beta), w in items]
+    if lengths.count(lengths[0]) < len(items):
+        (alpha, beta), w = next(e for e, n in zip(items, lengths) if n != lengths[0])
+        raise ValueError(f"recovery table entry {alpha} {beta} -> {w}: word lengths differ from {lengths[0]}")
+    la, lb, lm = lengths[0]
+    rows = np.array([alpha + beta + w for (alpha, beta), w in items])
+    _check_symbols(rows)
+    if la + lb:
+        rows = rows[np.lexsort(rows[:, : la + lb].T[::-1])]
+    # one line per row: its digits go where the template holds "0"
+    template = np.frombuffer(b"%s %s -> %s\n" % (b"0" * la, b"0" * lb, b"0" * lm), dtype=np.uint8)
+    text = np.tile(template, (len(rows), 1))
+    text[:, template == ord("0")] = _DIGIT_BYTES[rows]
+    return text.tobytes()[:-1].decode()
 
 
 def save_recovery_table(table: Mapping[tuple[Word, Word], Word], path: str | Path) -> None:
@@ -175,11 +212,20 @@ def save_measure(M: MarkovMeasure | EpsilonConstruction, path: str | Path) -> No
 def codewords_to_text(words: WordRows) -> str:
     """The words as digit strings, one per line in sorted order."""
     rows = words.rows
-    if rows.size and rows.max() >= len(DIGITS):
-        raise ValueError("text encoding supports alphabets up to size 36")
+    _check_symbols(rows)
     text = np.full((len(rows), rows.shape[1] + 1), ord("\n"), dtype=np.uint8)
     text[:, :-1] = _DIGIT_BYTES[rows]
     return text.tobytes()[:-1].decode()
+
+
+def _check_symbols(rows: np.ndarray) -> None:
+    """Refuse a symbol outside [0, 36), which `_DIGIT_BYTES` would wrap.
+
+    Symbols must be integers: an int too large for int64 makes an object
+    array, and a float one a float array, and both are refused.
+    """
+    if rows.size and (rows.dtype.kind not in "iu" or rows.min() < 0 or rows.max() >= len(DIGITS)):
+        raise ValueError(_SYMBOL_RANGE)
 
 
 def codewords_from_text(text: str) -> WordRows:

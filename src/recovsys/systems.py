@@ -20,6 +20,9 @@ import numpy as np
 from .graphs import (
     LabeledDigraph,
     Word,
+    _sorted_runs,
+    _word_graph,
+    _word_rows,
     adjacency,
     de_bruijn,
     essential_subgraph,
@@ -86,8 +89,8 @@ class RecoverableSystem:
 class VerificationResult:
     """Outcome of a recoverability check.
 
-    On failure `conflict` holds the first clash in boundary-pair order:
-    (alpha, beta, middle1, middle2).
+    On failure `conflict` holds one clash, (alpha, beta, middle1, middle2),
+    chosen as `verify_recoverable` says.
     """
 
     ok: bool
@@ -132,20 +135,33 @@ def forbidden_from_graph(G: LabeledDigraph, k: int, l: int) -> ForbiddenSet:
 def verify_recoverable(G: LabeledDigraph, k: int, l: int) -> VerificationResult:
     """Check that `G` presents a (k, l)-recoverable system.
 
-    Enumerates the occurring words of length ``2l + k`` and demands at most
-    one middle k-word per boundary pair, collecting the recovery table.
+    Reads the occurring words of length ``2l + k`` as one array, its columns
+    reordered to (alpha, beta, middle), and sorts its distinct rows: a
+    boundary pair with two middles is two adjacent rows that agree on their
+    2l boundary columns.  Otherwise the rows are the recovery table in
+    (alpha, beta) order.  Among the clashing pairs, the conflict is the one
+    whose second-smallest middle spells the earliest window in word order
+    (alpha, middle, beta); it reports (alpha, beta, smallest middle,
+    second-smallest middle).
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be at least 1")
-    table: dict[tuple[Word, Word], Word] = {}
-    for w in sorted(words_of_length(G, 2 * l + k)):
-        key = (w[:l], w[l + k :])
-        mid = w[l : l + k]
-        prev = table.get(key)
-        if prev is not None and prev != mid:
-            return VerificationResult(False, {}, (key[0], key[1], prev, mid))
-        table[key] = mid
-    return VerificationResult(True, table)
+    n, b = 2 * l + k, 2 * l
+    words = _word_rows(_word_graph(G, n), n)
+    columns = np.r_[0:l, l + k : n, l : l + k]
+    rows, _, new = _sorted_runs(words[:, columns])
+    rows = rows[new]
+    clash = (rows[1:, :b] == rows[:-1, :b]).all(axis=1)
+    if clash.any():
+        # a pair's first clash is between its two smallest middles; the
+        # second is spelled back in word order to pick the earliest
+        first = np.flatnonzero(clash & ~np.r_[False, clash[:-1]])
+        spelled = rows[first + 1][:, np.argsort(columns)]
+        i = first[np.lexsort(spelled.T[::-1])[0]]
+        blocks = rows[i, :l], rows[i, l:b], rows[i, b:], rows[i + 1, b:]
+        return VerificationResult(False, {}, tuple(tuple(w.tolist()) for w in blocks))
+    alphas, betas, mids = (map(tuple, block.tolist()) for block in np.split(rows, [l, b], axis=1))
+    return VerificationResult(True, dict(zip(zip(alphas, betas), mids)))
 
 
 def system_capacity(G: LabeledDigraph) -> float:
@@ -341,7 +357,7 @@ def recursive_extend(S: RecoverableSystem) -> RecoverableSystem:
     v = int(np.argmax(mu.p))
     a, b = core.labels[v]
     alpha, beta = q, q + 1
-    windows = [core.labels[u] + lab for u, _, lab in core.edges]
+    windows = [core.labels[u] + core.words[lab] for u, lab in zip(core.src.tolist(), core.lab.tolist())]
     windows += [(a, b, alpha), (b, alpha, beta), (alpha, beta, a), (beta, a, b)]
     G = window_presentation(q + 2, windows)
     prov = f"recursive_extend(from={S.provenance}, loop_at={(a, b)})"

@@ -1,9 +1,13 @@
+import json
+import random
+
 import numpy as np
 import pytest
 
 import recovsys as rs
 from recovsys import serialization as ser
-from recovsys.graphs import word_from_int
+from recovsys.graphs import LabeledDigraph, word_from_int
+from recovsys.storage import WordRows
 
 from conftest import chorded_cycle_graph, cycle_code
 
@@ -143,3 +147,103 @@ def test_codewords_to_text_needs_symbols_below_36():
     with pytest.raises(ValueError, match="text encoding supports alphabets up to size 36"):
         ser.codewords_to_text(code.codewords)
     assert ser.codewords_to_text(cycle_code(3, 36, {(35, 0, 9)}).codewords) == "z09"
+
+
+@pytest.mark.parametrize("c", [-1, 36])
+def test_text_writers_reject_symbols_outside_the_digits(c):
+    writes = [
+        lambda: ser.word_to_text((c, 0)),
+        lambda: ser.recovery_table_to_text({((c,), (0,)): (0,), ((0,), (0,)): (1,)}),
+        lambda: ser.recovery_table_to_text({((0,), (0,)): (c,)}),
+        lambda: ser.codewords_to_text(WordRows(np.array([(c, 0), (1, 1)], dtype=np.int64))),
+    ]
+    for write in writes:
+        with pytest.raises(ValueError, match="text encoding supports alphabets up to size 36"):
+            write()
+
+
+@pytest.mark.parametrize(
+    "table, where",
+    [
+        (
+            {((0,), (1,)): (2,), ((1,), (0, 1)): (2,)},
+            "recovery table entry (1,) (0, 1) -> (2,): word lengths differ from (1, 1, 1)",
+        ),
+        (
+            {((0,), (1,)): (2,), ((1,), (0,)): (2,), ((1, 1), (0,)): (2, 0)},
+            "recovery table entry (1, 1) (0,) -> (2, 0): word lengths differ from (1, 1, 1)",
+        ),
+    ],
+)
+def test_ragged_recovery_table_names_the_first_odd_entry(table, where):
+    with pytest.raises(ValueError) as info:
+        ser.recovery_table_to_text(table)
+    assert str(info.value) == where
+
+
+# ------------------------------------------------ oracles: the per-item writers
+
+
+def json_graph_text(G):
+    """`graph_to_json` as a document of the expanded edges through `json.dumps`."""
+    doc = {
+        "q": G.q,
+        "label_len": G.label_len,
+        "vertices": [{"id": i, "label": ser.word_to_text(w)} for i, w in enumerate(G.labels)],
+        "edges": [{"from": u, "to": v, "label": ser.word_to_text(lab)} for u, v, lab in G.edges],
+    }
+    return json.dumps(doc, indent=1)
+
+
+def per_line_table_text(table):
+    """`recovery_table_to_text` as one line per sorted entry."""
+    return "\n".join(
+        f"{ser.word_to_text(a)} {ser.word_to_text(b)} -> {ser.word_to_text(w)}"
+        for (a, b), w in sorted(table.items())
+    )
+
+
+def chained_system(q):
+    """The system `construct recursive --q q` builds."""
+    S = rs.edge_cover_system(rs.systems.recursive_seed(q), "square", l=1)
+    while S.q < q:
+        S = rs.recursive_extend(S)
+    return S
+
+
+@pytest.fixture(scope="module")
+def construct_systems():
+    """Every system the `construct` benchmark workload writes."""
+    systems = {f"truncated_q{q}": rs.truncated_debruijn_system(q) for q in (12, 14, 16, 25, 34, 36)}
+    for q, k in ((3, 1), (3, 2), (4, 1), (4, 2)):
+        systems[f"marker_q{q}_k{k}"] = rs.marker_system(q, k)
+    for t, l in ((2, 1), (3, 1), (4, 1), (5, 1), (2, 2)):
+        systems[f"square_t{t}_l{l}"] = rs.edge_cover_system(t, "square", l=l)
+    for t, k in ((2, 2), (3, 1)):
+        systems[f"power_t{t}_k{k}"] = rs.edge_cover_system(t, "power", k=k)
+    for q in (12, 16, 20, 24, 27):
+        systems[f"recursive_q{q}"] = chained_system(q)
+    return systems
+
+
+def test_graph_json_equals_json_dumps(construct_systems, trunc8_system):
+    graphs = {name: S.presentation for name, S in construct_systems.items()}
+    graphs["higher_power_3"] = rs.higher_power(trunc8_system.presentation, 3)
+    graphs["epsilon_q9"] = rs.epsilon_construction(rs.truncated_debruijn_system(9), 0.1).graph
+    graphs["no_vertices"] = LabeledDigraph(3, (), ())
+    graphs["no_edges"] = LabeledDigraph(3, ((0, 1), (2, 2)), ())
+    assert graphs["higher_power_3"].count.max() > 1
+    for name, G in graphs.items():
+        assert ser.graph_to_json(G) == json_graph_text(G), name
+
+
+def test_table_text_equals_the_per_line_writer(construct_systems):
+    for name, S in construct_systems.items():
+        assert ser.recovery_table_to_text(S.recovery_table) == per_line_table_text(S.recovery_table), name
+    table = dict(construct_systems["marker_q4_k1"].recovery_table)
+    items = list(table.items())
+    random.Random(5).shuffle(items)
+    shuffled = dict(items)
+    assert list(shuffled) != sorted(shuffled)
+    assert ser.recovery_table_to_text(shuffled) == per_line_table_text(table)
+    assert ser.recovery_table_to_text({}) == per_line_table_text({}) == ""

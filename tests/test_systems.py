@@ -514,3 +514,44 @@ def test_constructed_capacities_respect_upper_bound(construction_suite):
     for name, S in {**construction_suite, **extra}.items():
         assert rs.capacity(S) <= float(rs.upper_bound(S.k, S.l)) + 1e-9, name
         assert rs.verify_recoverable(S.presentation, S.k, S.l).ok, name
+
+
+def per_word_verify(G, k, l):
+    """`verify_recoverable` as a loop over the sorted words: the oracle."""
+    table = {}
+    for w in sorted(rs.words_of_length(G, 2 * l + k)):
+        key, mid = (w[:l], w[l + k :]), w[l : l + k]
+        prev = table.get(key)
+        if prev is not None and prev != mid:
+            return False, {}, (key[0], key[1], prev, mid)
+        table[key] = mid
+    return True, table, None
+
+
+@st.composite
+def windows_to_verify(draw):
+    """(q, windows, k, l): a window set and the parameters to check it at.
+
+    Half the draws are any set of equal-length windows, or all windows but
+    such a set, checked at any k, l in {1, 2}, so clashes, empty essential
+    parts and words no longer than the vertex labels all occur; the other
+    half spell a partial recovery function at the k, l they are checked at.
+    """
+    q, k, l = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        length = draw(st.integers(2, 5))
+        words = list(product(range(q), repeat=length))
+        chosen = draw(st.sets(st.sampled_from(words)))
+        return q, set(words) - chosen if draw(st.booleans()) else chosen, k, l
+    sides, middles = list(product(range(q), repeat=l)), list(product(range(q), repeat=k))
+    pairs = draw(st.sets(st.tuples(st.sampled_from(sides), st.sampled_from(sides))))
+    return q, {u + draw(st.sampled_from(middles)) + v for u, v in sorted(pairs)}, k, l
+
+
+@settings(max_examples=300, deadline=None)
+@given(windows_to_verify())
+def test_verify_recoverable_matches_the_per_word_loop(drawn):
+    q, windows, k, l = drawn
+    G = rs.graphs.window_presentation(q, windows)
+    res = rs.verify_recoverable(G, k, l)
+    assert (res.ok, res.table, res.conflict) == per_word_verify(G, k, l)
