@@ -255,8 +255,33 @@ def scc_decompose(G: LabeledDigraph) -> list[tuple[int, ...]]:
 
 
 def is_strongly_connected(G: LabeledDigraph) -> bool:
-    """True iff every ordered vertex pair is joined by a directed path."""
-    return len(scc_decompose(G)) <= 1
+    """True iff every ordered vertex pair is joined by a directed path.
+
+    Two reachability sweeps from vertex 0 over the edge rows, one along them
+    and one against them, with no V x V matrix: the graph is strongly
+    connected iff both reach every vertex.  Graphs of 0 or 1 vertex are.
+    """
+    n = G.n_vertices
+    return n <= 1 or _reaches_all(G.src, G.dst, n) and _reaches_all(G.dst, G.src, n)
+
+
+def _reaches_all(src: np.ndarray, dst: np.ndarray, n: int) -> bool:
+    """True iff the rows ``src -> dst`` lead from vertex 0 to all `n` vertices.
+
+    Each round marks the ends of every row that leaves a marked vertex, in
+    O(E) array steps with no sort; the rounds stop when one marks nothing
+    new, so there are at most d + 1 for the largest distance d from vertex
+    0, and the sweep costs O((d + 1) E).  That is quadratic on a long cycle
+    or path, where a sweep over the frontier's rows alone would be linear;
+    such sweeps were slower on every graph the measures reach.
+    """
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    before, reached = 0, 1
+    while before < reached < n:
+        seen[dst[seen[src]]] = True
+        before, reached = reached, np.count_nonzero(seen)
+    return reached == n
 
 
 def essential_subgraph(G: LabeledDigraph) -> LabeledDigraph:
@@ -580,13 +605,15 @@ def _rows_by_target(q: int, labels: tuple[Word, ...], src, dst, count) -> Labele
 def _exact_power(A: np.ndarray | Sequence[Sequence[int]], e: int) -> np.ndarray:
     """``A**e`` for a nonnegative integer matrix, exact.
 
-    Every entry of ``A**j``, and every partial sum of a product of two such
-    powers, is at most ``r**j`` for the largest row sum ``r``; so when
-    ``r**e < 2**63`` numpy int64 cannot wrap and is used, and otherwise the
-    power is taken over Python ints (object dtype).  It serves the dense
-    counts of `trace_power` and `path_count`; `higher_power` multiplies
-    edge rows under the same guard instead.  Entries must be integers;
-    integer-valued floats are accepted.
+    Every entry of ``A**j``, and every partial sum of a product of two
+    powers whose exponents add to j, is at most ``r**j`` for the largest row
+    sum ``r``.  The power is taken by repeated squaring, and each product
+    ``A**a @ A**b`` runs in numpy int64 while ``r**(a + b) < 2**63``, so it
+    cannot wrap, and over Python ints (object dtype) past that: the early
+    squarings of a long power stay in int64.  It serves the dense counts of
+    `trace_power` and `path_count`; `higher_power` multiplies edge rows
+    under the same guard instead.  Entries must be integers; integer-valued
+    floats are accepted.
     """
     if e < 0:
         raise ValueError("exponent must be nonnegative")
@@ -599,9 +626,23 @@ def _exact_power(A: np.ndarray | Sequence[Sequence[int]], e: int) -> np.ndarray:
     if (X < 0).any():
         raise ValueError("matrix must be nonnegative")
     r = max(X.sum(axis=1), default=0)
-    if r < 2**63 and (r < 2 or e < 63 and r**e < 2**63):
-        X = X.astype(np.int64)
-    return np.linalg.matrix_power(X, e)
+
+    def product(P, Q, j):
+        # A**j from two powers whose exponents add to j
+        dtype = np.int64 if r < 2 or j < 63 and r**j < 2**63 else object
+        return P.astype(dtype, copy=False) @ Q.astype(dtype, copy=False)
+
+    square, j = X, 1  # A**j
+    result, i = np.identity(len(X), dtype=np.int64), 0  # A**i
+    while e:
+        if e & 1:
+            i += j
+            result = product(result, square, i) if i > j else square
+        e >>= 1
+        if e:
+            j *= 2
+            square = product(square, square, j)
+    return result
 
 
 def _matrix_sccs(A: np.ndarray) -> list[list[int]]:

@@ -4,10 +4,13 @@ The words read around closed paths of a (1, 1)-recoverable presentation form
 a storage code on the cycle graph: every symbol is reproducible from its two
 neighbors through the one shared recovery rule of the system.  Word sets are
 held as `WordRows`, one sorted array of distinct symbol rows, and every check
-on a code runs over that array.  Period-n words are read by joining the walks
-of the two half lengths on their endpoints, which yields the rows already
-sorted; `graphs.ENUM_CAP` bounds the closed-walk count and the longer half's
-path count, and is tested before any walk starts.
+on a code runs over that array: the middles of the rule's one-symbol entries
+are looked up by (left, right) key in a dense table of 256 x 256 cells for
+one-byte symbols, or in the entries' sorted keys for wider ones, so memory
+never follows the symbol values.  Period-n words are read by joining the
+walks of the two half lengths on their endpoints, which yields the rows
+already sorted; `graphs.ENUM_CAP` bounds the closed-walk count and the
+longer half's path count, and is tested before any walk starts.
 """
 
 from __future__ import annotations
@@ -200,36 +203,58 @@ def verify_storage_code(C: CycleStorageCode) -> StorageVerification:
     Returns the first violating (codeword, position) in sorted order when a
     neighbor pair is missing from the table or decodes to the wrong symbol.
     Only entries whose pair and middle are single symbols that occur in the
-    codewords can repair a position.  Each such entry, and each position of
-    a block of rows, is packed as the bytes of (left, middle, right, 0) into
-    one key, and the block's keys are looked up in the entries' sorted keys
-    at once.
+    codewords can repair a position.  Each block of rows is checked with one
+    lookup of its positions' (left, right) keys, read at the rolled
+    neighbors, and one comparison with the middles found.  One-byte rows key
+    by symbol into a dense table of 256 x 256 middles.  Wider rows key by
+    the symbols' ranks among the K the entries name, with K for a symbol
+    they do not name, and find the middle by searching the entries' sorted
+    keys; so memory never grows with the symbol values or with the square
+    of the entries.  Empty cells hold a value no index takes.
     """
     rows = C.codewords.rows
     # Symbols past the codewords' largest repair nothing; the rest fit the rows' dtype.
     top = int(rows.max()) + 1 if rows.size else 0
-    # No position's key ends in 1: this entry only keeps the table nonempty.
-    repairs = [(0, 0, 0, 1)]
+    entries = []
     for (alpha, beta), middle in C.recovery_table.items():
-        entry = (_symbol(alpha, top), _symbol(middle, top), _symbol(beta, top), 0)
+        entry = (_symbol(alpha, top), _symbol(middle, top), _symbol(beta, top))
         if None not in entry:
-            repairs.append(entry)
-    # Keys of up to 8 bytes compare as integers, wider ones as raw bytes.
-    width = 4 * rows.dtype.itemsize
-    key = np.dtype(f"u{width}") if width <= 8 else np.dtype((np.void, width))
-    table = np.sort(np.array(repairs, dtype=rows.dtype).view(key)[:, 0])
+            entries.append(entry)
+    entries = np.array(entries, dtype=object).reshape(-1, 3).astype(rows.dtype)
+    if rows.dtype == np.uint8:
+        # Symbols are their own indices, and uint16 holds every key.
+        symbols, width = None, np.uint16(256)
+        left, middle, right = entries.astype(np.intp).T
+        table = np.full(256 * 256, 256, dtype=np.uint16)
+        table[left * 256 + right] = middle
+    else:
+        symbols, _, new = graphs._sorted_runs(entries.reshape(-1, 1))
+        symbols = symbols[new, 0]
+        width = len(symbols) + 1
+        left, middle, right = np.searchsorted(symbols, entries).T
+        # Cell len(pairs), the rank of a missing key, is the empty one.
+        pairs = left * width + right
+        order = np.argsort(pairs)
+        pairs, table = pairs[order], np.append(middle[order], width)
     per_block = max(1, _BLOCK_BYTES // (8 * C.n))
     for lo in range(0, len(rows), per_block):
         block = rows[lo : lo + per_block]
-        keys = np.stack(
-            (np.roll(block, 1, axis=1), block, np.roll(block, -1, axis=1), np.zeros_like(block)),
-            axis=-1,
-        ).view(key)[..., 0]
-        ok = table.take(np.searchsorted(table, keys), mode="clip") == keys
+        at = block if symbols is None else _ranks(symbols, block)
+        key = np.roll(at, 1, axis=1) * width
+        key += np.roll(at, -1, axis=1)
+        ok = table.take(key if symbols is None else _ranks(pairs, key)) == at
         if not ok.all():
             r, i = divmod(int(np.argmin(ok)), C.n)
             return StorageVerification(False, (tuple(block[r].tolist()), i))
     return StorageVerification(True)
+
+
+def _ranks(values: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each entry's rank in the sorted, distinct `values`, or ``len(values)`` if absent."""
+    at = np.searchsorted(values, x)
+    if len(values):
+        at[values.take(at, mode="clip") != x] = len(values)
+    return at
 
 
 def _symbol(word: Word, q: int) -> int | None:

@@ -104,10 +104,10 @@ def cycle_code(n, q, words, table=None):
     """`rs.CycleStorageCode` on words given as tuples, held as `WordRows`.
 
     Rows of nonnegative symbols take the smallest unsigned dtype that holds
-    them, as periodic points do; rows with a negative symbol stay int64.
+    them, as periodic points do (object past 2**64 - 1); rows with a
+    negative symbol stay int64.
     """
     words = sorted(words)
-    rows = np.array(words, dtype=np.int64).reshape(len(words), -1 if words else 0)
-    if rows.size and rows.min() >= 0:
-        rows = rows.astype(np.min_scalar_type(rows.max()))
+    rows = np.array(words, dtype=object).reshape(len(words), -1 if words else 0)
+    rows = rows.astype(np.min_scalar_type(rows.max()) if rows.size and rows.min() >= 0 else np.int64)
     return rs.CycleStorageCode(n, q, WordRows(rows), {} if table is None else table)

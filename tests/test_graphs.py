@@ -395,13 +395,19 @@ def object_power(A, e):
     return np.linalg.matrix_power(np.asarray(A, dtype=object), e)
 
 
-@pytest.mark.parametrize("e", [39, 40, 300])
+# Past e = 39 the early squarings run in int64 and the later products over
+# Python ints: 40, 41 and 57 end on a product of two int64 powers, 64 is a
+# pure square, and 81 multiplies an int64 power into an object one.
+GUARD_EXPONENTS = [39, 40, 41, 57, 64, 81, 300]
+
+
+@pytest.mark.parametrize("e", GUARD_EXPONENTS)
 def test_trace_power_on_both_sides_of_the_int64_guard(e):
     # At e >= 40 the trace exceeds 2**63, so int64 products would wrap.
     assert rs.trace_power(ROW_SUM_3, e) == np.trace(object_power(ROW_SUM_3, e))
 
 
-@pytest.mark.parametrize("e", [39, 40, 300])
+@pytest.mark.parametrize("e", GUARD_EXPONENTS)
 def test_path_count_on_both_sides_of_the_int64_guard(e):
     assert rs.path_count(ROW_SUM_3, e) == object_power(ROW_SUM_3, e).sum()
 
@@ -469,6 +475,12 @@ def test_structure_matches_boolean_powers(G):
     comps = rs.scc_decompose(G)
     assert comps == classes
     assert all(type(v) is int for c in comps for v in c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(multigraphs())
+def test_strong_connectivity_matches_the_components(G):
+    assert rs.is_strongly_connected(G) == (len(rs.scc_decompose(G)) <= 1)
 
 
 def edge_count_matrix(G):

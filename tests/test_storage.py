@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,17 +239,20 @@ def codes_and_tables(draw):
 
     The table holds the entries some codewords need, then entries with
     missing or rewritten middles, middles of two symbols or outside [q],
-    and boundary words outside [q] or of two symbols.
+    and boundary words outside [q] or of two symbols.  A wide code also
+    holds the symbol 65,535 (uint16 rows) or 2**70 (object rows), and its
+    alphabet grows to hold it.
     """
     q = draw(st.sampled_from([1, 2, 3, 4, 256, 300]))
+    top = draw(st.sampled_from([q - 1, 2**16 - 1, 2**70]))
     n = draw(st.integers(3, 6))
-    word = st.tuples(*[st.integers(0, q - 1)] * n)
+    word = st.tuples(*[st.integers(0, q - 1) | st.just(top)] * n)
     words = draw(st.lists(word, max_size=8))
     table = {}
     for w in draw(st.lists(st.sampled_from(words), max_size=4)) if words else []:
         for i in range(n):
             table[(w[i - 1],), (w[(i + 1) % n],)] = (w[i],)
-    symbol = st.integers(-1, q + 1)
+    symbol = st.integers(-1, q + 1) | st.sampled_from([top - 1, top, top + 1])
     side = st.one_of(st.tuples(symbol), st.tuples(symbol, symbol))
     middle = st.one_of(st.tuples(symbol), st.tuples(symbol, symbol), st.just(()))
     for key in draw(st.lists(st.sampled_from(sorted(table)), max_size=3)) if table else []:
@@ -257,13 +261,66 @@ def codes_and_tables(draw):
         else:
             table[key] = draw(middle)
     table.update(draw(st.dictionaries(st.tuples(side, side), middle, max_size=6)))
-    return cycle_code(n, q, words, table)
+    return cycle_code(n, top + 1, words, table)
 
 
 @settings(max_examples=300, deadline=None)
 @given(codes_and_tables())
 def test_verify_storage_code_matches_the_loop(C):
     assert rs.verify_storage_code(C) == verify_by_loop(C)
+
+
+def test_wide_rows_verify_in_memory_bounded_by_the_table():
+    # A table indexed by symbol values would hold 65,536**2 cells here.
+    top = 2**16 - 1
+    words = [(0, 1, top), (1, top, 0), (top, 0, 1)]
+    table = {((top,), (1,)): (0,), ((0,), (top,)): (1,), ((1,), (0,)): (top,)}
+    code = cycle_code(3, top + 1, words, table)
+    assert code.codewords.rows.dtype == np.uint16
+    tracemalloc.start()
+    try:
+        res = rs.verify_storage_code(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.ok and peak < 8 << 20
+
+
+def test_tables_naming_many_wide_symbols_verify_like_the_loop():
+    # 6,000 entries name 6,000 symbols, too many for a 256 x 256 table, and
+    # a dense table of their ranks would hold 36 million cells.
+    base = 2**20
+    words = [(base + 3 * i, base + 3 * i + 1, base + 3 * i + 2) for i in range(2000)]
+    table = {((w[i - 1],), (w[(i + 1) % 3],)): (w[i],) for w in words for i in range(3)}
+    code = cycle_code(3, base + 6000, words, table)
+    tracemalloc.start()
+    try:
+        assert rs.verify_storage_code(code).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    keys = sorted(table)
+    for key in (keys[0], keys[1234], keys[-1]):
+        for broken in ({**table, key: (base,)}, {k: v for k, v in table.items() if k != key}):
+            broken_code = cycle_code(3, base + 6000, words, broken)
+            res = rs.verify_storage_code(broken_code)
+            assert not res.ok and res == verify_by_loop(broken_code)
+
+
+def test_codes_over_alphabets_past_uint64_are_verified():
+    # Periodic points over q > 2**64 come out as object rows.
+    q = 2**70
+    G = LabeledDigraph(q, ((0,), (1,)), ((0, 1, (1,)), (1, 0, (0,))))
+    S = rs.RecoverableSystem(q, 1, 1, G, dict(rs.verify_recoverable(G, 1, 1).table), "big")
+    code = rs.storage_code_for_cycle(S, 4)
+    assert code.codewords.rows.dtype == object
+    assert rs.verify_storage_code(code) == StorageVerification(True)
+
+
+def test_perrin_count_at_period_200(binary_system):
+    pts = rs.periodic_points(binary_system.presentation, 200)
+    assert pts.count == rs.perrin_count(200) and pts.words is None
 
 
 @pytest.mark.parametrize("block_bytes", [1, 200, 1 << 20])
