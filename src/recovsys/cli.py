@@ -15,7 +15,7 @@ from pathlib import Path
 import click
 
 from . import measures, serialization, storage, systems
-from .graphs import adjacency, de_bruijn, essential_subgraph
+from .graphs import de_bruijn, essential_subgraph
 from .serialization import fmt
 
 
@@ -49,14 +49,16 @@ def construct() -> None:
 
 
 def _emit_system(S: systems.RecoverableSystem, out_graph, out_table) -> None:
-    cap = systems.capacity(S)
-    click.echo(f"provenance {S.provenance}")
-    click.echo(f"capacity {fmt(cap)} (log base {S.q})")
+    # Files are written first, so a failed write prints no results.
     if out_graph:
         serialization.save_graph(S.presentation, out_graph)
-        click.echo(f"wrote graph {out_graph}")
     if out_table:
         serialization.save_recovery_table(S.recovery_table, out_table)
+    click.echo(f"provenance {S.provenance}")
+    click.echo(f"capacity {fmt(systems.capacity(S))} (log base {S.q})")
+    if out_graph:
+        click.echo(f"wrote graph {out_graph}")
+    if out_table:
         click.echo(f"wrote recovery table {out_table}")
 
 
@@ -64,32 +66,25 @@ def _emit_system(S: systems.RecoverableSystem, out_graph, out_table) -> None:
 @click.option("--q", type=int, required=True)
 @click.option("--d", type=int, default=2, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="Graph file.")
-@click.option("--matrix", type=click.Path(), default=None, help="Adjacency CSV.")
 @_domain_guard
-def construct_debruijn(q, d, out, matrix):
+def construct_debruijn(q, d, out):
     """De Bruijn graph of order d over [q] (presents the full shift)."""
     G = de_bruijn(q, d)
+    if out:
+        serialization.save_graph(G, out)
     click.echo(f"vertices {G.n_vertices} edges {G.count.sum()}")
     click.echo(f"capacity {fmt(systems.system_capacity(G))} (log base {q})")
     if out:
-        serialization.save_graph(G, out)
         click.echo(f"wrote graph {out}")
-    if matrix:
-        serialization.save_matrix_csv(adjacency(G), matrix)
-        click.echo(f"wrote matrix {matrix}")
 
 
 @construct.command("truncated")
 @click.option("--q", type=int, required=True)
-@click.option("--r", type=int, default=None, help="Expected deletion count; cross-checked.")
 @click.option("--out-graph", type=click.Path(), default=None)
 @click.option("--out-table", type=click.Path(), default=None)
 @_domain_guard
-def construct_truncated(q, r, out_graph, out_table):
+def construct_truncated(q, out_graph, out_table):
     """(1,1)-recoverable system over q letters by de Bruijn truncation."""
-    t, derived_r = systems.truncation_params(q)
-    if r is not None and r != derived_r:
-        raise ValueError(f"q={q} implies r={derived_r} (t={t}), not r={r}")
     _emit_system(systems.truncated_debruijn_system(q), out_graph, out_table)
 
 
@@ -194,9 +189,10 @@ def measure_maxent(graph_path, out):
     """Max-entropy measure of the essential part of a presentation."""
     G = essential_subgraph(_parse_file(serialization.graph_from_json, graph_path))
     M = measures.max_entropy_measure(G)
-    click.echo(f"h {fmt(measures.entropy_rate(M))} (log base {M.log_base})")
     if out:
         serialization.save_measure(M, out)
+    click.echo(f"h {fmt(measures.entropy_rate(M))} (log base {M.log_base})")
+    if out:
         click.echo(f"wrote measure {out}")
 
 
@@ -226,9 +222,15 @@ def measure_epsilon(q, k, l, eps, graph_path, out_measure, out_graph):
     else:
         _, S = systems.exhaustive_max_capacity(q, k, l)
     built = measures.epsilon_construction(S, eps)
-    # Written first, so a refused or failed write prints no results.
+    # Written first, so a refused or failed write prints no results.  The
+    # graph has at most states**2 edges: the measure file's cap covers it.
+    n, cap = len(built.states), serialization.MEASURE_TEXT_CELLS
+    if out_graph and n * n > cap:
+        raise ValueError(f"an epsilon graph on {n} states has up to {n * n} edges, over the cap of {cap}")
     if out_measure:
         serialization.save_measure(built, out_measure)
+    if out_graph:
+        serialization.save_graph(built.graph, out_graph)
     h_mu = measures.entropy_rate(built.base_measure)
     h_nu = built.entropy_rate()
     report = built.window_conditional_entropy()
@@ -242,7 +244,6 @@ def measure_epsilon(q, k, l, eps, graph_path, out_measure, out_graph):
     if out_measure:
         click.echo(f"wrote measure {out_measure}")
     if out_graph:
-        serialization.save_graph(built.graph, out_graph)
         click.echo(f"wrote graph {out_graph}")
 
 
@@ -290,30 +291,11 @@ def bounds_csv(rows) -> str:
 @report.command("bounds")
 @click.option("--q", "q_spec", type=str, required=True, help="Single q or a..b range.")
 @click.option("--out", type=click.Path(), default=None)
-@click.option(
-    "--format",
-    "fmt_kind",
-    type=click.Choice(["csv", "table"]),
-    default="csv",
-    show_default=True,
-)
 @_domain_guard
-def report_bounds(q_spec, out, fmt_kind):
+def report_bounds(q_spec, out):
     """Lower bounds on (1,1) capacity per alphabet size, against the 1/2 cap."""
     lo, hi = _parse_q_range(q_spec)
-    rows = bounds_rows(lo, hi)
-    if fmt_kind == "csv":
-        text = bounds_csv(rows)
-    else:
-        lines = [f"{'q':>4} {'eq11_bound':>22} {'recursive_bound':>22} {'upper':>6}"]
-        for q, eq11, rec, upper in rows:
-            lines.append(
-                f"{q:>4} "
-                f"{(fmt(eq11) if eq11 is not None else '-'):>22} "
-                f"{(fmt(rec) if rec is not None else '-'):>22} "
-                f"{fmt(upper):>6}"
-            )
-        text = "\n".join(lines)
+    text = bounds_csv(bounds_rows(lo, hi))
     if out:
         Path(out).write_text(text + "\n")
         click.echo(f"wrote {out}")

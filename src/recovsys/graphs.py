@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, fields
-from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -55,7 +54,8 @@ class LabeledDigraph:
     q : alphabet size, at least 1.
     labels : vertex words, equal length, strictly increasing numerically;
         the position of a word is its vertex id.
-    edges : (from_id, to_id, label_word) triples, stored as one row each.
+    edges : (from_id, to_id, label_word) triples, such as a graph file
+        holds; builders pass rows to `_from_rows` instead.  One row each.
 
     The rows are `src`, `dst`, `lab` (an index into `words`, the table of
     label words) and `count`, the edge's multiplicity: a graph power keeps
@@ -157,20 +157,35 @@ class LabeledDigraph:
         return len(self.words[0]) if self.src.size else 0
 
 
-def window_presentation(q: int, windows: Iterable[Word]) -> LabeledDigraph:
+def window_presentation(q: int, windows: np.ndarray | Iterable[Word]) -> LabeledDigraph:
     """Standard presentation of the 1-step shift of finite type on `windows`.
 
-    The windows are equal-length words over ``[q]`` of length at least 2.
-    Vertices are their prefixes and suffixes, in numeric order, and each
-    window ``w`` is one edge ``w[:-1] -> w[1:]`` labeled ``w[-1:]``; a
-    repeated window is one edge.  No other vertex is created, so the graph
-    is as large as the allowed windows, whatever ``q**len(w)`` is.
+    The windows are the rows, repeats allowed, of an (N, w) integer array
+    over ``[q]`` with w >= 2; equal-length tuples are stacked into one, and
+    a float or object array raises ValueError.  Vertices are the prefixes
+    and suffixes of the windows in numeric order, and each distinct window
+    ``w`` is one edge ``w[:-1] -> w[1:]`` labeled ``w[-1:]``, in window
+    order: three row sorts, of the windows, of their prefixes and suffixes,
+    and of their last column.  No other vertex is created, so the graph is
+    as large as the allowed windows, whatever ``q**w`` is.
     """
-    wins = sorted(set(windows))
-    labels = sorted({w[:-1] for w in wins} | {w[1:] for w in wins})
-    index = {w: i for i, w in enumerate(labels)}
-    edges = tuple((index[w[:-1]], index[w[1:]], w[-1:]) for w in wins)
-    return LabeledDigraph(q, tuple(labels), edges)
+    rows = np.asarray(windows if isinstance(windows, np.ndarray) else list(windows))
+    if not rows.size:
+        rows = np.empty((0, 2), dtype=np.int64)
+    if rows.ndim != 2 or rows.dtype.kind not in "iu":
+        raise ValueError(f"windows must be rows of integers, not a {rows.dtype} array of shape {rows.shape}")
+    wins, _ = _ranked(rows)
+    labels, ends = _ranked(np.vstack((wins[:, :-1], wins[:, 1:])))
+    words, lab = _ranked(wins[:, -1:])
+    n = len(wins)
+    return LabeledDigraph._from_rows(
+        q, map(tuple, labels.tolist()), map(tuple, words.tolist()), ends[:n], ends[n:], lab, np.ones(n)
+    )
+
+
+def _word_grid(q: int, n: int) -> np.ndarray:
+    """All ``q**n`` words of length `n` as rows, in numeric order."""
+    return np.indices((q,) * n).reshape(n, -1).T
 
 
 def de_bruijn(q: int, d: int) -> LabeledDigraph:
@@ -183,7 +198,7 @@ def de_bruijn(q: int, d: int) -> LabeledDigraph:
     """
     if q < 1 or d < 1:
         raise ValueError("de Bruijn graphs need q >= 1 and d >= 1")
-    return window_presentation(q, product(range(q), repeat=d + 1))
+    return window_presentation(q, _word_grid(q, d + 1))
 
 
 def adjacency(G: LabeledDigraph) -> np.ndarray:

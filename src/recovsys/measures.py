@@ -27,12 +27,14 @@ from .graphs import (
     _rows_by_target,
     _sorted_runs,
     _within_enum_cap,
+    _word_graph,
+    _word_grid,
+    _word_rows,
     adjacency,
     higher_power,
     is_strongly_connected,
     perron_pair,
     window_presentation,
-    words_of_length,
 )
 from .systems import RecoverableSystem
 
@@ -416,15 +418,17 @@ def higher_block_presentation(S: RecoverableSystem) -> LabeledDigraph:
     Vertices are the occurring window words; edges follow one-symbol overlap
     and carry the emitted symbol: the window presentation of the
     ``(2l + k + 1)``-words whose two ``(2l + k)``-subwords both occur.
+    Those words are read as the two-edge paths of the window presentation
+    of the occurring windows: every occurring window lies on a bi-infinite
+    path of occurring windows, so that inner presentation is essential, and
+    a two-edge path from it spells ``w + (a,)`` exactly when ``w`` and
+    ``w[1:] + (a,)`` both occur.
     """
     W = 2 * S.l + S.k
-    allowed = words_of_length(S.presentation, W)
-    if not allowed:
+    allowed = _word_rows(_word_graph(S.presentation, W), W)
+    if not len(allowed):
         raise ValueError("the system has no occurring windows")
-    return window_presentation(
-        S.q,
-        (w + (a,) for w in allowed for a in range(S.q) if w[1:] + (a,) in allowed),
-    )
+    return window_presentation(S.q, _word_rows(window_presentation(S.q, allowed), W + 1))
 
 
 def epsilon_construction(S: RecoverableSystem, epsilon: float) -> EpsilonConstruction:
@@ -448,7 +452,7 @@ def epsilon_construction(S: RecoverableSystem, epsilon: float) -> EpsilonConstru
     params = EpsilonParams(epsilon, S.q, k, l, delta_from_epsilon(epsilon, S.q, k))
     mu = max_entropy_measure(higher_power(higher_block_presentation(S), W))
     base = _state_array(mu)
-    middles = np.array(list(product(range(S.q), repeat=k)), dtype=np.int64)
+    middles = _word_grid(S.q, k)
     windows = np.repeat(base, len(middles), axis=0)
     windows[:, l : l + k] = np.tile(middles, (len(base), 1))
     parent = np.repeat(np.arange(len(base)), len(middles))

@@ -1,4 +1,4 @@
-"""File formats: graphs, matrices, recovery tables, measures, and codes.
+"""File formats: graphs, recovery tables, measures, and codes.
 
 Words are written as digit strings with digits beyond 9 encoded as lowercase
 letters (alphabets up to size 36).  Floating-point values are written with 17
@@ -109,14 +109,6 @@ def graph_from_json(text: str) -> LabeledDigraph:
 
 def save_graph(G: LabeledDigraph, path: str | Path) -> None:
     Path(path).write_text(graph_to_json(G) + "\n")
-
-
-def matrix_to_csv(A: np.ndarray) -> str:
-    return "\n".join(",".join(str(int(x)) for x in row) for row in np.asarray(A))
-
-
-def save_matrix_csv(A: np.ndarray, path: str | Path) -> None:
-    Path(path).write_text(matrix_to_csv(A) + "\n")
 
 
 def recovery_table_to_text(table: Mapping[tuple[Word, Word], Word]) -> str:

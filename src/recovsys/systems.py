@@ -22,10 +22,10 @@ from .graphs import (
     Word,
     _sorted_runs,
     _word_graph,
+    _word_grid,
     _word_rows,
     adjacency,
     de_bruijn,
-    essential_subgraph,
     log_base,
     perron_eigenvalue,
     window_presentation,
@@ -118,10 +118,8 @@ def presentation_from_forbidden(F: ForbiddenSet) -> LabeledDigraph:
     window, and each allowed window is one edge.  A word that is in no
     allowed window is not a vertex.
     """
-    return window_presentation(
-        F.q,
-        (w for w in product(range(F.q), repeat=F.word_len) if w not in F.words),
-    )
+    forbidden = [word_to_int(w, F.q) for w in F.words]
+    return window_presentation(F.q, np.delete(_word_grid(F.q, F.word_len), forbidden, axis=0))
 
 
 def forbidden_from_graph(G: LabeledDigraph, k: int, l: int) -> ForbiddenSet:
@@ -245,8 +243,7 @@ def truncated_debruijn_system(q: int) -> RecoverableSystem:
     provenance records (the declared alphabet size stays q).
     """
     t, r = truncation_params(q)
-    pairs = np.argwhere(truncated_matrix(q)).tolist()
-    G = window_presentation(q, map(tuple, pairs))
+    G = window_presentation(q, np.argwhere(truncated_matrix(q)))
     effective = (t - 1) ** 2 if r == t else q
     prov = f"truncated_debruijn(q={q}, t={t}, r={r}, effective_alphabet={effective})"
     return _verified_system(q, 1, 1, G, prov)
@@ -275,29 +272,19 @@ def edge_cover_system(t: int, mode: str, *, k: int = 1, l: int = 1) -> Recoverab
             raise ValueError("square mode needs l >= 1")
         k_sys, l_sys, q = l, l, t * t
         # a window of 3l pair-symbols reads 4l stream symbols
-        span = 4 * l
-
-        def encode(stream: Word) -> Word:
-            return tuple(
-                stream[i] * t + stream[i + l] for i in range(len(stream) - l)
-            )
-
+        s = _word_grid(t, 4 * l)
+        windows = s[:, :-l] * t + s[:, l:]
     elif mode == "power":
         if k < 1:
             raise ValueError("power mode needs k >= 1")
         k_sys, l_sys, q = k, 1, t ** (k + 1)
-        span = (2 + k) + k
-
-        def encode(stream: Word) -> Word:
-            return tuple(
-                word_to_int(stream[i : i + k + 1], t)
-                for i in range(len(stream) - k)
-            )
-
+        span = 2 * k + 2  # a window of k + 2 symbols, each k + 1 stream symbols
+        s = _word_grid(t, span)
+        windows = sum(s[:, j : span - k + j] * t ** (k - j) for j in range(k + 1))
     else:
         raise ValueError(f"unknown edge-cover mode {mode!r}")
 
-    G = window_presentation(q, (encode(s) for s in product(range(t), repeat=span)))
+    G = window_presentation(q, windows)
     prov = f"edge_cover(t={t}, mode={mode}, k={k_sys}, l={l_sys})"
     return _verified_system(q, k_sys, l_sys, G, prov)
 
@@ -318,32 +305,21 @@ def marker_system(q: int, k: int) -> RecoverableSystem:
     window = 2 * l + k
     period = k + 2
     blocks = [(2,) + (1,) * (k + 1), (2,) + (0,) * (k + 1)]
-    allowed: set[Word] = set()
     # 4 blocks cover every window phase: 4(k+2) >= (k+1) + (3k+2)
-    for choice in product(blocks, repeat=4):
-        run = sum(choice, ())
-        for off in range(period):
-            allowed.add(run[off : off + window])
-    G = window_presentation(q, allowed)
+    runs = np.array([sum(choice, ()) for choice in product(blocks, repeat=4)])
+    G = window_presentation(q, np.vstack([runs[:, off : off + window] for off in range(period)]))
     return _verified_system(q, k, l, G, f"marker(q={q}, k={k})")
-
-
-def pair_presentation(G: LabeledDigraph) -> LabeledDigraph:
-    """Re-present a (1, 1) system on its occurring pairs of letters.
-
-    The essential part of the window presentation of the occurring 3-words:
-    vertices are occurring 2-words, with an edge per occurring 3-word.
-    """
-    return essential_subgraph(window_presentation(G.q, words_of_length(G, 3)))
 
 
 def recursive_extend(S: RecoverableSystem) -> RecoverableSystem:
     """Grow a (1, 1) system by two letters via a length-four detour loop.
 
     Picks the vertex of maximum stationary mass under the max-entropy
-    measure of the pair presentation (ties to the lowest vertex id; the
-    maximum is automatically >= 1/q**2), attaches a 4-cycle through three
-    fresh vertices spelling the two new letters, and re-verifies.  The
+    measure of the window presentation of the occurring 3-words (ties to
+    the lowest vertex id; the maximum is automatically >= 1/q**2),
+    attaches a 4-cycle through three fresh vertices spelling the two new
+    letters, and re-verifies.  That presentation is essential: every
+    occurring word lies on a bi-infinite path of occurring words.  The
     capacity of the result is at least
     ``cap(S) * log_{q+2}(q) + (1/q**2) * log_{q+2}(1 + 1/q**2)``.
     """
@@ -351,15 +327,15 @@ def recursive_extend(S: RecoverableSystem) -> RecoverableSystem:
 
     if S.k != 1 or S.l != 1:
         raise ValueError("the loop extension applies to (1, 1) systems only")
-    core = pair_presentation(S.presentation)
     q = S.q
+    windows = _word_rows(_word_graph(S.presentation, 3), 3)
+    core = window_presentation(q, windows)
     mu = max_entropy_measure(core)
     v = int(np.argmax(mu.p))
     a, b = core.labels[v]
     alpha, beta = q, q + 1
-    windows = [core.labels[u] + core.words[lab] for u, lab in zip(core.src.tolist(), core.lab.tolist())]
-    windows += [(a, b, alpha), (b, alpha, beta), (alpha, beta, a), (beta, a, b)]
-    G = window_presentation(q + 2, windows)
+    loop = [(a, b, alpha), (b, alpha, beta), (alpha, beta, a), (beta, a, b)]
+    G = window_presentation(q + 2, np.vstack((windows, loop)))
     prov = f"recursive_extend(from={S.provenance}, loop_at={(a, b)})"
     return _verified_system(q + 2, 1, 1, G, prov)
 
@@ -453,7 +429,8 @@ def exhaustive_max_capacity(
             f"cap of {SEARCH_CANDIDATE_CAP}"
         )
     n = q ** (2 * l + k - 1)
-    cells = _window_cells(q, n, pairs, middles)
+    windows = np.array([[u + m + v for m in middles] for u, v in pairs])
+    cells = _window_cells(q, n, windows)
     rows = np.arange(len(pairs))
     kept = _orbit_minima(_symmetry_tables(q, pairs, middles))
     per_stack = max(1, _STACK_BYTES // (8 * n))
@@ -480,30 +457,20 @@ def exhaustive_max_capacity(
     for c in sorted(lams):
         if lams[c] > best_lam + 1e-12:
             best_lam, best = lams[c], c
-    G = window_presentation(
-        q, (u + middles[j] + v for (u, v), j in zip(pairs, _digits(best, cells)))
-    )
+    G = window_presentation(q, windows[rows, _digits(best, cells)])
     system = _verified_system(q, k, l, G, f"exhaustive(q={q}, k={k}, l={l})")
     value = float("-inf") if best_lam == 0.0 else log_base(best_lam, q)
     return value, system
 
 
-def _window_cells(
-    q: int, n: int, pairs: list[tuple[Word, Word]], middles: list[Word]
-) -> np.ndarray:
+def _window_cells(q: int, n: int, windows: np.ndarray) -> np.ndarray:
     """Flat position of each window in the n x n overlap matrix of the search.
 
-    Entry ``[p, j]`` is ``src * n + dst`` for the window
+    Entry ``[p, j]`` is ``src * n + dst`` for the window ``windows[p, j]``,
     ``u + middles[j] + v`` with ``(u, v) = pairs[p]``: the ranks of its
     prefix and suffix among the n words of their length.
     """
-    return np.array(
-        [
-            [word_to_int(w[:-1], q) * n + word_to_int(w[1:], q) for w in (u + m + v for m in middles)]
-            for u, v in pairs
-        ],
-        dtype=np.int64,
-    )
+    return _ranks(windows[..., :-1], q) * n + _ranks(windows[..., 1:], q)
 
 
 def _digits(index: np.ndarray | int, cells: np.ndarray) -> np.ndarray:
@@ -540,8 +507,8 @@ def _symmetry_tables(
 
 
 def _ranks(words: np.ndarray, q: int) -> np.ndarray:
-    """Rank of each row among the words of its length, as `product` orders them."""
-    return words @ q ** np.arange(words.shape[1] - 1, -1, -1)
+    """Rank of each word, along the last axis, among the words of its length."""
+    return words @ q ** np.arange(words.shape[-1] - 1, -1, -1)
 
 
 def _orbit_minima(tables: np.ndarray) -> np.ndarray:

@@ -51,6 +51,15 @@ def brute_force_word_count(q: int, n: int, forbidden: frozenset) -> int:
     return count
 
 
+def tuple_window_presentation(q, windows):
+    """Oracle: the window presentation built from sets and dicts of tuples."""
+    wins = sorted(set(windows))
+    labels = sorted({w[:-1] for w in wins} | {w[1:] for w in wins})
+    index = {w: i for i, w in enumerate(labels)}
+    edges = tuple((index[w[:-1]], index[w[1:]], w[-1:]) for w in wins)
+    return LabeledDigraph(q, tuple(labels), edges)
+
+
 def hop_distances(A) -> np.ndarray:
     """Shortest-path lengths by boolean reachability; -1 where unreachable.
 

@@ -33,6 +33,32 @@ def test_construct_edgecover_square():
     assert "capacity 0.5 (log base 4)" in res.output
 
 
+def test_construct_debruijn_prints_and_writes_the_graph(tmp_path):
+    out = tmp_path / "db.json"
+    res = run("construct", "debruijn", "--q", "2", "--d", "2", "--out", str(out))
+    assert res.exit_code == 0
+    assert res.stdout == f"vertices 4 edges 8\ncapacity 1 (log base 2)\nwrote graph {out}\n"
+    assert ser.graph_from_json(out.read_text()) == rs.de_bruijn(2, 2)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["construct", "truncated", "--q", "49", "--out-graph", "{dir}/g.json"],
+        ["construct", "truncated", "--q", "8", "--out-table", "{dir}/missing/t.table"],
+        ["construct", "debruijn", "--q", "2", "--out", "{dir}/missing/g.json"],
+        ["measure", "maxent", "--graph", "{dir}/g8.json", "--out", "{dir}/missing/m.txt"],
+        ["measure", "epsilon", "--q", "2", "--eps", "0.1", "--out-graph", "{dir}/missing/e.json"],
+    ],
+)
+def test_a_failed_write_prints_no_results(tmp_path, trunc8_system, args):
+    ser.save_graph(trunc8_system.presentation, tmp_path / "g8.json")
+    res = run(*(a.format(dir=tmp_path) for a in args))
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ")
+
+
 def test_construct_marker_and_recursive():
     res = run("construct", "marker", "--q", "3", "--k", "1")
     assert res.exit_code == 0
@@ -289,6 +315,26 @@ def test_measure_epsilon_refuses_a_measure_file_over_the_cap(tmp_path, monkeypat
     assert out.read_text() == ser.measure_to_text(rs.epsilon_construction(S, 0.1).measure) + "\n"
 
 
+def test_measure_epsilon_refuses_an_epsilon_graph_over_the_cap(tmp_path, monkeypatch):
+    S = rs.truncated_debruijn_system(9)
+    ser.save_graph(S.presentation, tmp_path / "g.json")
+    n = len(rs.epsilon_construction(S, 0.1).states)
+    out = tmp_path / "e.json"
+    args = ["measure", "epsilon", "--q", "9", "--graph", str(tmp_path / "g.json"), "--eps", "0.1", "--out-graph", str(out)]
+    monkeypatch.setattr(ser, "MEASURE_TEXT_CELLS", n * n - 1)
+    # Refused before the epsilon graph, whose build starts from a states**2 array.
+    monkeypatch.setattr(rs.EpsilonConstruction, "graph", property(lambda self: pytest.fail("graph was built")))
+    res = run(*args)
+    assert res.exit_code == 2
+    assert f"an epsilon graph on {n} states has up to {n * n} edges, over the cap of {n * n - 1}" in res.stderr
+    assert res.stdout == ""
+    assert not out.exists()
+    monkeypatch.undo()
+    monkeypatch.setattr(ser, "MEASURE_TEXT_CELLS", n * n)
+    assert run(*args).exit_code == 0
+    assert ser.graph_from_json(out.read_text()) == rs.epsilon_construction(S, 0.1).graph
+
+
 def test_measure_epsilon_writes_the_epsilon_graph(tmp_path):
     gpath = tmp_path / "d.json"
     res = run("measure", "epsilon", "--q", "2", "--eps", "0.1", "--out-graph", str(gpath))
@@ -317,7 +363,7 @@ def test_measure_maxent_rejects_parallel_edges(tmp_path):
 
 def test_report_bounds_csv_and_determinism():
     first = run("report", "bounds", "--q", "9..16")
-    second = run("report", "bounds", "--q", "9..16", "--format", "csv")
+    second = run("report", "bounds", "--q", "9..16")
     assert first.exit_code == 0 and second.exit_code == 0
     assert first.output == second.output
     lines = first.output.strip().splitlines()

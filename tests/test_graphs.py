@@ -10,7 +10,7 @@ import recovsys as rs
 from recovsys import serialization as ser
 from recovsys.graphs import LabeledDigraph
 
-from conftest import open_walk_points, plastic_number
+from conftest import open_walk_points, plastic_number, tuple_window_presentation
 
 DB2_MATRIX = np.array(
     [
@@ -79,6 +79,44 @@ def test_de_bruijn_rejects_bad_parameters():
         rs.de_bruijn(0, 2)
     with pytest.raises(ValueError):
         rs.de_bruijn(2, 0)
+
+
+@st.composite
+def window_lists(draw):
+    """(q, width, windows): windows over [q] with repeats, in any order."""
+    q, width = draw(st.integers(1, 4)), draw(st.integers(2, 4))
+    windows = draw(st.lists(st.tuples(*[st.integers(0, q - 1)] * width), max_size=30))
+    windows += draw(st.lists(st.sampled_from(windows), max_size=10)) if windows else []
+    return q, width, draw(st.permutations(windows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(window_lists(), st.sampled_from(["uint8", "int64", "list", "generator", "set"]))
+def test_window_presentation_matches_the_tuple_build(drawn, form):
+    q, width, windows = drawn
+    if form in ("uint8", "int64"):
+        given_as = np.array(windows, dtype=form).reshape(len(windows), width)
+    else:
+        given_as = {"list": list, "generator": iter, "set": set}[form](windows)
+    G = rs.graphs.window_presentation(q, given_as)
+    expected = tuple_window_presentation(q, windows)
+    assert G == expected
+    assert (G.labels, G.words, G.edges) == (expected.labels, expected.words, expected.edges)
+
+
+@pytest.mark.parametrize(
+    "windows",
+    [
+        np.array([[0.0, 1.0], [1.0, 0.5]]),
+        np.array([[0, 1], [1, 2**70]], dtype=object),
+        [(0, 1), (1, 1.5)],
+        [(0, 1), (1,)],
+        np.array([0, 1, 1]),
+    ],
+)
+def test_window_presentation_refuses_windows_that_are_not_integer_rows(windows):
+    with pytest.raises(ValueError):
+        rs.graphs.window_presentation(3, windows)
 
 
 def test_adjacency_of_edgeless_graph_is_zero():

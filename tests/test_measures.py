@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -11,7 +12,7 @@ from recovsys import measures
 from recovsys.graphs import LabeledDigraph
 from recovsys.measures import higher_block_presentation
 
-from conftest import chorded_cycle_graph, plastic_number
+from conftest import chorded_cycle_graph, plastic_number, tuple_window_presentation
 
 REFERENCE_P = np.array(
     [
@@ -219,6 +220,41 @@ def test_epsilon_graph_follows_the_parent_windows(request, name, eps):
     want = rs.adjacency(base)[np.ix_(parent, parent)]
     assert np.array_equal(rs.adjacency(G), want)
     assert all(label == states[v] for _, v, label in G.edges)
+
+
+@st.composite
+def presentations(draw):
+    """Presentations on up to 6 vertices with dead vertices and parallel edges."""
+    q, L = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    n = draw(st.integers(0, min(6, q**L)))
+    labels = tuple(rs.graphs.word_from_int(i, q, L) for i in range(n))
+    edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.tuples(st.integers(0, q - 1)))
+    edges = draw(st.lists(edge, max_size=16)) if n else []
+    edges += draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
+    return LabeledDigraph(q, labels, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(presentations(), st.integers(1, 2), st.integers(1, 2))
+def test_higher_block_presentation_matches_the_membership_build(G, k, l):
+    # Oracle: every occurring window extended by every symbol, kept when
+    # its last window occurs too, tested against a set of tuples.
+    S = rs.RecoverableSystem(G.q, k, l, G, {}, "drawn")
+    W = 2 * l + k
+    try:
+        allowed = rs.words_of_length(G, W)
+        if not allowed:
+            raise ValueError("the system has no occurring windows")
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            higher_block_presentation(S)
+        return
+    expected = tuple_window_presentation(
+        G.q, (w + (a,) for w in allowed for a in range(G.q) if w[1:] + (a,) in allowed)
+    )
+    H = higher_block_presentation(S)
+    assert H == expected
+    assert (H.labels, H.words, H.edges) == (expected.labels, expected.words, expected.edges)
 
 
 def test_epsilon_construction_rejects_two_parents():

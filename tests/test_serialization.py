@@ -25,17 +25,6 @@ def test_graph_round_trip(tmp_path, trunc8_system):
     assert ser.graph_from_json(path.read_text()) == trunc8_system.presentation
 
 
-def test_matrix_csv(tmp_path):
-    A = rs.truncated_matrix(6)
-    path = tmp_path / "m.csv"
-    ser.save_matrix_csv(A, path)
-    rows = [
-        [int(x) for x in line.split(",")]
-        for line in path.read_text().strip().splitlines()
-    ]
-    assert np.array_equal(np.array(rows), A)
-
-
 def test_recovery_table_round_trip(binary_system):
     text = ser.recovery_table_to_text(binary_system.recovery_table)
     assert "->" in text

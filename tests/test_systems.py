@@ -330,7 +330,7 @@ def test_search_bounds_every_candidate_and_keeps_the_scan_winner(q, k, l):
     pairs = rs.systems._boundary_pairs(q, l)
     middles = list(product(range(q), repeat=k))
     n = q ** (2 * l + k - 1)
-    cells = rs.systems._window_cells(q, n, pairs, middles)
+    cells = rs.systems._window_cells(q, n, np.array([[u + m + v for m in middles] for u, v in pairs]))
     every = np.arange(len(middles) ** len(pairs))
     hi = rs.systems._search_bounds(cells[np.arange(len(pairs)), rs.systems._digits(every, cells)], n)
     assert len(hi) == len(every)
@@ -358,7 +358,7 @@ def _dense_scan(q, k, l):
     pairs = sy._boundary_pairs(q, l)
     middles = list(product(range(q), repeat=k))
     n = q ** (2 * l + k - 1)
-    cells = sy._window_cells(q, n, pairs, middles)
+    cells = sy._window_cells(q, n, np.array([[u + m + v for m in middles] for u, v in pairs]))
     n_candidates = len(middles) ** len(pairs)
     per_stack = max(1, sy._STACK_BYTES // (8 * n * n))
     rows, diag = np.arange(len(pairs)), np.arange(n)
