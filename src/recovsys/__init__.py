@@ -48,6 +48,7 @@ from .storage import (
 from .systems import (
     ForbiddenSet,
     RecoverableSystem,
+    RecoveryTable,
     VerificationResult,
     capacity,
     capacity_formula,

@@ -218,7 +218,7 @@ def measure_epsilon(q, k, l, eps, graph_path, out_measure, out_graph):
         res = systems.verify_recoverable(G, k, l)
         if not res.ok:
             raise ValueError(f"input graph is not (k={k}, l={l})-recoverable")
-        S = systems.RecoverableSystem(q, k, l, G, dict(res.table), f"file:{graph_path}")
+        S = systems.RecoverableSystem(q, k, l, G, res.table, f"file:{graph_path}")
     else:
         _, S = systems.exhaustive_max_capacity(q, k, l)
     built = measures.epsilon_construction(S, eps)

@@ -3,10 +3,13 @@
 Vertices carry equal-length words over the alphabet ``[q] = {0, ..., q-1}``
 and are kept in base-q numeric (equivalently lexicographic) order, so vertex
 ids double as ranks.  Edges carry word labels: presentations emit one symbol
-per edge, while graph powers emit whole vertex words.  Edges are stored once,
-as int64 arrays with one row per edge and a multiplicity; the arrays are
-read-only and the class frozen, so graphs are immutable and every function
-is pure, which makes concurrent use safe.
+per edge, while graph powers emit whole vertex words.  Words are held as
+rows of int64 arrays, one row per vertex label and per label word, checked
+once with array operations; the tuples of `labels` and `words` are views
+built on first read.  Edges are stored once, as int64 arrays with one row
+per edge and a multiplicity.  The arrays are read-only and the class frozen,
+so graphs are immutable and every function is pure, which makes concurrent
+use safe.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -57,16 +61,18 @@ class LabeledDigraph:
     edges : (from_id, to_id, label_word) triples, such as a graph file
         holds; builders pass rows to `_from_rows` instead.  One row each.
 
-    The rows are `src`, `dst`, `lab` (an index into `words`, the table of
-    label words) and `count`, the edge's multiplicity: a graph power keeps
-    one row per vertex pair.  `edges` expands the rows into triples, and
-    graphs are equal when q, labels and `edges` are; equality compares the
-    rows, never expanding them.
+    Words are held as rows of read-only int64 arrays: `label_rows`, one row
+    per vertex, and `word_rows`, the table of label words.  The edge rows
+    are `src`, `dst`, `lab` (a row of `word_rows`) and `count`, the edge's
+    multiplicity: a graph power keeps one row per vertex pair.  `labels`,
+    `words` and `edges` are tuple views, built on first read.  Graphs are
+    equal when q, labels and `edges` are; equality compares the rows, never
+    expanding them.
     """
 
     q: int
-    labels: tuple[Word, ...]
-    words: tuple[Word, ...]
+    label_rows: np.ndarray
+    word_rows: np.ndarray
     src: np.ndarray
     dst: np.ndarray
     lab: np.ndarray
@@ -82,31 +88,31 @@ class LabeledDigraph:
 
     @classmethod
     def _from_rows(cls, q, labels, words, src, dst, lab, count) -> LabeledDigraph:
+        """Graph on word arrays or sequences of words, and edge rows."""
         G = cls.__new__(cls)
         G._fill(q, labels, words, src, dst, lab, count)
         return G
 
     def _fill(self, q, labels, words, *rows) -> None:
-        rows = tuple(np.asarray(r, dtype=np.int64) for r in rows)
-        for row in rows:
-            row.setflags(write=False)
-        for f, value in zip(fields(self), (q, tuple(labels), tuple(words), *rows)):
+        values = (_word_array("vertex", labels), _word_array("edge", words))
+        values += tuple(np.asarray(r, dtype=np.int64) for r in rows)
+        for value in values:
+            value.setflags(write=False)
+        for f, value in zip(fields(self), (q, *values)):
             object.__setattr__(self, f.name, value)
         self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.q < 1:
             raise ValueError("alphabet size must be at least 1")
-        for kind, words in (("vertex", self.labels), ("edge", self.words)):
-            if len({len(w) for w in words}) > 1:
-                raise ValueError(f"{kind} labels must have equal length")
-            for w in words:
-                if not w or min(w) < 0 or max(w) >= self.q:
-                    raise ValueError(f"{kind} label {w} is not a nonempty word over [{self.q}]")
-            for prev, cur in zip(words, words[1:]):
-                if prev >= cur:
-                    raise ValueError(f"{kind} labels must be strictly increasing")
-        n = len(self.labels)
+        for kind, rows in (("vertex", self.label_rows), ("edge", self.word_rows)):
+            bad = ((rows < 0) | (rows >= self.q)).any(axis=1) | (rows.shape[1] == 0)
+            if bad.any():
+                w = tuple(rows[bad.argmax()].tolist())
+                raise ValueError(f"{kind} label {w} is not a nonempty word over [{self.q}]")
+            if not _strictly_increasing(rows):
+                raise ValueError(f"{kind} labels must be strictly increasing")
+        n = len(self.label_rows)
         bad = (self.src < 0) | (self.src >= n) | (self.dst < 0) | (self.dst >= n)
         if bad.any():
             i = int(bad.argmax())
@@ -115,28 +121,33 @@ class LabeledDigraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LabeledDigraph):
             return NotImplemented
-        if (self.q, self.labels) != (other.q, other.labels):
+        if self.q != other.q or not np.array_equal(self.label_rows, other.label_rows):
             return False
-        words = sorted(set(self.words) | set(other.words))
-        return all(
-            np.array_equal(a, b) for a, b in zip(self._runs(words), other._runs(words))
-        )
+        return all(np.array_equal(a, b) for a, b in zip(self._runs(), other._runs()))
 
-    def _runs(self, words: Sequence[Word]) -> tuple[np.ndarray, ...]:
-        """The rows with label words ranked in `words`, adjacent equal rows merged.
+    def _runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (src, dst, label word) rows with adjacent equal rows merged, and their counts.
 
         Merging sums the counts, so two graphs have the same `edges` exactly
         when their runs are equal, whatever unused words their tables hold.
         """
-        rank = {w: i for i, w in enumerate(words)}
-        rows = (self.src, self.dst, np.array([rank[w] for w in self.words], dtype=np.int64)[self.lab])
-        new = np.zeros(self.count.size, dtype=bool)
-        new[:1] = True
-        for row in rows:
-            new[1:] |= row[1:] != row[:-1]
+        words = self.word_rows[self.lab].reshape(self.lab.size, self.edge_label_len)
+        rows = np.column_stack((self.src, self.dst, words))
+        new = np.ones(len(rows), dtype=bool)
+        new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
         starts = np.flatnonzero(new)
         runs = np.add.reduceat(self.count, starts) if starts.size else self.count
-        return (*(row[starts] for row in rows), runs)
+        return rows[starts], runs
+
+    @cached_property
+    def labels(self) -> tuple[Word, ...]:
+        """The vertex words as tuples, in vertex order."""
+        return tuple(map(tuple, self.label_rows.tolist()))
+
+    @cached_property
+    def words(self) -> tuple[Word, ...]:
+        """The label words as tuples, in `word_rows` order."""
+        return tuple(map(tuple, self.word_rows.tolist()))
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -146,15 +157,50 @@ class LabeledDigraph:
 
     @property
     def n_vertices(self) -> int:
-        return len(self.labels)
+        return len(self.label_rows)
 
     @property
     def label_len(self) -> int:
-        return len(self.labels[0]) if self.labels else 0
+        return self.label_rows.shape[1]
 
     @property
     def edge_label_len(self) -> int:
-        return len(self.words[0]) if self.src.size else 0
+        return self.word_rows.shape[1] if self.src.size else 0
+
+
+def _word_array(kind: str, words: np.ndarray | Iterable[Word]) -> np.ndarray:
+    """Equal-length words as one int64 array with a row each.
+
+    Words given one by one are stacked first.  Symbols that int64 cannot
+    hold exactly, such as floats, raise ValueError.  No words give a (0, 0)
+    array.
+    """
+    if not isinstance(words, np.ndarray):
+        words = list(words)
+        lengths = np.fromiter(map(len, words), dtype=np.int64, count=len(words))
+        words = _words_from_symbols(kind, np.array([s for w in words for s in w]), lengths)
+    if not len(words):
+        return np.empty((0, 0), dtype=np.int64)
+    if words.size and not np.can_cast(words.dtype, np.int64):
+        raise ValueError(f"{kind} labels must be words of int64 symbols")
+    return words.astype(np.int64, copy=False)
+
+
+def _words_from_symbols(kind: str, symbols: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """`symbols` cut into rows of `lengths` symbols; unequal lengths raise ValueError."""
+    if lengths.size and (lengths != lengths[0]).any():
+        raise ValueError(f"{kind} labels must have equal length")
+    return symbols.reshape(lengths.size, lengths[0] if lengths.size else 0)
+
+
+def _strictly_increasing(rows: np.ndarray) -> bool:
+    """True iff every row is lexicographically greater than the row before."""
+    if len(rows) < 2 or not rows.shape[1]:
+        return len(rows) < 2
+    # compare each pair of rows at their first difference, or at column 0 if equal
+    at = (rows[1:] != rows[:-1]).argmax(axis=1)
+    i = np.arange(len(at))
+    return bool((rows[1:][i, at] > rows[:-1][i, at]).all())
 
 
 def window_presentation(q: int, windows: np.ndarray | Iterable[Word]) -> LabeledDigraph:
@@ -178,9 +224,7 @@ def window_presentation(q: int, windows: np.ndarray | Iterable[Word]) -> Labeled
     labels, ends = _ranked(np.vstack((wins[:, :-1], wins[:, 1:])))
     words, lab = _ranked(wins[:, -1:])
     n = len(wins)
-    return LabeledDigraph._from_rows(
-        q, map(tuple, labels.tolist()), map(tuple, words.tolist()), ends[:n], ends[n:], lab, np.ones(n)
-    )
+    return LabeledDigraph._from_rows(q, labels, words, ends[:n], ends[n:], lab, np.ones(n))
 
 
 def _word_grid(q: int, n: int) -> np.ndarray:
@@ -240,7 +284,7 @@ def higher_power(G: LabeledDigraph, m: int) -> LabeledDigraph:
         key, paths = _summed_by_key(np.repeat(start, k) * n + dst[at], np.repeat(paths, k) * count[at])
         start, end = np.divmod(key, n)
     live = paths > 0
-    return _rows_by_target(G.q, G.labels, start[live], end[live], paths[live])
+    return _rows_by_target(G.q, G.label_rows, start[live], end[live], paths[live])
 
 
 def _spans(first: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -341,11 +385,9 @@ def essential_subgraph(G: LabeledDigraph) -> LabeledDigraph:
         # drop repeats: each vertex keeps one of its positions' writes
         first[ends] = np.arange(ends.size)
         dead = ends[first[ends] == np.arange(ends.size)]
-    labels = tuple(w for w, k in zip(G.labels, alive.tolist()) if k)
     remap = np.cumsum(alive) - 1
-    return LabeledDigraph._from_rows(
-        G.q, labels, G.words, remap[G.src[rows]], remap[G.dst[rows]], G.lab[rows], G.count[rows]
-    )
+    src, dst = remap[G.src[rows]], remap[G.dst[rows]]
+    return LabeledDigraph._from_rows(G.q, G.label_rows[alive], G.word_rows, src, dst, G.lab[rows], G.count[rows])
 
 
 def perron_eigenvalue(A: np.ndarray | Sequence[Sequence[float]]) -> float:
@@ -492,7 +534,7 @@ def _word_rows(E: LabeledDigraph, n: int) -> np.ndarray:
     symbols of its word; in the smallest unsigned dtype that holds q - 1.
     """
     L = E.label_len
-    labels = np.array(E.labels, dtype=np.min_scalar_type(E.q - 1)).reshape(len(E.labels), L)
+    labels = E.label_rows.astype(np.min_scalar_type(E.q - 1))
     if n <= L:
         return labels[:, :n]
     if not _within_enum_cap(E, n - L):
@@ -511,7 +553,7 @@ def _paths(E: LabeledDigraph, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     """
     order = np.argsort(E.src, kind="stable")
     dst = E.dst[order]
-    sym = np.array(E.words, dtype=np.min_scalar_type(E.q - 1)).reshape(-1)[E.lab[order]]
+    sym = E.word_rows.astype(np.min_scalar_type(E.q - 1)).reshape(-1)[E.lab[order]]
     deg = np.bincount(E.src, minlength=E.n_vertices)
     first = np.cumsum(deg) - deg
     start = end = np.arange(E.n_vertices)
@@ -604,10 +646,10 @@ def log_base(x: float, q: int) -> float:
 
 def _is_deterministic(G: LabeledDigraph) -> bool:
     # As many distinct (vertex, label) pairs as edges: no vertex emits a label twice.
-    return np.unique(G.src * len(G.words) + G.lab).size == G.count.sum()
+    return np.unique(G.src * len(G.word_rows) + G.lab).size == G.count.sum()
 
 
-def _rows_by_target(q: int, labels: tuple[Word, ...], src, dst, count) -> LabeledDigraph:
+def _rows_by_target(q: int, labels: np.ndarray, src, dst, count) -> LabeledDigraph:
     """Graph with the rows (src, dst, count), each labeled by the word of dst.
 
     A count past int64 raises instead of wrapping.

@@ -278,7 +278,7 @@ def window_marginal(M: MarkovMeasure, n: int) -> dict[Word, float]:
             "this chain has no symbol-level reading"
         )
     # Each edge is labelled by its target's id, so a walk's symbols are its states.
-    G = _rows_by_target(len(S), tuple((i,) for i in range(len(S))), src, dst, np.ones_like(src))
+    G = _rows_by_target(len(S), np.arange(len(S))[:, None], src, dst, np.ones_like(src))
     if not _within_enum_cap(G, n - sl):
         raise ValueError(f"length-{n} windows: explicit enumeration capped at {ENUM_CAP} paths")
     start, _, path = _paths(G, n - sl)

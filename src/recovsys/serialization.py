@@ -9,10 +9,11 @@ recovery tables and codes are also read, and a malformed file raises
 ValueError naming the missing graph field or the bad table or code line.
 Code files hold one codeword per line in sorted order; they are written from
 and read into the rows of a `WordRows` through byte lookup tables, with no
-per-symbol Python work.  Recovery tables are written the same way, from one
-sorted array of their entries.  Graphs are written from their edge rows, one
-formatted string per vertex and per edge, in the layout of
-``json.dumps(..., indent=1)``.  A symbol outside [0, 36) is refused by every
+per-symbol Python work.  Recovery tables are written the same way, from the
+rows of a `RecoveryTable`.  Graphs are written from their label and edge
+rows, one formatted string per vertex and per edge, in the layout of
+``json.dumps(..., indent=1)``, and read back into those rows with one byte
+lookup per kind of label.  A symbol outside [0, 36) is refused by every
 writer before any text is made.
 """
 
@@ -20,15 +21,16 @@ from __future__ import annotations
 
 import json
 import re
-from operator import index
+from operator import index, itemgetter
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .graphs import LabeledDigraph, Word
+from .graphs import LabeledDigraph, Word, _ranked, _words_from_symbols
 from .measures import EpsilonConstruction, MarkovMeasure
 from .storage import WordRows
+from .systems import RecoveryTable
 
 DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
 _DIGIT_BYTES = np.frombuffer(DIGITS.encode(), dtype=np.uint8)
@@ -64,11 +66,11 @@ def graph_to_json(G: LabeledDigraph) -> str:
     `doc` holds q, label_len, the vertices as ``{"id", "label"}`` and the
     edges as ``{"from", "to", "label"}`` in `G.edges` order.  The text is
     written from the rows, each row repeated `count` times, with each
-    vertex label and each label word formatted once.
+    vertex label and each label word formatted once, from its row.
     """
-    words = [word_to_text(w) for w in G.words]
+    words = _row_texts(G.word_rows)
     vertices = [
-        f'  {{\n   "id": {i},\n   "label": "{word_to_text(w)}"\n  }}' for i, w in enumerate(G.labels)
+        f'  {{\n   "id": {i},\n   "label": "{w}"\n  }}' for i, w in enumerate(_row_texts(G.label_rows))
     ]
     src, dst, lab = (np.repeat(row, G.count).tolist() for row in (G.src, G.dst, G.lab))
     edges = [
@@ -81,30 +83,74 @@ def graph_to_json(G: LabeledDigraph) -> str:
     )
 
 
+def _row_texts(rows: np.ndarray) -> list[str]:
+    """Each row of symbols as its digit string."""
+    _check_symbols(rows)
+    if not rows.size:
+        return [""] * len(rows)
+    m = rows.shape[1]
+    return _DIGIT_BYTES[rows].view(f"S{m}")[:, 0].astype(f"U{m}").tolist()
+
+
 def _json_list(items: list[str]) -> str:
     return "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
 
 
 def graph_from_json(text: str) -> LabeledDigraph:
+    """The graph of a graph file, its labels decoded through `_BYTE_SYMBOLS`.
+
+    Vertices may come in any order of their ids, which must be 0..n-1; the
+    edge label words are ranked into the graph's word table by one row sort.
+    A missing field, a label that is not a digit string and every check of
+    `LabeledDigraph` raise ValueError.
+    """
     doc = json.loads(text)
     try:
-        vertices = sorted((index(v["id"]), text_to_word(v["label"])) for v in doc["vertices"])
-        edges = tuple(
-            (index(e["from"]), index(e["to"]), text_to_word(e["label"]))
-            for e in doc["edges"]
+        vertices, edges = doc["vertices"], doc["edges"]
+        ids = np.fromiter(map(index, map(itemgetter("id"), vertices)), dtype=np.int64, count=len(vertices))
+        labels = _label_rows("vertex", list(map(itemgetter("label"), vertices)))
+        src, dst = (
+            np.fromiter(map(index, map(itemgetter(end), edges)), dtype=np.int64, count=len(edges))
+            for end in ("from", "to")
         )
+        words, lab = _ranked(_label_rows("edge", list(map(itemgetter("label"), edges))))
         q = index(doc["q"])
         label_len = index(doc["label_len"])
     except KeyError as exc:
         raise ValueError(f"malformed graph file: missing field {exc}") from None
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed graph file: {exc}") from None
-    if [i for i, _ in vertices] != list(range(len(vertices))):
+    order = np.argsort(ids, kind="stable")
+    if not np.array_equal(ids[order], np.arange(len(ids))):
         raise ValueError("vertex ids must be 0..n-1, each exactly once")
-    G = LabeledDigraph(q, tuple(w for _, w in vertices), edges)
+    G = LabeledDigraph._from_rows(q, labels[order], words, src, dst, lab, np.ones(len(lab)))
     if G.label_len != label_len:
         raise ValueError("label_len field disagrees with the vertex labels")
     return G
+
+
+def _label_rows(kind: str, texts: list[str]) -> np.ndarray:
+    """The digit-string `texts` as rows of symbols; a bad digit raises ValueError."""
+    symbols, lengths, bad = _text_symbols(texts)
+    if bad is not None:
+        raise ValueError(f"{texts[bad]!r} is not a digit-string word")
+    return _words_from_symbols(kind, symbols, lengths)
+
+
+def _text_symbols(texts: list[str]) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """The symbols of all `texts` in turn, each text's length, and the first bad text.
+
+    One `_BYTE_SYMBOLS` lookup over the joined text; the bad text is the
+    index of the first with a character that is not a digit, or None.
+    """
+    lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+    # Replacing each non-ASCII character by "?" keeps one byte per character.
+    data = "".join(texts).encode("ascii", "replace")
+    symbols = _BYTE_SYMBOLS[np.frombuffer(data, dtype=np.uint8)]
+    bad = symbols < 0
+    if not bad.any():
+        return symbols, lengths, None
+    return symbols, lengths, int(np.searchsorted(np.cumsum(lengths), bad.argmax(), side="right"))
 
 
 def save_graph(G: LabeledDigraph, path: str | Path) -> None:
@@ -114,25 +160,16 @@ def save_graph(G: LabeledDigraph, path: str | Path) -> None:
 def recovery_table_to_text(table: Mapping[tuple[Word, Word], Word]) -> str:
     """One ``alpha beta -> middle`` line per entry, in (alpha, beta) order.
 
-    The entries become one array of (alpha, beta, middle) rows, sorted as
-    ``sorted(table.items())`` sorts them.  Alpha, beta and middle words must
-    each have one length throughout: otherwise ValueError names the first
-    entry whose lengths differ from the first entry's.
+    Written from the rows of ``RecoveryTable.of(table)``: a `RecoveryTable`
+    as it is, any other mapping sorted as ``sorted(table.items())`` sorts
+    it, and refused there if its word lengths differ between entries.
     """
-    if not table:
-        return ""
-    items = list(table.items())
-    lengths = [(len(alpha), len(beta), len(w)) for (alpha, beta), w in items]
-    if lengths.count(lengths[0]) < len(items):
-        (alpha, beta), w = next(e for e, n in zip(items, lengths) if n != lengths[0])
-        raise ValueError(f"recovery table entry {alpha} {beta} -> {w}: word lengths differ from {lengths[0]}")
-    la, lb, lm = lengths[0]
-    rows = np.array([alpha + beta + w for (alpha, beta), w in items])
+    table = RecoveryTable.of(table)
+    rows, (a, ab) = table.rows, table.ends
     _check_symbols(rows)
-    if la + lb:
-        rows = rows[np.lexsort(rows[:, : la + lb].T[::-1])]
     # one line per row: its digits go where the template holds "0"
-    template = np.frombuffer(b"%s %s -> %s\n" % (b"0" * la, b"0" * lb, b"0" * lm), dtype=np.uint8)
+    template = b"%s %s -> %s\n" % (b"0" * a, b"0" * (ab - a), b"0" * (rows.shape[1] - ab))
+    template = np.frombuffer(template, dtype=np.uint8)
     text = np.tile(template, (len(rows), 1))
     text[:, template == ord("0")] = _DIGIT_BYTES[rows]
     return text.tobytes()[:-1].decode()
@@ -228,12 +265,8 @@ def codewords_from_text(text: str) -> WordRows:
     nonblank line's.
     """
     lines = [ln.strip() for ln in text.splitlines()]
-    lengths = np.fromiter(map(len, lines), dtype=np.int64, count=len(lines))
-    # Replacing each non-ASCII character by "?" keeps one byte per character.
-    data = "".join(lines).encode("ascii", "replace")
-    symbols = _BYTE_SYMBOLS[np.frombuffer(data, dtype=np.uint8)]
-    if (symbols < 0).any():
-        i = np.searchsorted(np.cumsum(lengths), np.argmax(symbols < 0), side="right")
+    symbols, lengths, i = _text_symbols(lines)
+    if i is not None:
         raise ValueError(f"line {i + 1} {lines[i]!r}: {lines[i]!r} is not a digit-string word")
     nonblank = np.flatnonzero(lengths)
     width = int(lengths[nonblank[0]]) if nonblank.size else 0

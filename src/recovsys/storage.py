@@ -43,7 +43,7 @@ class WordRows(Set):
     __slots__ = ("rows", "_set")
 
     def __init__(self, rows: np.ndarray) -> None:
-        if _strictly_increasing(rows):
+        if graphs._strictly_increasing(rows):
             rows = rows.copy()
         else:
             rows, _, new = graphs._sorted_runs(rows)
@@ -266,13 +266,3 @@ def _symbol(word: Word, q: int) -> int | None:
         return None
     return s if 0 <= s < q else None
 
-
-def _strictly_increasing(rows: np.ndarray) -> bool:
-    """True iff every row is lexicographically greater than the row before."""
-    if len(rows) < 2:
-        return True
-    diff = rows[1:] != rows[:-1]
-    if not diff.any(axis=1).all():
-        return False
-    at = diff.argmax(axis=1)[:, None]
-    return bool((np.take_along_axis(rows[1:], at, 1) > np.take_along_axis(rows[:-1], at, 1)).all())

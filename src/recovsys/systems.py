@@ -4,7 +4,10 @@ A system over ``[q]`` is (k, l)-recoverable when every block of k consecutive
 symbols is a deterministic function of the l symbols on each side.  Such a
 system sits inside the constrained system of a forbidden set of words of
 length ``2l + k``, and all constructions here hand back a presentation graph
-together with the induced recovery table.
+together with the induced recovery table.  `verify_recoverable` reads the
+occurring windows as one integer array and returns its sorted (alpha, beta,
+middle) rows as a `RecoveryTable`, a read-only mapping view whose dict is
+built only on the first lookup.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -62,13 +65,76 @@ class ForbiddenSet:
         return 2 * self.l + self.k
 
 
+class RecoveryTable(Mapping):
+    """Read-only recovery table held as rows of one array.
+
+    `rows` is an (N, a + b + m) array of (alpha, beta, middle) rows, sorted
+    by (alpha, beta) with no pair repeated, in the dtype it was given;
+    ``ends = (a, a + b)`` splits a row into its three words.  `len` reads
+    N, iteration yields the pairs as tuples in (alpha, beta) order, and the
+    first lookup builds the dict that answers it and later ones.
+    """
+
+    __slots__ = ("rows", "ends", "_dict")
+
+    def __init__(self, rows: np.ndarray, ends: tuple[int, int]) -> None:
+        rows.flags.writeable = False
+        self.rows, self.ends = rows, ends
+        self._dict: dict[tuple[Word, Word], Word] | None = None
+
+    @classmethod
+    def of(cls, table: Mapping[tuple[Word, Word], Word]) -> RecoveryTable:
+        """`table` as a `RecoveryTable`: itself if it is one, else its entries sorted.
+
+        Alpha, beta and middle words must each have one length throughout:
+        otherwise ValueError names the first entry whose lengths differ
+        from the first entry's.
+        """
+        if isinstance(table, cls):
+            return table
+        items = list(table.items())
+        lengths = [(len(alpha), len(beta), len(w)) for (alpha, beta), w in items] or [(0, 0, 0)]
+        if lengths.count(lengths[0]) < len(items):
+            (alpha, beta), w = next(e for e, n in zip(items, lengths) if n != lengths[0])
+            raise ValueError(
+                f"recovery table entry {alpha} {beta} -> {w}: word lengths differ from {lengths[0]}"
+            )
+        la, lb, lm = lengths[0]
+        rows = np.array([alpha + beta + w for (alpha, beta), w in items] or np.empty((0, 0), dtype=np.int64))
+        if la + lb:
+            rows = rows[np.lexsort(rows[:, : la + lb].T[::-1])]
+        return cls(rows, (la, la + lb))
+
+    def _words(self) -> Iterator[Iterator[Word]]:
+        """The alphas, betas and middles, each as tuples in row order."""
+        return (map(tuple, block.tolist()) for block in np.split(self.rows, self.ends, axis=1))
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator[tuple[Word, Word]]:
+        alphas, betas, _ = self._words()
+        return zip(alphas, betas)
+
+    def __getitem__(self, pair: tuple[Word, Word]) -> Word:
+        if self._dict is None:
+            alphas, betas, middles = self._words()
+            self._dict = dict(zip(zip(alphas, betas), middles))
+        return self._dict[pair]
+
+    def __repr__(self) -> str:
+        return f"RecoveryTable({len(self)} entries)"
+
+
 @dataclass(frozen=True)
 class RecoverableSystem:
     """A verified (k, l)-recoverable system.
 
     `recovery_table` maps each occurring boundary pair (left l-word,
-    right l-word) to the unique middle k-word between them; `provenance`
-    names the construction that produced the system.
+    right l-word) to the unique middle k-word between them: the
+    `RecoveryTable` of `verify_recoverable`, held as it is, or any mapping
+    a caller gives.  `provenance` names the construction that produced the
+    system.
     """
 
     q: int
@@ -89,12 +155,13 @@ class RecoverableSystem:
 class VerificationResult:
     """Outcome of a recoverability check.
 
-    On failure `conflict` holds one clash, (alpha, beta, middle1, middle2),
-    chosen as `verify_recoverable` says.
+    On success `table` is the `RecoveryTable` of the sorted (alpha, beta,
+    middle) rows; on failure it is empty and `conflict` holds one clash,
+    (alpha, beta, middle1, middle2), chosen as `verify_recoverable` says.
     """
 
     ok: bool
-    table: Mapping[tuple[Word, Word], Word]
+    table: RecoveryTable
     conflict: tuple[Word, Word, Word, Word] | None = None
 
 
@@ -157,9 +224,9 @@ def verify_recoverable(G: LabeledDigraph, k: int, l: int) -> VerificationResult:
         spelled = rows[first + 1][:, np.argsort(columns)]
         i = first[np.lexsort(spelled.T[::-1])[0]]
         blocks = rows[i, :l], rows[i, l:b], rows[i, b:], rows[i + 1, b:]
-        return VerificationResult(False, {}, tuple(tuple(w.tolist()) for w in blocks))
-    alphas, betas, mids = (map(tuple, block.tolist()) for block in np.split(rows, [l, b], axis=1))
-    return VerificationResult(True, dict(zip(zip(alphas, betas), mids)))
+        conflict = tuple(tuple(w.tolist()) for w in blocks)
+        return VerificationResult(False, RecoveryTable(rows[:0], (l, b)), conflict)
+    return VerificationResult(True, RecoveryTable(rows, (l, b)))
 
 
 def system_capacity(G: LabeledDigraph) -> float:
@@ -194,7 +261,7 @@ def _verified_system(
             f"construction {provenance!r} produced a non-recoverable system: "
             f"conflict {res.conflict}"
         )
-    return RecoverableSystem(q, k, l, G, dict(res.table), provenance)
+    return RecoverableSystem(q, k, l, G, res.table, provenance)
 
 
 def truncation_params(q: int) -> tuple[int, int]:
@@ -332,7 +399,7 @@ def recursive_extend(S: RecoverableSystem) -> RecoverableSystem:
     core = window_presentation(q, windows)
     mu = max_entropy_measure(core)
     v = int(np.argmax(mu.p))
-    a, b = core.labels[v]
+    a, b = core.label_rows[v].tolist()
     alpha, beta = q, q + 1
     loop = [(a, b, alpha), (b, alpha, beta), (alpha, beta, a), (beta, a, b)]
     G = window_presentation(q + 2, np.vstack((windows, loop)))
@@ -420,14 +487,16 @@ def exhaustive_max_capacity(
     """
     if q < 1 or k < 1 or l < 1:
         raise ValueError("q, k, l must all be at least 1")
+    # (q**k)**(q**(2l)) candidates, sized by their log log before anything
+    # is built: the count itself can have millions of digits
+    log_log = math.log2(k * math.log2(q)) + 2 * l * math.log2(q) if q > 1 else -math.inf
+    if log_log > math.log2(math.log2(SEARCH_CANDIDATE_CAP)):
+        raise ValueError(
+            f"search space of {_power_text(q, k)}**{_power_text(q, 2 * l)} recovery functions "
+            f"exceeds the cap of {SEARCH_CANDIDATE_CAP}"
+        )
     pairs = _boundary_pairs(q, l)
     middles = list(product(range(q), repeat=k))
-    n_candidates = len(middles) ** len(pairs)
-    if n_candidates > SEARCH_CANDIDATE_CAP:
-        raise ValueError(
-            f"search space of {n_candidates} recovery functions exceeds the "
-            f"cap of {SEARCH_CANDIDATE_CAP}"
-        )
     n = q ** (2 * l + k - 1)
     windows = np.array([[u + m + v for m in middles] for u, v in pairs])
     cells = _window_cells(q, n, windows)
@@ -461,6 +530,11 @@ def exhaustive_max_capacity(
     system = _verified_system(q, k, l, G, f"exhaustive(q={q}, k={k}, l={l})")
     value = float("-inf") if best_lam == 0.0 else log_base(best_lam, q)
     return value, system
+
+
+def _power_text(q: int, e: int) -> str:
+    """``q**e`` in digits while it is below 2**64, else as the power, bracketed."""
+    return str(q**e) if e * math.log2(q) < 64 else f"({q}**{e})"
 
 
 def _window_cells(q: int, n: int, windows: np.ndarray) -> np.ndarray:

@@ -445,3 +445,38 @@ def test_measure_epsilon_rejects_nan():
     res = run("measure", "epsilon", "--q", "2", "--eps", "nan")
     assert res.exit_code == 2
     assert "epsilon must lie in" in res.output
+
+
+def test_measure_epsilon_refuses_an_oversized_search_by_its_size():
+    res = run("measure", "epsilon", "--q", "6", "--l", "4", "--eps", "0.1")
+    assert res.exit_code == 2
+    assert res.stderr == "error: search space of 6**1679616 recovery functions exceeds the cap of 10000000\n"
+    assert res.stdout == ""
+
+
+def graph_doc(vertex_labels, edge_labels, q=2):
+    return {
+        "q": q,
+        "label_len": len(vertex_labels[0]),
+        "vertices": [{"id": i, "label": w} for i, w in enumerate(vertex_labels)],
+        "edges": [{"from": 0, "to": 0, "label": w} for w in edge_labels],
+    }
+
+
+FAULTY_LABELS = {
+    "bad digit": (graph_doc(["!"], ["0"]), "'!' is not a digit-string word"),
+    "symbol past q": (graph_doc(["0"], ["z"]), "edge label (35,) is not a nonempty word over [2]"),
+    "ragged vertex labels": (graph_doc(["0", "12"], ["0"]), "vertex labels must have equal length"),
+    "ragged edge labels": (graph_doc(["0"], ["1", "01"]), "edge labels must have equal length"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAULTY_LABELS))
+def test_graph_files_with_faulty_labels_name_the_file_and_the_fault(tmp_path, name):
+    doc, message = FAULTY_LABELS[name]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    res = run("verify", "system", "--graph", str(path), "--k", "1", "--l", "1")
+    assert res.exit_code == 2
+    assert res.stderr == f"error: {path}: {message}\n"
+    assert res.stdout == ""

@@ -623,7 +623,7 @@ def test_graphs_are_immutable():
     G = rs.higher_power(rs.de_bruijn(2, 1), 2)
     with pytest.raises(dataclasses.FrozenInstanceError):
         G.q = 3
-    for row in (G.src, G.dst, G.lab, G.count):
+    for row in (G.label_rows, G.word_rows, G.src, G.dst, G.lab, G.count):
         with pytest.raises(ValueError):
             row[0] = 0
 
@@ -770,7 +770,7 @@ def test_closed_walks_match_the_open_walk_filter(G, n):
         # The joined rows come out sorted and distinct, before `WordRows`,
         # which holds them with no check of its own.
         joined = rs.graphs._closed_paths(rs.essential_subgraph(G), n)
-        assert rs.storage._strictly_increasing(joined)
+        assert rs.graphs._strictly_increasing(joined)
         for rows in (pts.words.rows, joined):
             assert rows.dtype == want.dtype
             assert np.array_equal(rows, want)

@@ -25,6 +25,14 @@ def test_graph_round_trip(tmp_path, trunc8_system):
     assert ser.graph_from_json(path.read_text()) == trunc8_system.presentation
 
 
+def test_graph_files_list_vertices_in_any_order(trunc8_system):
+    G = trunc8_system.presentation
+    doc = json.loads(ser.graph_to_json(G))
+    random.Random(7).shuffle(doc["vertices"])
+    H = ser.graph_from_json(json.dumps(doc))
+    assert H == G and H.labels == G.labels and H.words == G.words
+
+
 def test_recovery_table_round_trip(binary_system):
     text = ser.recovery_table_to_text(binary_system.recovery_table)
     assert "->" in text

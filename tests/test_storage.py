@@ -359,7 +359,7 @@ def test_closed_walk_rows_come_out_sorted_and_distinct(request, name, n):
     # `periodic_points` holds these rows in `WordRows` without checking them.
     E = rs.essential_subgraph(request.getfixturevalue(name).presentation)
     rows = rs.graphs._closed_paths(E, n)
-    assert rs.storage._strictly_increasing(rows)
+    assert rs.graphs._strictly_increasing(rows)
     assert len(rows) == rs.trace_power(rs.adjacency(E), n)
     assert np.array_equal(rs.periodic_points(E, n).words.rows, rows)
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
@@ -323,6 +324,41 @@ def test_exhaustive_rejects_oversized_search():
         rs.exhaustive_max_capacity(4, 1, 2)
 
 
+@pytest.mark.parametrize(
+    "q, k, l, count",
+    [
+        (6, 1, 4, "6**1679616"),
+        (36, 1, 1, "36**1296"),
+        (2, 3, 2, "8**16"),
+        (6, 5000, 1, "(6**5000)**36"),
+        (6, 1, 10**9, "6**(6**2000000000)"),
+    ],
+)
+def test_oversized_search_is_refused_before_anything_is_built(q, k, l, count):
+    # (q**k)**(q**(2l)) candidates: 6**1679616 has 1.3 million digits, past
+    # what Python prints, and its boundary pairs alone take over 100 MB.
+    # Factors past 2**64 stay powers: 6**5000 alone has 3,891 digits.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as info:
+            rs.exhaustive_max_capacity(q, k, l)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cap = rs.systems.SEARCH_CANDIDATE_CAP
+    assert str(info.value) == f"search space of {count} recovery functions exceeds the cap of {cap}"
+    assert peak < 1 << 20
+
+
+def test_recovery_table_is_a_mapping_view_over_its_rows(trunc8_system):
+    table = trunc8_system.recovery_table
+    assert isinstance(table, rs.RecoveryTable) and not table.rows.flags.writeable
+    assert rs.RecoveryTable.of(table) is table
+    assert len(table) == len(table.rows) == 60
+    assert list(table) == sorted(dict(table)) and table[(0,), (1,)] == (0,)
+    assert repr(table) == "RecoveryTable(60 entries)"
+
+
 @pytest.mark.parametrize("q, k, l", [(2, 1, 1), (2, 2, 1), (3, 1, 1)])
 def test_search_bounds_every_candidate_and_keeps_the_scan_winner(q, k, l):
     # Reference: one overlap matrix per recovery function, built window by
@@ -554,4 +590,8 @@ def test_verify_recoverable_matches_the_per_word_loop(drawn):
     q, windows, k, l = drawn
     G = rs.graphs.window_presentation(q, windows)
     res = rs.verify_recoverable(G, k, l)
-    assert (res.ok, res.table, res.conflict) == per_word_verify(G, k, l)
+    ok, table, conflict = per_word_verify(G, k, l)
+    assert (res.ok, res.table, res.conflict) == (ok, table, conflict)
+    # the view iterates in (alpha, beta) order, over the rows a dict gives
+    assert list(res.table) == sorted(table)
+    assert res.table.rows.tolist() == rs.RecoveryTable.of(table).rows.tolist()
