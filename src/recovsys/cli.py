@@ -224,7 +224,7 @@ def measure_epsilon(q, k, l, eps, graph_path, out_measure, out_graph):
     built = measures.epsilon_construction(S, eps)
     # Written first, so a refused or failed write prints no results.  The
     # graph has at most states**2 edges: the measure file's cap covers it.
-    n, cap = len(built.states), serialization.MEASURE_TEXT_CELLS
+    n, cap = len(built.state_rows), serialization.MEASURE_TEXT_CELLS
     if out_graph and n * n > cap:
         raise ValueError(f"an epsilon graph on {n} states has up to {n * n} edges, over the cap of {cap}")
     if out_measure:

@@ -26,8 +26,9 @@ from .graphs import (
     _ranked,
     _rows_by_target,
     _sorted_runs,
+    _strictly_increasing,
     _within_enum_cap,
-    _word_graph,
+    _word_array,
     _word_grid,
     _word_rows,
     adjacency,
@@ -36,7 +37,7 @@ from .graphs import (
     perron_pair,
     window_presentation,
 )
-from .systems import RecoverableSystem
+from .systems import RecoverableSystem, _occurring_windows
 
 STOCHASTIC_TOL = 1e-12
 RECOVERABLE_TOL = 1e-10
@@ -51,31 +52,32 @@ class MarkovMeasure:
     Parameters
     ----------
     q : symbol alphabet size.
-    states : state words, strictly increasing numerically.
+    state_rows : state words, strictly increasing numerically, held as a
+        read-only int64 array with a row each; `states` is its tuple view.
     P : row-stochastic transition matrix.
     p : stationary row vector (``p @ P == p``).
     emit : symbols emitted per transition; entropies use base ``q**emit``.
     """
 
     q: int
-    states: tuple[Word, ...]
+    state_rows: np.ndarray
     P: np.ndarray
     p: np.ndarray
     emit: int
 
     def __post_init__(self) -> None:
+        S = _word_array("state", self.state_rows)
         P = np.array(self.P, dtype=float)
         p = np.array(self.p, dtype=float)
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "p", p)
-        n = len(self.states)
+        for name, value in (("state_rows", S), ("P", P), ("p", p)):
+            object.__setattr__(self, name, value)
+        n = len(S)
         if P.shape != (n, n) or p.shape != (n,):
             raise ValueError("matrix and vector shapes must match the state count")
         if not (np.isfinite(P).all() and np.isfinite(p).all()):
             raise ValueError("transition and stationary entries must be finite")
-        for prev, cur in zip(self.states, self.states[1:]):
-            if prev >= cur:
-                raise ValueError("states must be strictly increasing words")
+        if not _strictly_increasing(S):
+            raise ValueError("states must be strictly increasing words")
         if abs(p.sum() - 1.0) > STOCHASTIC_TOL:
             raise ValueError("the stationary vector must sum to 1")
         if P.min() < 0:
@@ -84,8 +86,13 @@ class MarkovMeasure:
             raise ValueError("every transition row must sum to 1")
         if np.abs(p @ P - p).max() > STOCHASTIC_TOL:
             raise ValueError("the vector is not stationary for the matrix")
-        P.setflags(write=False)
-        p.setflags(write=False)
+        for a in (S, P, p):
+            a.setflags(write=False)
+
+    @cached_property
+    def states(self) -> tuple[Word, ...]:
+        """The state words as tuples, in state order."""
+        return tuple(map(tuple, self.state_rows.tolist()))
 
     @property
     def log_base(self) -> int:
@@ -93,7 +100,7 @@ class MarkovMeasure:
 
     @property
     def state_len(self) -> int:
-        return len(self.states[0]) if self.states else 0
+        return self.state_rows.shape[1]
 
 
 class InconsistentMarginalError(ValueError):
@@ -139,14 +146,15 @@ class WindowEntropyReport:
 class EpsilonConstruction:
     """Perturbed measure nu, held as factors of its base measure mu.
 
-    State i of nu is a window whose parent, the state ``parent[i]`` of mu,
-    differs from it at most in the middle k-word; ``weight[i]`` is
-    1 - delta for the parent's own window and delta / (q**k - 1) for each
-    ghost, so the children of one parent carry weights summing to 1.  Then
+    State i of nu is the window ``state_rows[i]`` (int64, sorted), whose
+    parent, the state ``parent[i]`` of mu, differs from it at most in the
+    middle k-word; ``weight[i]`` is 1 - delta for the parent's own window
+    and delta / (q**k - 1) for each ghost, so the children of one parent
+    carry weights summing to 1.  Then
     ``nu.P = mu.P[parent][:, parent] * weight`` and ``nu.p = p =
     mu.p[parent] * weight``.  The entropy rate and the window report are
     computed from these factors; `measure`, the dense and checked chain,
-    is built only when read.
+    and `states`, the tuple view of `state_rows`, are built only when read.
 
     `graph` is the presentation of the perturbed measure: one edge, labeled
     by its target, wherever the base chain moves between the two states'
@@ -156,7 +164,7 @@ class EpsilonConstruction:
 
     base_measure: MarkovMeasure
     params: EpsilonParams
-    states: tuple[Word, ...]
+    state_rows: np.ndarray
     parent: np.ndarray
     weight: np.ndarray
     p: np.ndarray
@@ -166,12 +174,16 @@ class EpsilonConstruction:
         """The dense chain, built and checked by `MarkovMeasure` on first read."""
         mu = self.base_measure
         P = mu.P[np.ix_(self.parent, self.parent)] * self.weight
-        return MarkovMeasure(mu.q, self.states, P, self.p, mu.emit)
+        return MarkovMeasure(mu.q, self.state_rows, P, self.p, mu.emit)
+
+    @cached_property
+    def states(self) -> tuple[Word, ...]:
+        return tuple(map(tuple, self.state_rows.tolist()))
 
     @cached_property
     def graph(self) -> LabeledDigraph:
         src, dst = np.nonzero((self.base_measure.P > 0)[:, self.parent][self.parent])
-        return _rows_by_target(self.base_measure.q, self.states, src, dst, np.ones_like(src))
+        return _rows_by_target(self.base_measure.q, self.state_rows, src, dst, np.ones_like(src))
 
     def entropy_rate(self) -> float:
         """`entropy_rate` of `measure`, from the factors in O(|mu|**2).
@@ -188,12 +200,8 @@ class EpsilonConstruction:
         return float(self.p @ (rows[self.parent] + h_w)) / math.log(mu.log_base)
 
     def window_conditional_entropy(self) -> WindowEntropyReport:
-        """`window_conditional_entropy(measure, k, l)`, read off the states and p.
-
-        Each state of nu is a window of length 2l + k, with mass p.
-        """
-        marginal = dict(zip(self.states, self.p.tolist()))
-        return _window_report(marginal, self.base_measure.q, self.params.k, self.params.l)
+        """`window_conditional_entropy(measure, k, l)`: each state is a window, with mass p."""
+        return _window_report(self.state_rows, self.p, self.base_measure.q, self.params.k, self.params.l)
 
 
 def _xlogx(x: np.ndarray) -> np.ndarray:
@@ -243,7 +251,7 @@ def max_entropy_measure(G: LabeledDigraph) -> MarkovMeasure:
     P = A * y[None, :] / (lam * y[:, None])
     P = P / P.sum(axis=1, keepdims=True)
     emit = G.edge_label_len
-    return MarkovMeasure(G.q, G.labels, P, p, emit)
+    return MarkovMeasure(G.q, G.label_rows, P, p, emit)
 
 
 def entropy_rate(M: MarkovMeasure) -> float:
@@ -266,7 +274,7 @@ def window_marginal(M: MarkovMeasure, n: int) -> dict[Word, float]:
         raise ValueError("window length must be at least 1")
     if n == sl:
         return dict(zip(M.states, M.p.tolist()))
-    S = _state_array(M)
+    S = M.state_rows
     if n < sl:
         return _mass_by_word(S[:, :n], M.p)
     if M.emit != 1:
@@ -301,7 +309,7 @@ def symbol_marginal(M: MarkovMeasure, n: int) -> dict[Word, float]:
     W = M.state_len
     if n > W:
         raise ValueError("phase-averaged windows are supported up to the block size")
-    S = _state_array(M)
+    S = M.state_rows
     live = M.p > 0
     u, v = np.nonzero(live[:, None] & (M.P > 0))
     pairs = np.hstack((S[u], S[v]))
@@ -312,10 +320,6 @@ def symbol_marginal(M: MarkovMeasure, n: int) -> dict[Word, float]:
         for i in range(M.emit)
     ))
     return _mass_by_word(np.vstack(words), np.concatenate(mass))
-
-
-def _state_array(M: MarkovMeasure) -> np.ndarray:
-    return np.array(M.states, dtype=np.int64).reshape(len(M.states), M.state_len)
 
 
 def _mass_by_word(words: np.ndarray, mass: np.ndarray) -> dict[Word, float]:
@@ -339,28 +343,28 @@ def window_conditional_entropy(M: MarkovMeasure, k: int, l: int) -> WindowEntrop
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be at least 1")
-    return _window_report(window_marginal(M, 2 * l + k), M.q, k, l)
+    marg = window_marginal(M, 2 * l + k)
+    return _window_report(_word_array("window", marg), np.fromiter(marg.values(), float, len(marg)), M.q, k, l)
 
 
-def _window_report(marg: Mapping[Word, float], q: int, k: int, l: int) -> WindowEntropyReport:
-    """The report of `window_conditional_entropy` on a window marginal."""
-    grouped: dict[tuple[Word, Word], dict[Word, float]] = {}
-    for w, pr in marg.items():
-        if pr <= 0:
-            continue
-        key = (w[:l], w[l + k :])
-        grouped.setdefault(key, {})[w[l : l + k]] = pr
-    entries: dict[tuple[Word, Word], float] = {}
-    zero: list[tuple[Word, Word]] = []
-    for pair in product(product(range(q), repeat=l), repeat=2):
-        mids = grouped.get(pair)
-        if not mids:
-            zero.append(pair)
-            continue
-        total = sum(mids.values())
-        probs = np.array([m / total for m in mids.values()])
-        entries[pair] = float(-_xlogx(probs).sum()) / math.log(q)
-    return WindowEntropyReport(entries, tuple(zero), max(entries.values(), default=0.0))
+def _window_report(windows: np.ndarray, mass: np.ndarray, q: int, k: int, l: int) -> WindowEntropyReport:
+    """The report of `window_conditional_entropy` on distinct window rows and their masses.
+
+    Sorted by (alpha, beta, middle), a pair's middles are one run: a `bincount`
+    adds its total in order, and its entropy is the `.sum()` of its run of
+    ``p ln p``, as of the pair's own array; a certain middle reads +0.0.
+    """
+    live = mass > 0
+    rows, order, _ = _sorted_runs(windows[live][:, np.r_[0:l, l + k : 2 * l + k, l : l + k]])
+    mass = mass[live][order]
+    pairs, pair = _ranked(rows[:, : 2 * l])
+    x = _xlogx(mass / np.bincount(pair, weights=mass)[pair])
+    starts = np.flatnonzero(np.diff(pair, prepend=-1))
+    sums = [x[i:j].sum() for i, j in zip(starts, [*starts[1:], len(x)])]
+    values = ((0.0 - np.array(sums)) / math.log(q)).tolist()
+    entries = {(tuple(r[:l]), tuple(r[l:])): h for r, h in zip(pairs.tolist(), values)}
+    zero = tuple(ab for ab in product(product(range(q), repeat=l), repeat=2) if ab not in entries)
+    return WindowEntropyReport(entries, zero, max(values, default=0.0))
 
 
 def is_epsilon_recoverable(M: MarkovMeasure, epsilon: float, k: int, l: int) -> bool:
@@ -415,8 +419,9 @@ def delta_from_epsilon(epsilon: float, q: int, k: int) -> float:
 def higher_block_presentation(S: RecoverableSystem) -> LabeledDigraph:
     """Presentation of `S` on its occurring windows of length ``2l + k``.
 
-    Vertices are the occurring window words; edges follow one-symbol overlap
-    and carry the emitted symbol: the window presentation of the
+    Vertices are the occurring window words, the table's `windows`; edges
+    follow one-symbol overlap and carry the emitted symbol: the window
+    presentation of the
     ``(2l + k + 1)``-words whose two ``(2l + k)``-subwords both occur.
     Those words are read as the two-edge paths of the window presentation
     of the occurring windows: every occurring window lies on a bi-infinite
@@ -424,11 +429,10 @@ def higher_block_presentation(S: RecoverableSystem) -> LabeledDigraph:
     a two-edge path from it spells ``w + (a,)`` exactly when ``w`` and
     ``w[1:] + (a,)`` both occur.
     """
-    W = 2 * S.l + S.k
-    allowed = _word_rows(_word_graph(S.presentation, W), W)
+    allowed = _occurring_windows(S)
     if not len(allowed):
         raise ValueError("the system has no occurring windows")
-    return window_presentation(S.q, _word_rows(window_presentation(S.q, allowed), W + 1))
+    return window_presentation(S.q, _word_rows(window_presentation(S.q, allowed), 2 * S.l + S.k + 1))
 
 
 def epsilon_construction(S: RecoverableSystem, epsilon: float) -> EpsilonConstruction:
@@ -451,7 +455,7 @@ def epsilon_construction(S: RecoverableSystem, epsilon: float) -> EpsilonConstru
     W, k, l = 2 * S.l + S.k, S.k, S.l
     params = EpsilonParams(epsilon, S.q, k, l, delta_from_epsilon(epsilon, S.q, k))
     mu = max_entropy_measure(higher_power(higher_block_presentation(S), W))
-    base = _state_array(mu)
+    base = mu.state_rows
     middles = _word_grid(S.q, k)
     windows = np.repeat(base, len(middles), axis=0)
     windows[:, l : l + k] = np.tile(middles, (len(base), 1))
@@ -465,10 +469,9 @@ def epsilon_construction(S: RecoverableSystem, epsilon: float) -> EpsilonConstru
     weight = np.where(real, 1 - params.delta, params.delta / (len(middles) - 1))
     p = mu.p[parent] * weight
     _check_factored_chain(mu, parent, weight, p)
-    for a in (parent, weight, p):
+    for a in (windows, parent, weight, p):
         a.setflags(write=False)
-    states = tuple(map(tuple, windows.tolist()))
-    return EpsilonConstruction(mu, params, states, parent, weight, p)
+    return EpsilonConstruction(mu, params, windows, parent, weight, p)
 
 
 def _check_factored_chain(mu: MarkovMeasure, parent: np.ndarray, weight: np.ndarray, p: np.ndarray) -> None:
@@ -499,40 +502,34 @@ def markov_approximation(marginal: Mapping[Word, float], m: int, q: int) -> Mark
     """
     if m < 2:
         raise ValueError("the approximation needs windows of length at least 2")
-    total = 0.0
-    prefix: dict[Word, float] = {}
-    suffix: dict[Word, float] = {}
     for w, pr in marginal.items():
         if len(w) != m:
             raise ValueError(f"marginal word {w} does not have length {m}")
         if pr < -MARGINAL_TOL:
             raise ValueError("marginal probabilities must be nonnegative")
-        total += pr
-        prefix[w[:-1]] = prefix.get(w[:-1], 0.0) + pr
-        suffix[w[1:]] = suffix.get(w[1:], 0.0) + pr
+    total = sum(marginal.values(), 0.0)
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"marginal masses sum to {total!r}, not 1")
-    for w in sorted(set(prefix) | set(suffix)):
-        a, b = prefix.get(w, 0.0), suffix.get(w, 0.0)
-        if abs(a - b) > MARGINAL_TOL:
-            raise InconsistentMarginalError(w, a, b)
-    states = tuple(sorted(w for w, pr in prefix.items() if pr > 0))
-    idx = {w: i for i, w in enumerate(states)}
-    n = len(states)
-    P = np.zeros((n, n))
-    p = np.array([prefix[w] for w in states])
-    p = p / p.sum()
-    for w, i in idx.items():
-        for a in range(q):
-            pr = marginal.get(w + (a,), 0.0)
-            if pr <= 0:
-                continue
-            j = idx.get(w[1:] + (a,))
-            if j is None:
-                raise InconsistentMarginalError(w[1:] + (a,), 0.0, pr)
-            P[i, j] = pr / prefix[w]
+    words = _word_array("marginal", marginal)
+    mass = np.fromiter(marginal.values(), float, len(words))
+    # every (m-1)-word in order; word r's prefix is word pre[r] and its suffix suf[r]
+    ends, at = _ranked(np.vstack((words[:, :-1], words[:, 1:])))
+    pre, suf = np.split(at, 2)
+    prefix, suffix = (np.bincount(i, weights=mass, minlength=len(ends)) for i in (pre, suf))
+    bad = np.flatnonzero(np.abs(prefix - suffix) > MARGINAL_TOL)
+    if bad.size:
+        raise InconsistentMarginalError(tuple(ends[bad[0]].tolist()), float(prefix[bad[0]]), float(suffix[bad[0]]))
+    live = prefix > 0
+    r = np.flatnonzero((mass > 0) & live[pre] & (words[:, -1] >= 0) & (words[:, -1] < q))
+    gone = r[~live[suf[r]]]
+    if gone.size:
+        g = gone[np.lexsort(words[gone].T[::-1])[0]]
+        raise InconsistentMarginalError(tuple(ends[suf[g]].tolist()), 0.0, float(mass[g]))
+    state = np.cumsum(live) - 1
+    P = np.zeros((np.count_nonzero(live),) * 2)
+    P[state[pre[r]], state[suf[r]]] = mass[r] / prefix[pre[r]]
     P = P / P.sum(axis=1, keepdims=True)
-    return MarkovMeasure(q, states, P, p, 1)
+    return MarkovMeasure(q, ends[live], P, prefix[live] / prefix[live].sum(), 1)
 
 
 def map_decoder(
@@ -547,14 +544,9 @@ def map_decoder(
     if len(alpha) != l or len(beta) != l:
         raise ValueError("boundary words must have length l")
     marg = window_marginal(M, 2 * l + k)
-    best: Word | None = None
-    best_pr = 0.0
-    total = 0.0
-    for w in sorted(product(range(M.q), repeat=k)):
-        pr = marg.get(alpha + w + beta, 0.0)
-        total += pr
-        if pr > best_pr:
-            best, best_pr = w, pr
-    if total <= 0.0 or best is None:
+    mass = [(w, marg.get(alpha + w + beta, 0.0)) for w in product(range(M.q), repeat=k)]
+    total = sum(pr for _, pr in mass)
+    if total <= 0.0:
         raise ValueError(f"boundary pair ({alpha}, {beta}) has zero probability")
+    best, best_pr = max(mass, key=lambda e: e[1])
     return best, best_pr / total

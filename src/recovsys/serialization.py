@@ -211,7 +211,7 @@ def measure_to_text(M: MarkovMeasure | EpsilonConstruction) -> str:
     states**2 cells, so more than `MEASURE_TEXT_CELLS` raise ValueError
     before any row or text is made.
     """
-    n = len(M.states)
+    n = len(M.state_rows)
     if n * n > MEASURE_TEXT_CELLS:
         raise ValueError(
             f"a measure on {n} states is {n * n} cells of text, "
@@ -223,7 +223,7 @@ def measure_to_text(M: MarkovMeasure | EpsilonConstruction) -> str:
     else:
         q, emit, P, row_of = M.q, M.emit, M.P, range(n)
     lines = [f"q {q}", f"emit {emit}", f"log_base {q**emit}", f"states {n}"]
-    lines.extend(word_to_text(w) for w in M.states)
+    lines += _row_texts(M.state_rows)
     # Each distinct value of P and p is formatted once, and each row of P
     # joined once.  A measure's cells are products of nonnegative factors,
     # so a zero is +0.0, whose text is "0".

@@ -7,7 +7,7 @@ length ``2l + k``, and all constructions here hand back a presentation graph
 together with the induced recovery table.  `verify_recoverable` reads the
 occurring windows as one integer array and returns its sorted (alpha, beta,
 middle) rows as a `RecoveryTable`, a read-only mapping view whose dict is
-built only on the first lookup.
+built only on the first lookup; later steps read the windows off it.
 """
 
 from __future__ import annotations
@@ -70,8 +70,9 @@ class RecoveryTable(Mapping):
 
     `rows` is an (N, a + b + m) array of (alpha, beta, middle) rows, sorted
     by (alpha, beta) with no pair repeated, in the dtype it was given;
-    ``ends = (a, a + b)`` splits a row into its three words.  `len` reads
-    N, iteration yields the pairs as tuples in (alpha, beta) order, and the
+    ``ends = (a, a + b)`` splits a row into its three words; `windows` puts
+    the columns back in (alpha, middle, beta) order.  `len` reads N,
+    iteration yields the pairs as tuples in (alpha, beta) order, and the
     first lookup builds the dict that answers it and later ones.
     """
 
@@ -105,6 +106,12 @@ class RecoveryTable(Mapping):
             rows = rows[np.lexsort(rows[:, : la + lb].T[::-1])]
         return cls(rows, (la, la + lb))
 
+    @property
+    def windows(self) -> np.ndarray:
+        """The rows as the windows they spell: alpha, middle, beta."""
+        a, ab = self.ends
+        return np.hstack((self.rows[:, :a], self.rows[:, ab:], self.rows[:, a:ab]))
+
     def _words(self) -> Iterator[Iterator[Word]]:
         """The alphas, betas and middles, each as tuples in row order."""
         return (map(tuple, block.tolist()) for block in np.split(self.rows, self.ends, axis=1))
@@ -133,8 +140,8 @@ class RecoverableSystem:
     `recovery_table` maps each occurring boundary pair (left l-word,
     right l-word) to the unique middle k-word between them: the
     `RecoveryTable` of `verify_recoverable`, held as it is, or any mapping
-    a caller gives.  `provenance` names the construction that produced the
-    system.
+    a caller gives; its entries spell the occurring (2l + k)-windows.
+    `provenance` names the construction that produced the system.
     """
 
     q: int
@@ -149,6 +156,15 @@ class RecoverableSystem:
             raise ValueError("q, k, l must all be at least 1")
         if self.presentation.q != self.q:
             raise ValueError("presentation alphabet differs from system alphabet")
+
+
+def _occurring_windows(S: RecoverableSystem) -> np.ndarray:
+    """The `windows` of the table of `S`; words not l, l and k long raise ValueError."""
+    table = RecoveryTable.of(S.recovery_table)
+    lengths = tuple(np.diff([0, *table.ends, table.rows.shape[1]]).tolist())
+    if len(table) and lengths != (S.l, S.l, S.k):
+        raise ValueError(f"recovery table words have lengths {lengths}, not (l, l, k) = {(S.l, S.l, S.k)}")
+    return table.windows
 
 
 @dataclass(frozen=True)
@@ -382,12 +398,12 @@ def recursive_extend(S: RecoverableSystem) -> RecoverableSystem:
     """Grow a (1, 1) system by two letters via a length-four detour loop.
 
     Picks the vertex of maximum stationary mass under the max-entropy
-    measure of the window presentation of the occurring 3-words (ties to
-    the lowest vertex id; the maximum is automatically >= 1/q**2),
-    attaches a 4-cycle through three fresh vertices spelling the two new
-    letters, and re-verifies.  That presentation is essential: every
-    occurring word lies on a bi-infinite path of occurring words.  The
-    capacity of the result is at least
+    measure of the window presentation of the occurring 3-words, read off
+    the recovery table (ties to the lowest vertex id; the maximum is
+    automatically >= 1/q**2), attaches a 4-cycle through three fresh
+    vertices spelling the two new letters, and re-verifies.  That
+    presentation is essential: every occurring word lies on a bi-infinite
+    path of occurring words.  The capacity of the result is at least
     ``cap(S) * log_{q+2}(q) + (1/q**2) * log_{q+2}(1 + 1/q**2)``.
     """
     from .measures import max_entropy_measure
@@ -395,7 +411,7 @@ def recursive_extend(S: RecoverableSystem) -> RecoverableSystem:
     if S.k != 1 or S.l != 1:
         raise ValueError("the loop extension applies to (1, 1) systems only")
     q = S.q
-    windows = _word_rows(_word_graph(S.presentation, 3), 3)
+    windows = _occurring_windows(S)
     core = window_presentation(q, windows)
     mu = max_entropy_measure(core)
     v = int(np.argmax(mu.p))
@@ -444,11 +460,6 @@ def recursive_chain_bound(q: int) -> float | None:
     return value
 
 
-def _boundary_pairs(q: int, l: int) -> list[tuple[Word, Word]]:
-    sides = list(product(range(q), repeat=l))
-    return [(u, v) for u in sides for v in sides]
-
-
 def exhaustive_max_capacity(
     q: int, k: int, l: int
 ) -> tuple[float, RecoverableSystem]:
@@ -495,10 +506,11 @@ def exhaustive_max_capacity(
             f"search space of {_power_text(q, k)}**{_power_text(q, 2 * l)} recovery functions "
             f"exceeds the cap of {SEARCH_CANDIDATE_CAP}"
         )
-    pairs = _boundary_pairs(q, l)
-    middles = list(product(range(q), repeat=k))
+    # pair p is row p of `pairs`, u + v, and windows[p, j] is u + middles[j] + v
+    pairs, middles = _word_grid(q, 2 * l), _word_grid(q, k)
     n = q ** (2 * l + k - 1)
-    windows = np.array([[u + m + v for m in middles] for u, v in pairs])
+    windows = _word_grid(q, 2 * l + k).reshape(q**l, q**k, q**l, -1)
+    windows = windows.swapaxes(1, 2).reshape(len(pairs), len(middles), -1)
     cells = _window_cells(q, n, windows)
     rows = np.arange(len(pairs))
     kept = _orbit_minima(_symmetry_tables(q, pairs, middles))
@@ -557,9 +569,7 @@ def _digits(index: np.ndarray | int, cells: np.ndarray) -> np.ndarray:
     return np.asarray(index)[..., None] // base ** np.arange(n_pairs - 1, -1, -1) % base
 
 
-def _symmetry_tables(
-    q: int, pairs: list[tuple[Word, Word]], middles: list[Word]
-) -> np.ndarray:
+def _symmetry_tables(q: int, pairs: np.ndarray, middles: np.ndarray) -> np.ndarray:
     """Index tables of the alphabet permutations and reversal, identity first.
 
     A permutation s maps the window ``u m v`` to ``s(u) s(m) s(v)``, and
@@ -568,14 +578,12 @@ def _symmetry_tables(
     middle j adds to the enumeration index of the image under map g, so the
     image of candidate c has index ``sum_p T[g, p, digit_p(c)]``.
     """
-    pair_words = np.array([u + v for u, v in pairs])
-    mid_words = np.array(middles)
     weight = len(middles) ** np.arange(len(pairs) - 1, -1, -1)
     tables = []
     for perm in map(np.array, permutations(range(q))):
         for flip in (slice(None), slice(None, None, -1)):
-            pair_img = _ranks(perm[pair_words[:, flip]], q)
-            mid_img = _ranks(perm[mid_words[:, flip]], q)
+            pair_img = _ranks(perm[pairs[:, flip]], q)
+            mid_img = _ranks(perm[middles[:, flip]], q)
             tables.append(weight[pair_img, None] * mid_img)
     return np.array(tables)
 

@@ -239,6 +239,19 @@ def test_measure_epsilon_on_the_ternary_search_optimum():
     )
 
 
+@pytest.mark.parametrize("system", ["search_q3_k1", "truncated_q13"])
+def test_measure_epsilon_reports_a_certain_middle_as_zero(tmp_path, system):
+    # With no budget every populated pair has one middle; its entropy is +0.
+    if system == "search_q3_k1":
+        args, base = ["--q", "3"], 3
+    else:
+        ser.save_graph(rs.truncated_debruijn_system(13).presentation, tmp_path / "g.json")
+        args, base = ["--q", "13", "--graph", str(tmp_path / "g.json")], 13
+    res = run("measure", "epsilon", *args, "--eps", "0")
+    assert res.exit_code == 0
+    assert f"max_window_entropy 0 (log base {base})" in res.output.splitlines()
+
+
 BENCH_EPSILONS = (0.05, 0.08, 0.1, 0.12, 0.15, 0.286)
 
 

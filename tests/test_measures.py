@@ -1,6 +1,7 @@
 import math
 import re
 from decimal import Decimal, localcontext
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import recovsys as rs
 from recovsys import measures
-from recovsys.graphs import LabeledDigraph
+from recovsys.graphs import LabeledDigraph, _word_graph, _word_grid, _word_rows, window_presentation
 from recovsys.measures import higher_block_presentation
 
 from conftest import chorded_cycle_graph, plastic_number, tuple_window_presentation
@@ -237,16 +238,19 @@ def presentations(draw):
 @settings(max_examples=300, deadline=None)
 @given(presentations(), st.integers(1, 2), st.integers(1, 2))
 def test_higher_block_presentation_matches_the_membership_build(G, k, l):
-    # Oracle: every occurring window extended by every symbol, kept when
-    # its last window occurs too, tested against a set of tuples.
-    S = rs.RecoverableSystem(G.q, k, l, G, {}, "drawn")
+    # The drawn presentation's windows go in as the rows of a table, which
+    # need not be recoverable: the windows -> block presentation step alone.
+    # They are read with parallel edges merged, which spell the same words
+    # and keep the walk under its path cap.  Oracle: every occurring window
+    # extended by every symbol, kept when its last window occurs too, tested
+    # against a set of tuples.
     W = 2 * l + k
-    try:
-        allowed = rs.words_of_length(G, W)
-        if not allowed:
-            raise ValueError("the system has no occurring windows")
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=re.escape(str(exc))):
+    allowed = rs.words_of_length(LabeledDigraph(G.q, G.labels, set(G.edges)), W)
+    rows = np.array(sorted(allowed), dtype=np.int64).reshape(len(allowed), W)
+    table = rs.RecoveryTable(rows[:, np.r_[0:l, l + k : W, l : l + k]], (l, 2 * l))
+    S = rs.RecoverableSystem(G.q, k, l, G, table, "drawn")
+    if not allowed:
+        with pytest.raises(ValueError, match="the system has no occurring windows"):
             higher_block_presentation(S)
         return
     expected = tuple_window_presentation(
@@ -257,8 +261,49 @@ def test_higher_block_presentation_matches_the_membership_build(G, k, l):
     assert (H.labels, H.words, H.edges) == (expected.labels, expected.words, expected.edges)
 
 
+BUILT_SYSTEMS = {
+    **{f"truncated_q{q}": lambda q=q: rs.truncated_debruijn_system(q) for q in (4, 8, 13, 36)},
+    "marker_q3_k1": lambda: rs.marker_system(3, 1),
+    "marker_q4_k2": lambda: rs.marker_system(4, 2),
+    "square_t2_l1": lambda: rs.edge_cover_system(2, "square", l=1),
+    "square_t2_l2": lambda: rs.edge_cover_system(2, "square", l=2),
+    "power_t2_k2": lambda: rs.edge_cover_system(2, "power", k=2),
+    "power_t3_k1": lambda: rs.edge_cover_system(3, "power", k=1),
+    **{
+        f"search_q{q}_k{k}_l{l}": lambda q=q, k=k, l=l: rs.exhaustive_max_capacity(q, k, l)[1]
+        for q, k, l in ((2, 1, 1), (3, 1, 1), (2, 2, 1), (2, 3, 1), (2, 1, 2))
+    },
+    "loop_q6": lambda: rs.recursive_extend(rs.edge_cover_system(2, "square", l=1)),
+    "loop_q11": lambda: rs.recursive_extend(rs.edge_cover_system(3, "square", l=1)),
+    "loop_q13": lambda: rs.recursive_extend(rs.recursive_extend(rs.edge_cover_system(3, "square", l=1))),
+}
+
+
+@pytest.mark.parametrize("name", BUILT_SYSTEMS)
+def test_higher_block_presentation_from_the_table_equals_the_presentation_walk(name):
+    # The build that read the windows off the presentation: an essential
+    # subgraph peel and a walk of its (2l + k)-words.
+    S = BUILT_SYSTEMS[name]()
+    W = 2 * S.l + S.k
+    walked = window_presentation(S.q, _word_rows(_word_graph(S.presentation, W), W))
+    want = window_presentation(S.q, _word_rows(walked, W + 1))
+    H = higher_block_presentation(S)
+    for field in ("label_rows", "word_rows", "src", "dst", "lab", "count"):
+        assert np.array_equal(getattr(H, field), getattr(want, field)), field
+
+
+def test_a_table_of_the_wrong_shape_is_refused(binary_system):
+    S = rs.RecoverableSystem(2, 1, 1, binary_system.presentation, {((0,), (1,)): (0, 0)}, "wrong shape")
+    message = re.escape("recovery table words have lengths (1, 1, 2), not (l, l, k) = (1, 1, 1)")
+    with pytest.raises(ValueError, match=message):
+        higher_block_presentation(S)
+    with pytest.raises(ValueError, match=message):
+        rs.recursive_extend(S)
+
+
 def test_epsilon_construction_rejects_two_parents():
-    S = rs.RecoverableSystem(2, 1, 1, rs.de_bruijn(2, 2), {}, "full shift")
+    # The full binary shift: its table holds all 8 windows, two middles a pair.
+    S = rs.RecoverableSystem(2, 1, 1, rs.de_bruijn(2, 2), rs.RecoveryTable(_word_grid(2, 3), (1, 2)), "full shift")
     with pytest.raises(AssertionError, match="two parents"):
         rs.epsilon_construction(S, 0.1)
 
@@ -356,6 +401,14 @@ def test_markov_approximation_flags_inconsistent_marginal(reference_nu):
     raw = rs.window_marginal(reference_nu.measure, 3)
     with pytest.raises(rs.InconsistentMarginalError):
         rs.markov_approximation(raw, 3, 2)
+
+
+def test_markov_approximation_names_the_first_step_to_a_massless_state():
+    # Shift consistent within MARGINAL_TOL, but 01 and 02 step from state 0
+    # to states 1 and 2, which carry no prefix mass; 01 comes first.
+    marg = {(0, 2): 2e-13, (0, 0): 1.0 - 3e-13, (0, 1): 1e-13}
+    with pytest.raises(rs.InconsistentMarginalError, match=re.escape("at (1,): prefix mass 0.0 vs suffix mass 1e-13")):
+        rs.markov_approximation(marg, 2, 3)
 
 
 def test_symbol_lift_entropy_meets_lower_bound(binary_system):
@@ -479,6 +532,62 @@ def test_epsilon_condition_is_the_maximum_over_pairs():
 def test_state_length_windows_are_the_states_and_their_masses():
     M = rs.epsilon_construction(rs.truncated_debruijn_system(13), 0.1).measure
     windows = rs.window_marginal(M, M.state_len)
-    runs = measures._mass_by_word(measures._state_array(M), M.p)
+    runs = measures._mass_by_word(M.state_rows, M.p)
     assert list(windows) == list(runs)
     assert [x.hex() for x in windows.values()] == [x.hex() for x in runs.values()]
+
+
+def dict_window_report(marg, q, k, l):
+    """Oracle: the report from a dict of dicts, one pair at a time.
+
+    The windows are grouped by (alpha, beta) in the marginal's order, each
+    pair's total is Python's running sum and its entropy numpy's `.sum()`
+    of its own array; ``+ 0.0`` turns the -0.0 of a certain middle into 0.0.
+    """
+    grouped = {}
+    for w, pr in marg.items():
+        if pr <= 0:
+            continue
+        grouped.setdefault((w[:l], w[l + k :]), {})[w[l : l + k]] = pr
+    entries, zero = {}, []
+    for pair in product(product(range(q), repeat=l), repeat=2):
+        mids = grouped.get(pair)
+        if not mids:
+            zero.append(pair)
+            continue
+        total = sum(mids.values())
+        probs = np.array([m / total for m in mids.values()])
+        entries[pair] = float(-measures._xlogx(probs).sum()) / math.log(q) + 0.0
+    return entries, tuple(zero), max(entries.values(), default=0.0)
+
+
+@st.composite
+def window_marginals(draw):
+    """Distinct windows in numeric order with masses, zeros among them.
+
+    Up to 5 boundary pairs, each with its own number of middles, up to all
+    q**k of them: 8 or more when q**k allows, where numpy's pairwise `.sum()`
+    and a running sum part ways.
+    """
+    q, k, l = draw(st.sampled_from([(2, 1, 1), (3, 2, 1), (8, 1, 1), (9, 1, 2), (4, 2, 2), (3, 1, 2)]))
+    pair = st.tuples(*[st.integers(0, q - 1)] * (2 * l))
+    mass = st.one_of(st.just(0.0), st.floats(1e-300, 1.0), st.floats(0.0, 1.0))
+    marg = {}
+    for p in draw(st.sets(pair, min_size=1, max_size=5)):
+        middles = draw(st.sets(st.tuples(*[st.integers(0, q - 1)] * k), min_size=1, max_size=q**k))
+        for m in middles:
+            marg[p[:l] + m + p[l:]] = draw(mass)
+    return q, k, l, dict(sorted(marg.items()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(window_marginals())
+def test_row_window_report_equals_the_dict_report_bit_for_bit(drawn):
+    q, k, l, marg = drawn
+    windows = np.array(list(marg), dtype=np.int64)
+    report = measures._window_report(windows, np.array(list(marg.values())), q, k, l)
+    entries, zero, top = dict_window_report(marg, q, k, l)
+    assert list(report.entries) == list(entries)
+    assert [x.hex() for x in report.entries.values()] == [x.hex() for x in entries.values()]
+    assert report.zero_pairs == zero
+    assert report.max_entropy.hex() == top.hex()

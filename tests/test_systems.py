@@ -359,11 +359,17 @@ def test_recovery_table_is_a_mapping_view_over_its_rows(trunc8_system):
     assert repr(table) == "RecoveryTable(60 entries)"
 
 
+def boundary_pairs(q, l):
+    """Every (u, v) pair of l-words, as tuples, in enumeration order."""
+    sides = list(product(range(q), repeat=l))
+    return [(u, v) for u in sides for v in sides]
+
+
 @pytest.mark.parametrize("q, k, l", [(2, 1, 1), (2, 2, 1), (3, 1, 1)])
 def test_search_bounds_every_candidate_and_keeps_the_scan_winner(q, k, l):
     # Reference: one overlap matrix per recovery function, built window by
     # window, and the tie rule run over every candidate in enumeration order.
-    pairs = rs.systems._boundary_pairs(q, l)
+    pairs = boundary_pairs(q, l)
     middles = list(product(range(q), repeat=k))
     n = q ** (2 * l + k - 1)
     cells = rs.systems._window_cells(q, n, np.array([[u + m + v for m in middles] for u, v in pairs]))
@@ -391,7 +397,7 @@ def _dense_scan(q, k, l):
     Collatz-Wielandt bounds on every candidate, certification in bound
     order, then the tie rule over the certified candidates."""
     sy = rs.systems
-    pairs = sy._boundary_pairs(q, l)
+    pairs = boundary_pairs(q, l)
     middles = list(product(range(q), repeat=k))
     n = q ** (2 * l + k - 1)
     cells = sy._window_cells(q, n, np.array([[u + m + v for m in middles] for u, v in pairs]))
@@ -439,7 +445,7 @@ def test_orbit_search_keeps_the_dense_scan_witness(q, k, l):
 
 
 def _recovery_functions(q, k, l):
-    pairs = rs.systems._boundary_pairs(q, l)
+    pairs = boundary_pairs(q, l)
     middles = list(product(range(q), repeat=k))
     return pairs, middles, list(product(middles, repeat=len(pairs)))
 
@@ -486,7 +492,7 @@ def test_orbit_minima_match_a_closure_of_the_symmetries(q, k, l):
                 if g not in seen:
                     seen.add(g)
                     frontier.append(g)
-    tables = rs.systems._symmetry_tables(q, pairs, middles)
+    tables = rs.systems._symmetry_tables(q, np.array([u + v for u, v in pairs]), np.array(middles))
     assert rs.systems._orbit_minima(tables).tolist() == minima
 
 
