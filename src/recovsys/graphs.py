@@ -30,6 +30,11 @@ PERRON_POWER_STEPS = 256
 PERRON_CERT_TOL = 1e-12
 PERRON_CERT_STEPS = 32
 ENUM_CAP = 1_000_000
+# Bound on each (K, V, V) float64 residue stack of `_crt_count`.
+_RESIDUE_BYTES = 1 << 20
+# The primes of `_crt_count` below 2**k, largest first, per k: found on demand.
+# Stored lists are never changed, only replaced.
+_PRIMES: dict[int, list[int]] = {}
 
 
 def word_from_int(value: int, q: int, length: int) -> Word:
@@ -469,19 +474,20 @@ def perron_pair(A: np.ndarray) -> tuple[float, np.ndarray]:
 def trace_power(A: np.ndarray | Sequence[Sequence[int]], n: int) -> int:
     """Exact trace of ``A**n`` over the integers (``A**0`` is the identity).
 
-    The diagonal is summed as Python ints: an int64 sum can wrap even when
-    every entry fits.
+    Counted modulo word-size primes in float64 and rebuilt by the Chinese
+    remainder theorem, as `_crt_count` describes; the power's last product
+    is never formed, only its diagonal.
     """
-    return np.diagonal(_exact_power(A, n)).sum(dtype=object)
+    return _crt_count(A, n, trace=True)
 
 
 def path_count(A: np.ndarray | Sequence[Sequence[int]], n: int) -> int:
     """Exact number of length-`n` paths: the entry sum of ``A**n``.
 
-    The entries are summed as Python ints, so the total is exact however
-    large it grows.
+    Counted as in `trace_power`; the entry sum of the last product
+    ``P @ Q`` is the column sums of ``P`` dotted with the row sums of ``Q``.
     """
-    return _exact_power(A, n).sum(dtype=object)
+    return _crt_count(A, n, trace=False)
 
 
 def words_of_length(G: LabeledDigraph, n: int) -> frozenset[Word]:
@@ -659,47 +665,135 @@ def _rows_by_target(q: int, labels: np.ndarray, src, dst, count) -> LabeledDigra
     return LabeledDigraph._from_rows(q, labels, labels, src, dst, dst, count)
 
 
-def _exact_power(A: np.ndarray | Sequence[Sequence[int]], e: int) -> np.ndarray:
-    """``A**e`` for a nonnegative integer matrix, exact.
+def _crt_count(A: np.ndarray | Sequence[Sequence[int]], e: int, trace: bool) -> int:
+    """The trace, or the entry sum, of ``A**e`` for a nonnegative integer matrix, exact.
 
-    Every entry of ``A**j``, and every partial sum of a product of two
-    powers whose exponents add to j, is at most ``r**j`` for the largest row
-    sum ``r``.  The power is taken by repeated squaring, and each product
-    ``A**a @ A**b`` runs in numpy int64 while ``r**(a + b) < 2**63``, so it
-    cannot wrap, and over Python ints (object dtype) past that: the early
-    squarings of a long power stay in int64.  It serves the dense counts of
-    `trace_power` and `path_count`; `higher_power` multiplies edge rows
-    under the same guard instead.  Entries must be integers; integer-valued
-    floats are accepted.
+    Each row of ``A**e`` sums to at most ``r**e`` for the largest row sum
+    ``r``, so either count is at most ``V * r**e`` on V vertices.  The count
+    is taken modulo the largest primes below ``2**k``, ``k = (53 -
+    V.bit_length()) // 2``, just enough of them that their product exceeds
+    that bound, and rebuilt by the Chinese remainder theorem (von zur Gathen
+    & Gerhard, *Modern Computer Algebra*, ch. 5).  As ``V * (p - 1)**2 <
+    2**53`` for each prime p, every entry and partial sum of a product of
+    residue matrices is an integer below ``2**53``: each float64 `@`, on all
+    the primes of a chunk at once, is exact in whatever order BLAS adds, and
+    int64 ``%`` reduces it.  The chunks' (K, V, V) stacks stay under
+    `_RESIDUE_BYTES`.  Entries must be integers; integer-valued floats are
+    accepted.
     """
     if e < 0:
         raise ValueError("exponent must be nonnegative")
+    X = _count_matrix(A)
+    V = len(X)
+    if X.dtype == object or V * int(X.max(initial=0)) >= 2**63:
+        r = max(X.sum(axis=1, dtype=object), default=0)
+    else:
+        r = int(X.sum(axis=1).max(initial=0))
+    primes = _primes_over(V * r**e, (53 - V.bit_length()) // 2)
+    per_chunk = max(1, _RESIDUE_BYTES // max(8 * V * V, 1))
+    residues = []
+    for lo in range(0, len(primes), per_chunk):
+        p = np.array(primes[lo : lo + per_chunk], dtype=np.int64)[:, None, None]
+        residues += _count_mod(X, e, p, trace).tolist()
+    M = math.prod(primes)
+    crt = 0
+    for c, p in zip(residues, primes):
+        m = M // p
+        crt += c * m * pow(m, -1, p)
+    return crt % M
+
+
+def _count_matrix(A: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
+    """`A` as a square matrix of nonnegative integers: int64, or Python ints past it."""
     M = np.asarray(A)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
-    X = np.array([[int(x) for x in r] for r in M.tolist()], dtype=object).reshape(M.shape)
-    if (X != M).any():
-        raise ValueError("matrix entries must be integers")
+    if np.can_cast(M.dtype, np.int64):
+        X = M.astype(np.int64, copy=False)
+    else:
+        X = np.array([[int(x) for x in r] for r in M.tolist()], dtype=object).reshape(M.shape)
+        if (X != M).any():
+            raise ValueError("matrix entries must be integers")
     if (X < 0).any():
         raise ValueError("matrix must be nonnegative")
-    r = max(X.sum(axis=1), default=0)
+    return X
 
-    def product(P, Q, j):
-        # A**j from two powers whose exponents add to j
-        dtype = np.int64 if r < 2 or j < 63 and r**j < 2**63 else object
-        return P.astype(dtype, copy=False) @ Q.astype(dtype, copy=False)
 
-    square, j = X, 1  # A**j
-    result, i = np.identity(len(X), dtype=np.int64), 0  # A**i
-    while e:
+def _count_mod(X: np.ndarray, e: int, p: np.ndarray, trace: bool) -> np.ndarray:
+    """The trace, or the entry sum, of ``X**e`` modulo each prime of the (K, 1, 1) `p`.
+
+    ``X**e`` is taken by repeated squaring as ``P @ S``, the identity
+    standing in for a factor that is not there, and only the diagonal, or
+    the column sums of P and the row sums of S, of that last product are
+    read.  Those sums add V products below ``(p - 1)**2``, so they are exact.
+    """
+    eye = np.eye(len(X))
+    S = (X % p.astype(X.dtype)).astype(np.float64) if e else eye
+    P = None
+    while e > 1:
         if e & 1:
-            i += j
-            result = product(result, square, i) if i > j else square
+            P = S if P is None else _residue(P @ S, p)
+        S = _residue(S @ S, p)
         e >>= 1
-        if e:
-            j *= 2
-            square = product(square, square, j)
-    return result
+    P = eye if P is None else P
+    p = p[:, 0]  # (K, 1): the prime of each row of sums
+    if trace:
+        cells = (P * S.swapaxes(-1, -2)).sum(axis=-1).astype(np.int64) % p
+    else:
+        cells = (P.sum(axis=-2).astype(np.int64) % p) * (S.sum(axis=-1).astype(np.int64) % p)
+    return cells.sum(axis=-1) % p[:, 0]
+
+
+def _residue(Z: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The float64 integers of `Z`, each below ``2**53``, reduced modulo `p` in place."""
+    R = Z.astype(np.int64)
+    np.remainder(R, p, out=R)
+    Z[...] = R
+    return Z
+
+
+def _primes_over(bound: int, k: int) -> list[int]:
+    """The largest primes below ``2**k``, in decreasing order, whose product just exceeds `bound`.
+
+    Found on demand by a downward Miller-Rabin scan and stored in `_PRIMES`,
+    one list per k.  A stored list is never changed, only replaced by a
+    longer one, so concurrent calls need no lock.
+    """
+    primes = list(_PRIMES.get(k, ()))
+    product, i = 1, 0
+    while product <= bound:
+        if i == len(primes):
+            m = (primes[-1] if primes else 2**k) - 1
+            while m > 1 and not _is_prime(m):
+                m -= 1
+            if m < 2:
+                raise ValueError(f"the count needs more than the primes below 2**{k}")
+            primes.append(m)
+        product *= primes[i]
+        i += 1
+    if len(primes) > len(_PRIMES.get(k, ())):
+        _PRIMES[k] = primes
+    return primes[:i]
+
+
+def _is_prime(m: int) -> bool:
+    """Miller-Rabin with the bases 2, 3, 5 and 7, exact below 3,215,031,751."""
+    if m < 11:
+        return m in (2, 3, 5, 7)
+    d = m - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, m)
+        if x in (1, m - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _matrix_sccs(A: np.ndarray) -> list[list[int]]:

@@ -9,12 +9,15 @@ recovery tables and codes are also read, and a malformed file raises
 ValueError naming the missing graph field or the bad table or code line.
 Code files hold one codeword per line in sorted order; they are written from
 and read into the rows of a `WordRows` through byte lookup tables, with no
-per-symbol Python work.  Recovery tables are written the same way, from the
-rows of a `RecoveryTable`.  Graphs are written from their label and edge
-rows, one formatted string per vertex and per edge, in the layout of
-``json.dumps(..., indent=1)``, and read back into those rows with one byte
-lookup per kind of label.  A symbol outside [0, 36) is refused by every
-writer before any text is made.
+per-symbol Python work.  A code file laid out as it is written, equal lines
+each ending in a newline, is read as one byte block, with no string per
+line; other text, such as padded or CRLF lines, goes through the line
+reader, which defines the format.  Recovery tables are written the same
+way, from the rows of a `RecoveryTable`.  Graphs are written from their
+label and edge rows, one formatted string per vertex and per edge, in the
+layout of ``json.dumps(..., indent=1)``, and read back into those rows with
+one byte lookup per kind of label.  A symbol outside [0, 36) is refused by
+every writer before any text is made.
 """
 
 from __future__ import annotations
@@ -258,6 +261,22 @@ def _check_symbols(rows: np.ndarray) -> None:
 
 
 def codewords_from_text(text: str) -> WordRows:
+    """The codewords of a code file's text.
+
+    Text laid out as `codewords_to_text` writes it, N lines of n >= 1
+    digits each ending in a newline, is read as one (N, n + 1) byte block
+    with one `_BYTE_SYMBOLS` lookup.  Any other text goes through the line
+    reader, `_codewords_from_lines`, which defines the format and its errors.
+    """
+    if text.isascii() and (n := text.find("\n")) > 0 and len(text) % (n + 1) == 0:
+        block = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, n + 1)
+        symbols = _BYTE_SYMBOLS[block[:, :n]]
+        if (block[:, n] == ord("\n")).all() and (symbols >= 0).all():
+            return WordRows(symbols.view(np.uint8))
+    return _codewords_from_lines(text)
+
+
+def _codewords_from_lines(text: str) -> WordRows:
     """One codeword per nonblank line, stripped; a line given twice counts once.
 
     A bad digit raises ValueError naming the first line with one, and lines

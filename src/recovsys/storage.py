@@ -7,10 +7,12 @@ held as `WordRows`, one sorted array of distinct symbol rows, and every check
 on a code runs over that array: the middles of the rule's one-symbol entries
 are looked up by (left, right) key in a dense table of 256 x 256 cells for
 one-byte symbols, or in the entries' sorted keys for wider ones, so memory
-never follows the symbol values.  Period-n words are read by joining the
-walks of the two half lengths on their endpoints, which yields the rows
-already sorted; `graphs.ENUM_CAP` bounds the closed-walk count and the
-longer half's path count, and is tested before any walk starts.
+never follows the symbol values.  Period-n points are counted exactly as
+the trace of an adjacency power, from its residues modulo word-size primes.
+Period-n words are read by joining the walks of the two half lengths on
+their endpoints, which yields the rows already sorted; `graphs.ENUM_CAP`
+bounds the closed-walk count and the longer half's path count, and is
+tested before any walk starts.
 """
 
 from __future__ import annotations
@@ -154,8 +156,10 @@ def periodic_points(G: LabeledDigraph, n: int) -> PeriodicPoints:
     """Period-n points of the system presented by `G`.
 
     Closed paths lie in the essential subgraph ``E``; the exact count is the
-    trace of its n-th adjacency power.  When the edges of ``E`` emit single
-    symbols, and both the count and the number of paths of length
+    trace of its n-th adjacency power, which `trace_power` takes modulo
+    word-size primes in float64 and rebuilds by the Chinese remainder
+    theorem, with no product of Python ints.  When the edges of ``E`` emit
+    single symbols, and both the count and the number of paths of length
     ``n - n // 2`` are at most `graphs.ENUM_CAP` (tested before any walk;
     else `words` is None), the words are read by meeting in the middle: the
     walks of the two half lengths are joined on their shared endpoints, one

@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -433,15 +437,16 @@ def object_power(A, e):
     return np.linalg.matrix_power(np.asarray(A, dtype=object), e)
 
 
-# Past e = 39 the early squarings run in int64 and the later products over
-# Python ints: 40, 41 and 57 end on a product of two int64 powers, 64 is a
-# pure square, and 81 multiplies an int64 power into an object one.
+# Exponents around 3**e = 2**63, where the counts outgrow int64: the residue
+# path takes 3 primes below 2**25 up to e = 41 and 20 at e = 300.  40, 41,
+# 57 and 81 end on a product of two powers, and 64 is a pure square, whose
+# last product has the identity as its first factor.
 GUARD_EXPONENTS = [39, 40, 41, 57, 64, 81, 300]
 
 
 @pytest.mark.parametrize("e", GUARD_EXPONENTS)
 def test_trace_power_on_both_sides_of_the_int64_guard(e):
-    # At e >= 40 the trace exceeds 2**63, so int64 products would wrap.
+    # At e >= 40 the trace exceeds 2**63, the largest int64.
     assert rs.trace_power(ROW_SUM_3, e) == np.trace(object_power(ROW_SUM_3, e))
 
 
@@ -451,11 +456,135 @@ def test_path_count_on_both_sides_of_the_int64_guard(e):
 
 
 def test_trace_and_path_count_sums_do_not_wrap():
-    # Every entry of (3I)**39 is 3**39 < 2**63, so the power is taken in
-    # int64, but the sum 4 * 3**39 exceeds 2**63.
+    # Every entry of (3I)**39 is 3**39 < 2**63, but the sum 4 * 3**39
+    # exceeds 2**63: the bound V * r**n the primes must exceed holds the sum.
     A = 3 * np.eye(4, dtype=np.int64)
     assert rs.trace_power(A, 39) == 4 * 3**39
     assert rs.path_count(A, 39) == 4 * 3**39
+
+
+# V on both sides of every step of V.bit_length(), which sets the primes'
+# bound 2**k, k = (53 - V.bit_length()) // 2.
+RESIDUE_SIDES = [0, 1, 2, 3, 7, 8, 15, 16, 31, 33, 64]
+
+
+def residue_counts(A, n):
+    """`trace_power` and `path_count` of ``A**n``, and each call's chunks of moduli."""
+    counts, moduli = [], []
+    count_mod = rs.graphs._count_mod
+
+    def spy(X, e, p, trace):
+        moduli[-1].append(p.ravel().tolist())
+        return count_mod(X, e, p, trace)
+
+    with mock.patch.object(rs.graphs, "_count_mod", spy):
+        for count in (rs.trace_power, rs.path_count):
+            moduli.append([])
+            counts.append(count(A, n))
+    return counts, moduli
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(RESIDUE_SIDES),
+    st.sampled_from([1, 3, 2**30, 2**40]),
+    st.integers(0, 24),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@example(V=0, top=1, n=0, huge=False, seed=0)
+@example(V=0, top=1, n=5, huge=False, seed=0)
+@example(V=3, top=3, n=0, huge=True, seed=0)
+@example(V=64, top=2**40, n=4, huge=True, seed=1)
+@example(V=8, top=2**40, n=24, huge=True, seed=2)
+def test_residue_counts_equal_the_object_power(V, top, n, huge, seed):
+    rng = np.random.default_rng(seed)
+    if V > 8:
+        n %= 5  # the object power oracle is cubic in Python ints
+    A = rng.integers(0, top, (V, V), endpoint=True) * (rng.random((V, V)) < 0.5)
+    if huge and V:
+        A = A.astype(object)
+        A[int(rng.integers(V)), int(rng.integers(V))] = 2**63 + int(rng.integers(2**20))
+    (trace, paths), moduli = residue_counts(A, n)
+    P = object_power(A, n)
+    assert trace == np.trace(P) and paths == P.sum()
+    r = max(np.asarray(A, dtype=object).sum(axis=1), default=0)
+    for chunks in moduli:
+        primes = sum(chunks, [])
+        assert math.prod(primes) > V * r**n
+        assert all(V * (p - 1) ** 2 < 2**53 for p in primes)
+
+
+def test_miller_rabin_matches_a_sieve_and_rejects_strong_pseudoprimes():
+    top = 1 << 16
+    sieve = np.ones(top, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, 256):
+        sieve[d * d :: d] = False
+    assert [m for m in range(top) if rs.graphs._is_prime(m)] == np.flatnonzero(sieve).tolist()
+    # strong pseudoprimes to base 2; to bases 2 and 3; to bases 2, 3 and 5
+    for m in (2047, 3277, 4033, 4681, 8321, 1_373_653, 25_326_001):
+        assert not rs.graphs._is_prime(m)
+
+
+def test_primes_below_a_small_bound_run_out_by_name():
+    assert rs.graphs._primes_over(209, 3) == [7, 5, 3, 2]
+    with pytest.raises(ValueError, match=r"more than the primes below 2\*\*3"):
+        rs.graphs._primes_over(210, 3)
+
+
+@pytest.mark.parametrize("per_chunk", [1, 3])
+def test_chunked_residue_counts_equal_unchunked_ones(monkeypatch, per_chunk):
+    A = rs.truncated_matrix(36)
+    want = rs.trace_power(A, 200), rs.path_count(A, 200)
+    assert want == (np.trace(object_power(A, 200)), object_power(A, 200).sum())
+    monkeypatch.setattr(rs.graphs, "_RESIDUE_BYTES", per_chunk * 8 * A.size)
+    (trace, paths), moduli = residue_counts(A, 200)
+    assert (trace, paths) == want
+    # every stack but the last holds per_chunk primes, and each prime is used once
+    for chunks in moduli:
+        assert len(chunks) > 3 and {len(c) for c in chunks[:-1]} == {per_chunk}
+        assert 1 <= len(chunks[-1]) <= per_chunk
+        assert sum(chunks, []) == rs.graphs._primes_over(len(A) * 6**200, 23)
+
+
+def test_concurrent_prime_scans_never_take_a_prime_twice(monkeypatch):
+    # Eight threads scan for the same primes from an empty cache at once; a
+    # cached list extended in place would take some prime twice.
+    bound = 36 * 6**200
+    want = rs.graphs._primes_over(bound, 23)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(100):
+            monkeypatch.setattr(rs.graphs, "_PRIMES", {})
+            start = threading.Barrier(8, timeout=10)
+
+            def scan():
+                start.wait()
+                return rs.graphs._primes_over(bound, 23)
+
+            with ThreadPoolExecutor(8) as pool:
+                scans = [f.result(timeout=60) for f in [pool.submit(scan) for _ in range(8)]]
+            assert scans == [want] * 8
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize(
+    "A, e, message",
+    [
+        ([[1, 0], [0, 1]], -1, "exponent must be nonnegative"),
+        ([[1, 0, 1], [0, 1, 0]], 2, "matrix must be square"),
+        ([1, 2], 2, "matrix must be square"),
+        ([[1, -1], [0, 1]], 2, "matrix must be nonnegative"),
+        ([[1, 0], [0, -(2**70)]], 2, "matrix must be nonnegative"),
+    ],
+)
+@pytest.mark.parametrize("count", [rs.trace_power, rs.path_count])
+def test_exact_counts_reject_bad_input(count, A, e, message):
+    with pytest.raises(ValueError, match=message):
+        count(A, e)
 
 
 def test_count_words_past_the_int64_guard():

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import recovsys as rs
 from recovsys import serialization as ser
@@ -119,6 +121,54 @@ def test_codewords_from_text_reads_padded_crlf_lines_and_repeats_once():
     words = ser.codewords_from_text("  120\r\n\r\n012 \r\n\t201\r\n012\r\n")
     assert list(words) == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
     assert len(ser.codewords_from_text("\n \n")) == 0
+
+
+def read_code(reader, text):
+    """The dtype, shape and bytes of the rows a code reader gives, or its ValueError message."""
+    try:
+        rows = reader(text).rows
+    except ValueError as exc:
+        return str(exc)
+    return rows.dtype, rows.shape, rows.tobytes()
+
+
+@st.composite
+def code_texts(draw):
+    """Code text as `codewords_to_text` lays it out, or with one change from that."""
+    width = draw(st.integers(1, 3))
+    lines = draw(st.lists(st.text("019az", min_size=width, max_size=width), max_size=6))
+    change = draw(st.sampled_from([None, "odd line", "crlf", "no final newline"]))
+    if change == "odd line":
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text("019az \t!", max_size=4)))
+    text = "".join(ln + ("\r\n" if change == "crlf" else "\n") for ln in lines)
+    return text[:-1] if change == "no final newline" else text
+
+
+@settings(max_examples=300, deadline=None)
+@given(code_texts())
+@example("012\n\n120\n")  # a blank line
+@example("120\n012")  # no final newline
+@example("012\n0a12")  # no final newline, the text still n + 1 bytes a line
+@example("012\r\n120\r\n")  # CRLF lines
+@example(" 012\n120 \n")  # leading and trailing spaces
+@example("012\n0!2\n")  # a bad digit
+@example("012\n01\n")  # ragged lines
+@example("0a9\n")  # a single line
+@example("")  # empty text
+def test_block_reader_agrees_with_the_line_reader(text):
+    assert read_code(ser.codewords_from_text, text) == read_code(ser._codewords_from_lines, text)
+
+
+def test_code_files_as_written_are_read_as_one_block(monkeypatch, binary_system):
+    code = rs.storage_code_for_cycle(binary_system, 38)
+    text = ser.codewords_to_text(code.codewords) + "\n"
+
+    def line_reader(text):
+        raise AssertionError("the line reader read a code file as written")
+
+    monkeypatch.setattr(ser, "_codewords_from_lines", line_reader)
+    words = ser.codewords_from_text(text)
+    assert words.rows.dtype == np.uint8 and np.array_equal(words.rows, code.codewords.rows)
 
 
 @pytest.mark.parametrize(
