@@ -37,12 +37,11 @@ from .graphs import (
     perron_pair,
     window_presentation,
 )
-from .systems import RecoverableSystem, _occurring_windows
+from .systems import RecoverableSystem
 
 STOCHASTIC_TOL = 1e-12
 RECOVERABLE_TOL = 1e-10
 MARGINAL_TOL = 1e-12
-DELTA_BISECT_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -261,21 +260,25 @@ def entropy_rate(M: MarkovMeasure) -> float:
 
 
 def window_marginal(M: MarkovMeasure, n: int) -> dict[Word, float]:
-    """Distribution of length-`n` symbol windows under the measure.
+    """Distribution of length-`n` symbol windows under the measure, in numeric order.
 
-    Windows of the state word's length are the states, which are distinct
-    and in order, with their own masses; shorter ones marginalize the states
-    onto prefixes.  Longer ones need a sliding single-symbol chain and are
-    read along every state path from a positive-mass state, under the
-    `ENUM_CAP` path test, multiplying transition probabilities in path order.
+    Windows up to the state word's length marginalize the states onto
+    prefixes; at that length they are the states, with their own masses.
+    Longer ones need a sliding single-symbol chain and are read along every
+    state path from a positive-mass state, under the `ENUM_CAP` path test,
+    multiplying transition probabilities in path order.
     """
+    words, mass = _window_rows(M, n)
+    return dict(zip(map(tuple, words.tolist()), mass.tolist()))
+
+
+def _window_rows(M: MarkovMeasure, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The windows of `window_marginal` as distinct rows in numeric order, and their masses."""
     sl = M.state_len
     if n < 1:
         raise ValueError("window length must be at least 1")
-    if n == sl:
-        return dict(zip(M.states, M.p.tolist()))
     S = M.state_rows
-    if n < sl:
+    if n <= sl:
         return _mass_by_word(S[:, :n], M.p)
     if M.emit != 1:
         raise ValueError("windows longer than the state word need a single-symbol chain")
@@ -319,17 +322,17 @@ def symbol_marginal(M: MarkovMeasure, n: int) -> dict[Word, float]:
         else (pairs[:, i : i + n], M.p[u] * M.P[u, v] / M.emit)
         for i in range(M.emit)
     ))
-    return _mass_by_word(np.vstack(words), np.concatenate(mass))
+    words, mass = _mass_by_word(np.vstack(words), np.concatenate(mass))
+    return dict(zip(map(tuple, words.tolist()), mass.tolist()))
 
 
-def _mass_by_word(words: np.ndarray, mass: np.ndarray) -> dict[Word, float]:
-    """Total `mass` of each distinct row of `words`, keyed in numeric order.
+def _mass_by_word(words: np.ndarray, mass: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of `words` in numeric order, and the total `mass` of each.
 
     `np.bincount` adds each distinct row's masses one by one in row order.
     """
     words, rank = _ranked(words)
-    sums = np.bincount(rank, weights=mass)
-    return dict(zip(map(tuple, words.tolist()), sums.tolist()))
+    return words, np.bincount(rank, weights=mass)
 
 
 def window_conditional_entropy(M: MarkovMeasure, k: int, l: int) -> WindowEntropyReport:
@@ -343,8 +346,7 @@ def window_conditional_entropy(M: MarkovMeasure, k: int, l: int) -> WindowEntrop
     """
     if k < 1 or l < 1:
         raise ValueError("k and l must be at least 1")
-    marg = window_marginal(M, 2 * l + k)
-    return _window_report(_word_array("window", marg), np.fromiter(marg.values(), float, len(marg)), M.q, k, l)
+    return _window_report(*_window_rows(M, 2 * l + k), M.q, k, l)
 
 
 def _window_report(windows: np.ndarray, mass: np.ndarray, q: int, k: int, l: int) -> WindowEntropyReport:
@@ -382,7 +384,8 @@ def delta_from_epsilon(epsilon: float, q: int, k: int) -> float:
 
     Solves ``H_q(delta) + delta * log_q(q**k - 1) = epsilon`` by bisection on
     ``[0, (q**k - 1) / q**k]``, where the left side increases strictly from 0
-    to its maximum k.
+    to its maximum k.  It halves until the midpoint rounds to an end, a fixed
+    point: at most about 1,100 halvings, even for subnormal epsilon.
     """
     if q < 2 or k < 1:
         raise ValueError("the rate equation needs q >= 2 and k >= 1")
@@ -400,13 +403,13 @@ def delta_from_epsilon(epsilon: float, q: int, k: int) -> float:
     if epsilon >= cost(hi):
         delta = hi
     else:
-        for _ in range(DELTA_BISECT_STEPS):
-            mid = 0.5 * (lo + hi)
-            if cost(mid) < epsilon:
-                lo = mid
-            else:
-                hi = mid
         delta = 0.5 * (lo + hi)
+        while lo < delta < hi:
+            if cost(delta) < epsilon:
+                lo = delta
+            else:
+                hi = delta
+            delta = 0.5 * (lo + hi)
     if k > 1 and delta > (q - 1) / q:
         warnings.warn(
             f"delta={delta:.6f} exceeds (q-1)/q; the k=1 rate range does not "
@@ -429,7 +432,7 @@ def higher_block_presentation(S: RecoverableSystem) -> LabeledDigraph:
     a two-edge path from it spells ``w + (a,)`` exactly when ``w`` and
     ``w[1:] + (a,)`` both occur.
     """
-    allowed = _occurring_windows(S)
+    allowed = S.recovery_table.windows
     if not len(allowed):
         raise ValueError("the system has no occurring windows")
     return window_presentation(S.q, _word_rows(window_presentation(S.q, allowed), 2 * S.l + S.k + 1))

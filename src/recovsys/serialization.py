@@ -182,10 +182,11 @@ def save_recovery_table(table: Mapping[tuple[Word, Word], Word], path: str | Pat
     Path(path).write_text(recovery_table_to_text(table) + "\n")
 
 
-def recovery_table_from_text(text: str) -> dict[tuple[Word, Word], Word]:
+def recovery_table_from_text(text: str) -> RecoveryTable:
     """One ``alpha beta -> middle`` line per boundary pair; blank lines are skipped.
 
-    A malformed line or a pair given twice raises ValueError naming the line.
+    A malformed line or a pair given twice raises ValueError naming the line;
+    word lengths that differ between lines, in `RecoveryTable.of`, name the entry.
     """
     table: dict[tuple[Word, Word], Word] = {}
     for no, ln in enumerate(text.splitlines(), 1):
@@ -201,7 +202,7 @@ def recovery_table_from_text(text: str) -> dict[tuple[Word, Word], Word]:
         if (alpha, beta) in table:
             raise ValueError(f"line {no} {ln!r}: boundary pair given twice")
         table[alpha, beta] = middle
-    return table
+    return RecoveryTable.of(table)
 
 
 def measure_to_text(M: MarkovMeasure | EpsilonConstruction) -> str:

@@ -19,14 +19,12 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Set
 from dataclasses import dataclass
-from operator import index
-from typing import Mapping
 
 import numpy as np
 
 from . import graphs
 from .graphs import LabeledDigraph, Word, adjacency, essential_subgraph, log_base, trace_power
-from .systems import RecoverableSystem
+from .systems import RecoverableSystem, RecoveryTable
 
 # Bound on each int64 temporary of `verify_storage_code`, which works on
 # blocks of rows so that no temporary grows with the code.
@@ -107,13 +105,15 @@ class CycleStorageCode:
     The cycle has length n >= 3, so each position has two distinct
     neighbors; q >= 1, and every codeword is a length-n word over [q].
     `codewords` is a `WordRows`, kept as it is: the period-n points of
-    `storage_code_for_cycle` or the rows of a code file.
+    `storage_code_for_cycle` or the rows of a code file.  `recovery_table`
+    is held as the `RecoveryTable.of` the table given, and ValueError
+    refuses one of words not 1, 1 and 1 long, or of symbols not integers.
     """
 
     n: int
     q: int
     codewords: WordRows
-    recovery_table: Mapping[tuple[Word, Word], Word]
+    recovery_table: RecoveryTable
 
     def __post_init__(self) -> None:
         if self.n < 3:
@@ -126,6 +126,10 @@ class CycleStorageCode:
         if rows.size and (rows.min() < 0 or rows.max() >= self.q):
             bad = rows[((rows < 0) | (rows >= self.q)).any(axis=1)]
             raise ValueError(f"codeword {min(map(tuple, bad.tolist()))} is not a word over [{self.q}]")
+        table = RecoveryTable.of(self.recovery_table, want=(1, 1, 1))
+        object.__setattr__(self, "recovery_table", table)
+        if table.rows.dtype.kind not in "iu" and not all(isinstance(s, int | np.integer) for s in table.rows.flat):
+            raise ValueError(f"recovery table symbols must be integers, not {table.rows.dtype}")
 
     def rate(self) -> float:
         """(1/n) log_q of the code size; empty codes rate -inf."""
@@ -206,25 +210,22 @@ def verify_storage_code(C: CycleStorageCode) -> StorageVerification:
 
     Returns the first violating (codeword, position) in sorted order when a
     neighbor pair is missing from the table or decodes to the wrong symbol.
-    Only entries whose pair and middle are single symbols that occur in the
-    codewords can repair a position.  Each block of rows is checked with one
-    lookup of its positions' (left, right) keys, read at the rolled
-    neighbors, and one comparison with the middles found.  One-byte rows key
-    by symbol into a dense table of 256 x 256 middles.  Wider rows key by
-    the symbols' ranks among the K the entries name, with K for a symbol
-    they do not name, and find the middle by searching the entries' sorted
-    keys; so memory never grows with the symbol values or with the square
-    of the entries.  Empty cells hold a value no index takes.
+    The table's rows are read as (left, middle, right) entries, and only those
+    whose symbols all lie in [0, top), top one past the codewords' largest,
+    can repair a position.  Each block of rows is checked with one lookup of
+    its positions' (left, right) keys, read at the rolled neighbors, and one
+    comparison with the middles found.  One-byte rows key by symbol into a
+    dense table of 256 x 256 middles.  Wider rows key by the symbols' ranks
+    among the K the entries name, with K for a symbol they do not name, and
+    find the middle by searching the entries' sorted keys; so memory never
+    grows with the symbol values or with the square of the entries.  Empty
+    cells hold a value no index takes.
     """
     rows = C.codewords.rows
     # Symbols past the codewords' largest repair nothing; the rest fit the rows' dtype.
     top = int(rows.max()) + 1 if rows.size else 0
-    entries = []
-    for (alpha, beta), middle in C.recovery_table.items():
-        entry = (_symbol(alpha, top), _symbol(middle, top), _symbol(beta, top))
-        if None not in entry:
-            entries.append(entry)
-    entries = np.array(entries, dtype=object).reshape(-1, 3).astype(rows.dtype)
+    entries = C.recovery_table.windows.reshape(-1, 3)
+    entries = entries[((entries >= 0) & (entries < top)).all(axis=1)].astype(rows.dtype)
     if rows.dtype == np.uint8:
         # Symbols are their own indices, and uint16 holds every key.
         symbols, width = None, np.uint16(256)
@@ -259,14 +260,4 @@ def _ranks(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     if len(values):
         at[values.take(at, mode="clip") != x] = len(values)
     return at
-
-
-def _symbol(word: Word, q: int) -> int | None:
-    """The symbol of a one-symbol word over [q], else None."""
-    try:
-        (s,) = word
-        s = index(s)
-    except (TypeError, ValueError):
-        return None
-    return s if 0 <= s < q else None
 

@@ -84,13 +84,24 @@ class RecoveryTable(Mapping):
         self._dict: dict[tuple[Word, Word], Word] | None = None
 
     @classmethod
-    def of(cls, table: Mapping[tuple[Word, Word], Word]) -> RecoveryTable:
+    def of(
+        cls, table: Mapping[tuple[Word, Word], Word], want: tuple[int, int, int] | None = None
+    ) -> RecoveryTable:
         """`table` as a `RecoveryTable`: itself if it is one, else its entries sorted.
 
         Alpha, beta and middle words must each have one length throughout:
         otherwise ValueError names the first entry whose lengths differ
-        from the first entry's.
+        from the first entry's.  Symbols numpy cannot hold as integers stay
+        the objects given, so no int is rounded to a float.  Given `want`,
+        the (l, l, k) lengths a system's words have, a nonempty table of
+        other lengths raises ValueError.
         """
+        if want is not None:
+            table = cls.of(table)
+            lengths = tuple(np.diff([0, *table.ends, table.rows.shape[1]]).tolist())
+            if len(table) and lengths != want:
+                raise ValueError(f"recovery table words have lengths {lengths}, not (l, l, k) = {want}")
+            return table
         if isinstance(table, cls):
             return table
         items = list(table.items())
@@ -101,7 +112,10 @@ class RecoveryTable(Mapping):
                 f"recovery table entry {alpha} {beta} -> {w}: word lengths differ from {lengths[0]}"
             )
         la, lb, lm = lengths[0]
-        rows = np.array([alpha + beta + w for (alpha, beta), w in items] or np.empty((0, 0), dtype=np.int64))
+        words = [alpha + beta + w for (alpha, beta), w in items]
+        rows = np.array(words or np.empty((0, 0), dtype=np.int64))
+        if rows.dtype.kind not in "iu":
+            rows = np.array(words, dtype=object)
         if la + lb:
             rows = rows[np.lexsort(rows[:, : la + lb].T[::-1])]
         return cls(rows, (la, la + lb))
@@ -138,17 +152,17 @@ class RecoverableSystem:
     """A verified (k, l)-recoverable system.
 
     `recovery_table` maps each occurring boundary pair (left l-word,
-    right l-word) to the unique middle k-word between them: the
-    `RecoveryTable` of `verify_recoverable`, held as it is, or any mapping
-    a caller gives; its entries spell the occurring (2l + k)-windows.
-    `provenance` names the construction that produced the system.
+    right l-word) to the unique middle k-word between them, held as the
+    `RecoveryTable.of` the table given; its `windows` are the occurring
+    (2l + k)-windows.  A nonempty table of words not l, l and k long raises
+    ValueError.  `provenance` names the construction that produced it.
     """
 
     q: int
     k: int
     l: int
     presentation: LabeledDigraph
-    recovery_table: Mapping[tuple[Word, Word], Word]
+    recovery_table: RecoveryTable
     provenance: str
 
     def __post_init__(self) -> None:
@@ -156,15 +170,8 @@ class RecoverableSystem:
             raise ValueError("q, k, l must all be at least 1")
         if self.presentation.q != self.q:
             raise ValueError("presentation alphabet differs from system alphabet")
-
-
-def _occurring_windows(S: RecoverableSystem) -> np.ndarray:
-    """The `windows` of the table of `S`; words not l, l and k long raise ValueError."""
-    table = RecoveryTable.of(S.recovery_table)
-    lengths = tuple(np.diff([0, *table.ends, table.rows.shape[1]]).tolist())
-    if len(table) and lengths != (S.l, S.l, S.k):
-        raise ValueError(f"recovery table words have lengths {lengths}, not (l, l, k) = {(S.l, S.l, S.k)}")
-    return table.windows
+        table = RecoveryTable.of(self.recovery_table, want=(self.l, self.l, self.k))
+        object.__setattr__(self, "recovery_table", table)
 
 
 @dataclass(frozen=True)
@@ -346,13 +353,15 @@ def edge_cover_system(t: int, mode: str, *, k: int = 1, l: int = 1) -> Recoverab
     over [t], giving an (l, l)-recoverable system over ``q = t**2`` with
     capacity exactly 1/2.  power mode: symbols are ``(k+1)``-windows of the
     stream, giving a (k, 1)-recoverable system over ``q = t**(k+1)`` with
-    capacity ``1/(k+1)``.
+    capacity ``1/(k+1)``.  Square mode refuses k != 1, power mode l != 1.
     """
     if t < 2:
         raise ValueError("edge covering needs t >= 2")
     if mode == "square":
         if l < 1:
             raise ValueError("square mode needs l >= 1")
+        if k != 1:
+            raise ValueError(f"square mode takes l, not k (got k={k})")
         k_sys, l_sys, q = l, l, t * t
         # a window of 3l pair-symbols reads 4l stream symbols
         s = _word_grid(t, 4 * l)
@@ -360,6 +369,8 @@ def edge_cover_system(t: int, mode: str, *, k: int = 1, l: int = 1) -> Recoverab
     elif mode == "power":
         if k < 1:
             raise ValueError("power mode needs k >= 1")
+        if l != 1:
+            raise ValueError(f"power mode takes k, not l (got l={l})")
         k_sys, l_sys, q = k, 1, t ** (k + 1)
         span = 2 * k + 2  # a window of k + 2 symbols, each k + 1 stream symbols
         s = _word_grid(t, span)
@@ -399,19 +410,20 @@ def recursive_extend(S: RecoverableSystem) -> RecoverableSystem:
 
     Picks the vertex of maximum stationary mass under the max-entropy
     measure of the window presentation of the occurring 3-words, read off
-    the recovery table (ties to the lowest vertex id; the maximum is
-    automatically >= 1/q**2), attaches a 4-cycle through three fresh
-    vertices spelling the two new letters, and re-verifies.  That
-    presentation is essential: every occurring word lies on a bi-infinite
-    path of occurring words.  The capacity of the result is at least
+    the recovery table: the first maximum of the computed float masses,
+    so masses that differ only by rounding are not ties and the lowest
+    vertex id among them need not win (the maximum is automatically
+    >= 1/q**2).  It attaches a 4-cycle through three fresh vertices
+    spelling the two new letters, and re-verifies.  That presentation is
+    essential: every occurring word lies on a bi-infinite path of
+    occurring words.  The capacity of the result is at least
     ``cap(S) * log_{q+2}(q) + (1/q**2) * log_{q+2}(1 + 1/q**2)``.
     """
     from .measures import max_entropy_measure
 
     if S.k != 1 or S.l != 1:
         raise ValueError("the loop extension applies to (1, 1) systems only")
-    q = S.q
-    windows = _occurring_windows(S)
+    q, windows = S.q, S.recovery_table.windows
     core = window_presentation(q, windows)
     mu = max_entropy_measure(core)
     v = int(np.argmax(mu.p))

@@ -33,6 +33,20 @@ def test_construct_edgecover_square():
     assert "capacity 0.5 (log base 4)" in res.output
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--mode", "square", "--k", "2"], "square mode takes l, not k (got k=2)"),
+        (["--mode", "power", "--k", "2", "--l", "7"], "power mode takes k, not l (got l=7)"),
+    ],
+)
+def test_construct_edgecover_refuses_the_option_its_mode_does_not_use(args, message):
+    res = run("construct", "edgecover", "--t", "2", *args)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == f"error: {message}\n"
+
+
 def test_construct_debruijn_prints_and_writes_the_graph(tmp_path):
     out = tmp_path / "db.json"
     res = run("construct", "debruijn", "--q", "2", "--d", "2", "--out", str(out))

@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 from decimal import Decimal, localcontext
@@ -5,12 +6,12 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import recovsys as rs
 from recovsys import measures
-from recovsys.graphs import LabeledDigraph, _word_graph, _word_grid, _word_rows, window_presentation
+from recovsys.graphs import LabeledDigraph, _word_array, _word_graph, _word_grid, _word_rows, window_presentation
 from recovsys.measures import higher_block_presentation
 
 from conftest import chorded_cycle_graph, plastic_number, tuple_window_presentation
@@ -184,6 +185,45 @@ def test_delta_solves_the_rate_equation(qk, frac):
     assert abs(back - eps) < 1e-10
 
 
+def delta_in_200_steps(epsilon, q, k):
+    """Oracle: the bisection of `delta_from_epsilon` cut at 200 halvings."""
+    spread = q**k - 1
+    shift = math.log(spread) / math.log(q) if spread > 1 else 0.0
+    lo, hi = 0.0, spread / q**k
+    if epsilon >= measures._hq(hi, q) + hi * shift:
+        return hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if measures._hq(mid, q) + mid * shift < epsilon:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.filterwarnings("ignore:delta=")
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 36), st.integers(1, 4), st.floats(1e-30, 1.0))
+@example(2, 1, 0.286)
+@example(3, 1, 0.1)
+@example(8, 1, 0.12)
+@example(2, 4, 0.1 / 4)
+@example(13, 1, 0.05)
+def test_delta_bisects_to_where_200_steps_end(q, k, frac):
+    # Down to epsilon = 1e-30, 200 halvings reach the fixed point.
+    assert rs.delta_from_epsilon(frac * k, q, k) == delta_in_200_steps(frac * k, q, k)
+
+
+@pytest.mark.parametrize("q, k", [(2, 1), (3, 1), (2, 2), (36, 1)])
+@pytest.mark.parametrize("eps", [1e-60, 1e-100, 1e-300])
+def test_delta_costs_epsilon_at_tiny_epsilon(q, k, eps):
+    # 200 halvings stop short here: at q = 2 and 1e-100 they gave 1.56e-61.
+    delta = rs.delta_from_epsilon(eps, q, k)
+    spread = q**k - 1
+    cost = measures._hq(delta, q) + delta * (math.log(spread) / math.log(q) if spread > 1 else 0.0)
+    assert 0 < delta < eps and cost == pytest.approx(eps, rel=1e-12)
+
+
 def test_epsilon_construction_with_zero_budget(binary_system, reference_mu):
     built = rs.epsilon_construction(binary_system, 0.0)
     ghosts = [w for w in built.measure.states if w not in reference_mu.states]
@@ -293,12 +333,10 @@ def test_higher_block_presentation_from_the_table_equals_the_presentation_walk(n
 
 
 def test_a_table_of_the_wrong_shape_is_refused(binary_system):
-    S = rs.RecoverableSystem(2, 1, 1, binary_system.presentation, {((0,), (1,)): (0, 0)}, "wrong shape")
+    # The table is converted and checked once, when the system is built.
     message = re.escape("recovery table words have lengths (1, 1, 2), not (l, l, k) = (1, 1, 1)")
     with pytest.raises(ValueError, match=message):
-        higher_block_presentation(S)
-    with pytest.raises(ValueError, match=message):
-        rs.recursive_extend(S)
+        rs.RecoverableSystem(2, 1, 1, binary_system.presentation, {((0,), (1,)): (0, 0)}, "wrong shape")
 
 
 def test_epsilon_construction_rejects_two_parents():
@@ -531,10 +569,12 @@ def test_epsilon_condition_is_the_maximum_over_pairs():
 
 def test_state_length_windows_are_the_states_and_their_masses():
     M = rs.epsilon_construction(rs.truncated_debruijn_system(13), 0.1).measure
+    rows, mass = measures._window_rows(M, M.state_len)
+    assert np.array_equal(rows, M.state_rows)
+    assert [x.hex() for x in mass.tolist()] == [x.hex() for x in M.p.tolist()]
     windows = rs.window_marginal(M, M.state_len)
-    runs = measures._mass_by_word(M.state_rows, M.p)
-    assert list(windows) == list(runs)
-    assert [x.hex() for x in windows.values()] == [x.hex() for x in runs.values()]
+    assert list(windows) == list(M.states)
+    assert [x.hex() for x in windows.values()] == [x.hex() for x in M.p.tolist()]
 
 
 def dict_window_report(marg, q, k, l):
@@ -591,3 +631,37 @@ def test_row_window_report_equals_the_dict_report_bit_for_bit(drawn):
     assert [x.hex() for x in report.entries.values()] == [x.hex() for x in entries.values()]
     assert report.zero_pairs == zero
     assert report.max_entropy.hex() == top.hex()
+
+
+def dict_path_report(M, k, l):
+    """Oracle: the report read through the window marginal's dict, as before."""
+    marg = rs.window_marginal(M, 2 * l + k)
+    windows = _word_array("window", marg)
+    return measures._window_report(windows, np.fromiter(marg.values(), float, len(marg)), M.q, k, l)
+
+
+@functools.lru_cache(maxsize=None)
+def drawn_measure(name, eps):
+    """The max-entropy chain of a built system, or for eps >= 0 its dense epsilon measure."""
+    S = BUILT_SYSTEMS[name]()
+    if eps < 0:
+        return rs.max_entropy_measure(rs.essential_subgraph(S.presentation))
+    return rs.epsilon_construction(S, eps).measure
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["truncated_q4", "marker_q3_k1", "square_t2_l1", "search_q2_k1_l1", "power_t2_k2"]),
+    st.sampled_from([-1.0, 0.0, 0.05, 0.286]),
+    st.integers(1, 2),
+    st.integers(1, 2),
+)
+def test_dense_window_report_equals_the_dict_path_bit_for_bit(name, eps, k, l):
+    M = drawn_measure(name, eps)
+    # Block chains read windows up to their state length only.
+    assume(M.emit == 1 or 2 * l + k <= M.state_len)
+    report, want = rs.window_conditional_entropy(M, k, l), dict_path_report(M, k, l)
+    assert list(report.entries) == list(want.entries)
+    assert [x.hex() for x in report.entries.values()] == [x.hex() for x in want.entries.values()]
+    assert report.zero_pairs == want.zero_pairs
+    assert report.max_entropy.hex() == want.max_entropy.hex()

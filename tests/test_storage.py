@@ -221,13 +221,16 @@ def test_trace_and_periodic_counts_agree(trunc8_system):
         assert rs.periodic_points(trunc8_system.presentation, n).count == rs.trace_power(A, n)
 
 
-def verify_by_loop(C):
-    """Oracle: look up every position of every codeword, in sorted order."""
+def verify_by_loop(C, table):
+    """Oracle: look up every position of every codeword, in sorted order.
+
+    Reads the mapping `C` was built from, not the `RecoveryTable` it holds.
+    """
     for w in sorted(C.codewords):
         for i in range(C.n):
             left = (w[(i - 1) % C.n],)
             right = (w[(i + 1) % C.n],)
-            repaired = C.recovery_table.get((left, right))
+            repaired = table.get((left, right))
             if repaired != (w[i],):
                 return StorageVerification(False, (w, i))
     return StorageVerification(True)
@@ -235,16 +238,16 @@ def verify_by_loop(C):
 
 @st.composite
 def codes_and_tables(draw):
-    """A code over [q] with a table that repairs some positions, not all.
+    """A code over [q] with a one-symbol table that repairs some positions, not all, and that table.
 
     The table holds the entries some codewords need, then entries with
-    missing or rewritten middles, middles of two symbols or outside [q],
-    and boundary words outside [q] or of two symbols.  A wide code also
-    holds the symbol 65,535 (uint16 rows) or 2**70 (object rows), and its
-    alphabet grows to hold it.
+    missing or rewritten middles, and entries naming symbols outside the
+    codewords' range: -1, q, q + 1, top - 1, top + 1, 65,535 and 2**70.  A
+    wide code also holds the symbol 65,535 (uint16 rows), 2**64 - 1 (uint64
+    rows) or 2**70 (object rows), and its alphabet grows to hold it.
     """
     q = draw(st.sampled_from([1, 2, 3, 4, 256, 300]))
-    top = draw(st.sampled_from([q - 1, 2**16 - 1, 2**70]))
+    top = draw(st.sampled_from([q - 1, 2**16 - 1, 2**64 - 1, 2**70]))
     n = draw(st.integers(3, 6))
     word = st.tuples(*[st.integers(0, q - 1) | st.just(top)] * n)
     words = draw(st.lists(word, max_size=8))
@@ -252,22 +255,58 @@ def codes_and_tables(draw):
     for w in draw(st.lists(st.sampled_from(words), max_size=4)) if words else []:
         for i in range(n):
             table[(w[i - 1],), (w[(i + 1) % n],)] = (w[i],)
-    symbol = st.integers(-1, q + 1) | st.sampled_from([top - 1, top, top + 1])
-    side = st.one_of(st.tuples(symbol), st.tuples(symbol, symbol))
-    middle = st.one_of(st.tuples(symbol), st.tuples(symbol, symbol), st.just(()))
+    symbol = st.integers(-1, q + 1) | st.sampled_from([top - 1, top, top + 1, 2**16 - 1, 2**70])
     for key in draw(st.lists(st.sampled_from(sorted(table)), max_size=3)) if table else []:
         if draw(st.booleans()):
             table.pop(key, None)
         else:
-            table[key] = draw(middle)
-    table.update(draw(st.dictionaries(st.tuples(side, side), middle, max_size=6)))
-    return cycle_code(n, top + 1, words, table)
+            table[key] = (draw(symbol),)
+    one = st.tuples(symbol)
+    table.update(draw(st.dictionaries(st.tuples(one, one), one, max_size=6)))
+    return cycle_code(n, top + 1, words, table), table
 
 
 @settings(max_examples=300, deadline=None)
 @given(codes_and_tables())
-def test_verify_storage_code_matches_the_loop(C):
-    assert rs.verify_storage_code(C) == verify_by_loop(C)
+def test_verify_storage_code_matches_the_loop(code_and_table):
+    C, table = code_and_table
+    assert isinstance(C.recovery_table, rs.RecoveryTable)
+    assert rs.verify_storage_code(C) == verify_by_loop(C, table)
+
+
+@st.composite
+def malformed_tables(draw):
+    """A table no cycle code holds: ragged, empty middles, wider words or a float symbol."""
+
+    def words(length):
+        return st.tuples(*[st.integers(0, 3)] * length)
+
+    def uniform(a, b, m):
+        return draw(st.dictionaries(st.tuples(words(a), words(b)), words(m), min_size=1, max_size=4))
+
+    lengths = st.tuples(*[st.integers(0, 2)] * 3).filter(lambda s: s != (1, 1, 1))
+    kind = draw(st.sampled_from(["ragged", "empty middle", "two symbols", "float"]))
+    if kind == "empty middle":
+        return uniform(1, 1, 0)
+    if kind == "two symbols":
+        return uniform(*draw(lengths.filter(lambda s: min(s) >= 1)))
+    table = uniform(1, 1, 1)
+    if kind == "ragged":
+        a, b, m = draw(lengths)
+        table[draw(words(a)), draw(words(b))] = draw(words(m))
+    else:
+        (alpha, beta), middle = draw(st.sampled_from(sorted(table.items())))
+        entry = [*alpha, *beta, *middle]
+        entry[draw(st.integers(0, 2))] = draw(st.integers(0, 3)) + 0.5
+        table[(entry[0],), (entry[1],)] = (entry[2],)
+    return table
+
+
+@settings(max_examples=100, deadline=None)
+@given(malformed_tables())
+def test_cycle_codes_refuse_tables_that_are_not_one_symbol_integers(table):
+    with pytest.raises(ValueError, match="recovery table"):
+        cycle_code(3, 4, [(0, 1, 2)], table)
 
 
 def test_wide_rows_verify_in_memory_bounded_by_the_table():
@@ -305,7 +344,7 @@ def test_tables_naming_many_wide_symbols_verify_like_the_loop():
         for broken in ({**table, key: (base,)}, {k: v for k, v in table.items() if k != key}):
             broken_code = cycle_code(3, base + 6000, words, broken)
             res = rs.verify_storage_code(broken_code)
-            assert not res.ok and res == verify_by_loop(broken_code)
+            assert not res.ok and res == verify_by_loop(broken_code, broken)
 
 
 def test_codes_over_alphabets_past_uint64_are_verified():
@@ -337,7 +376,7 @@ def test_verify_storage_code_finds_the_first_violation_in_any_block(binary_syste
     for table in tables:
         broken = rs.CycleStorageCode(9, 2, code.codewords, table)
         res = rs.verify_storage_code(broken)
-        assert res == verify_by_loop(broken)
+        assert res == verify_by_loop(broken, table)
         found.add(res.violation)
     assert len(found) > 3
 
@@ -399,5 +438,8 @@ def test_codes_read_from_text_are_verified_at_any_q(q):
     code = rs.CycleStorageCode(3, q, ser.codewords_from_text("012\n120\n201\n"), table)
     assert code.codewords.rows.dtype == np.uint8
     assert rs.verify_storage_code(code).ok
+    # The code holds a copy of the table: rewriting a middle takes a new code.
     table[(1,), (0,)] = (q - 1,)
-    assert rs.verify_storage_code(code) == verify_by_loop(code)
+    bad = rs.CycleStorageCode(3, q, code.codewords, table)
+    assert not rs.verify_storage_code(bad).ok
+    assert rs.verify_storage_code(bad) == verify_by_loop(bad, table)

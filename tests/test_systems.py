@@ -157,6 +157,33 @@ def test_edge_cover_rejects_bad_mode():
         rs.edge_cover_system(2, "diagonal")
 
 
+@pytest.mark.parametrize(
+    "mode, option, message",
+    [("square", {"k": 2}, "square mode takes l, not k"), ("power", {"k": 2, "l": 7}, "power mode takes k, not l")],
+)
+def test_edge_cover_refuses_the_option_its_mode_does_not_use(mode, option, message):
+    with pytest.raises(ValueError, match=message):
+        rs.edge_cover_system(2, mode, **option)
+    # The other option, given as its default 1, is accepted.
+    assert rs.edge_cover_system(2, mode, k=1, l=1).provenance == f"edge_cover(t=2, mode={mode}, k=1, l=1)"
+
+
+def test_a_system_holds_the_table_it_is_given_as_one_recovery_table(tmp_path):
+    # Built from a dict, as a caller outside the package builds it, the
+    # system holds a RecoveryTable equal to the dict, which writes the same
+    # table text as the construction's own table.
+    S = rs.truncated_debruijn_system(8)
+    given = dict(S.recovery_table)
+    T = rs.RecoverableSystem(S.q, 1, 1, S.presentation, given, "from a dict")
+    assert isinstance(T.recovery_table, rs.RecoveryTable) and T.recovery_table == given
+    assert np.array_equal(T.recovery_table.rows, S.recovery_table.rows)
+    rs.serialization.save_recovery_table(T.recovery_table, tmp_path / "t.table")
+    rs.serialization.save_recovery_table(S.recovery_table, tmp_path / "s.table")
+    assert (tmp_path / "t.table").read_bytes() == (tmp_path / "s.table").read_bytes()
+    # A RecoveryTable is held as it is.
+    assert rs.RecoverableSystem(S.q, 1, 1, S.presentation, S.recovery_table, "same").recovery_table is S.recovery_table
+
+
 def test_marker_capacity_formula():
     S = rs.marker_system(3, 1)
     assert abs(rs.capacity(S) - math.log(2, 3) / 3) < 1e-9
