@@ -8,7 +8,6 @@ byte-identical output.
 
 from __future__ import annotations
 
-import functools
 import sys
 from pathlib import Path
 
@@ -19,16 +18,15 @@ from .graphs import de_bruijn, essential_subgraph
 from .serialization import fmt
 
 
-def _domain_guard(f):
-    @functools.wraps(f)
-    def wrapper(*args, **kwargs):
+class _Main(click.Group):
+    """The root group: a domain error in any command prints ``error: ...`` and exits 2."""
+
+    def invoke(self, ctx: click.Context):
         try:
-            return f(*args, **kwargs)
+            return super().invoke(ctx)
         except (ValueError, KeyError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
-
-    return wrapper
 
 
 def _parse_file(parse, path):
@@ -38,7 +36,7 @@ def _parse_file(parse, path):
         raise ValueError(f"{path}: {exc}") from None
 
 
-@click.group()
+@click.group(cls=_Main)
 def main() -> None:
     """Recoverable-system constructions, verification, and measures."""
 
@@ -66,7 +64,6 @@ def _emit_system(S: systems.RecoverableSystem, out_graph, out_table) -> None:
 @click.option("--q", type=int, required=True)
 @click.option("--d", type=int, default=2, show_default=True)
 @click.option("--out", type=click.Path(), default=None, help="Graph file.")
-@_domain_guard
 def construct_debruijn(q, d, out):
     """De Bruijn graph of order d over [q] (presents the full shift)."""
     G = de_bruijn(q, d)
@@ -82,7 +79,6 @@ def construct_debruijn(q, d, out):
 @click.option("--q", type=int, required=True)
 @click.option("--out-graph", type=click.Path(), default=None)
 @click.option("--out-table", type=click.Path(), default=None)
-@_domain_guard
 def construct_truncated(q, out_graph, out_table):
     """(1,1)-recoverable system over q letters by de Bruijn truncation."""
     _emit_system(systems.truncated_debruijn_system(q), out_graph, out_table)
@@ -93,7 +89,6 @@ def construct_truncated(q, out_graph, out_table):
 @click.option("--k", type=int, default=1, show_default=True)
 @click.option("--out-graph", type=click.Path(), default=None)
 @click.option("--out-table", type=click.Path(), default=None)
-@_domain_guard
 def construct_marker(q, k, out_graph, out_table):
     """(k, k+1)-recoverable marker-block system over [q]."""
     _emit_system(systems.marker_system(q, k), out_graph, out_table)
@@ -106,7 +101,6 @@ def construct_marker(q, k, out_graph, out_table):
 @click.option("--l", type=int, default=1, show_default=True)
 @click.option("--out-graph", type=click.Path(), default=None)
 @click.option("--out-table", type=click.Path(), default=None)
-@_domain_guard
 def construct_edgecover(t, mode, k, l, out_graph, out_table):
     """Edge-covering system: (l,l) over t^2 letters or (k,1) over t^(k+1)."""
     _emit_system(systems.edge_cover_system(t, mode, k=k, l=l), out_graph, out_table)
@@ -116,7 +110,6 @@ def construct_edgecover(t, mode, k, l, out_graph, out_table):
 @click.option("--q", type=int, required=True, help="Target alphabet size.")
 @click.option("--out-graph", type=click.Path(), default=None)
 @click.option("--out-table", type=click.Path(), default=None)
-@_domain_guard
 def construct_recursive(q, out_graph, out_table):
     """Chain loop extensions from the largest same-parity square below q."""
     seed = systems.recursive_seed(q)
@@ -138,7 +131,6 @@ def verify() -> None:
 @click.option("--k", type=int, required=True)
 @click.option("--l", type=int, required=True)
 @click.option("--out-table", type=click.Path(), default=None)
-@_domain_guard
 def verify_system(graph_path, k, l, out_table):
     """PASS iff the graph presents a (k, l)-recoverable system."""
     G = _parse_file(serialization.graph_from_json, graph_path)
@@ -162,7 +154,6 @@ def verify_system(graph_path, k, l, out_table):
 @click.option("--table", "table_path", type=click.Path(exists=True), required=True)
 @click.option("--q", type=int, required=True)
 @click.option("--n", type=int, required=True)
-@_domain_guard
 def verify_storage(code_path, table_path, q, n):
     """PASS iff every codeword symbol is repaired by the shared table."""
     words = _parse_file(serialization.codewords_from_text, code_path)
@@ -184,7 +175,6 @@ def measure() -> None:
 @measure.command("maxent")
 @click.option("--graph", "graph_path", type=click.Path(exists=True), required=True)
 @click.option("--out", type=click.Path(), default=None)
-@_domain_guard
 def measure_maxent(graph_path, out):
     """Max-entropy measure of the essential part of a presentation."""
     G = essential_subgraph(_parse_file(serialization.graph_from_json, graph_path))
@@ -210,7 +200,6 @@ def measure_maxent(graph_path, out):
 )
 @click.option("--out-measure", type=click.Path(), default=None)
 @click.option("--out-graph", type=click.Path(), default=None)
-@_domain_guard
 def measure_epsilon(q, k, l, eps, graph_path, out_measure, out_graph):
     """Entropy-epsilon measure built from a recoverable system."""
     if graph_path:
@@ -253,13 +242,15 @@ def report() -> None:
 
 
 def _parse_q_range(qrange: str) -> tuple[int, int]:
-    if ".." in qrange:
-        lo_s, hi_s = qrange.split("..", 1)
-        lo, hi = int(lo_s), int(hi_s)
-    else:
-        lo = hi = int(qrange)
+    bad = ValueError(f"bad alphabet range {qrange!r}")
+    lo_s, dots, hi_s = qrange.partition("..")
+    try:
+        lo = int(lo_s)
+        hi = int(hi_s) if dots else lo
+    except ValueError:
+        raise bad from None
     if lo > hi or lo < 2:
-        raise ValueError(f"bad alphabet range {qrange!r}")
+        raise bad
     return lo, hi
 
 
@@ -291,7 +282,6 @@ def bounds_csv(rows) -> str:
 @report.command("bounds")
 @click.option("--q", "q_spec", type=str, required=True, help="Single q or a..b range.")
 @click.option("--out", type=click.Path(), default=None)
-@_domain_guard
 def report_bounds(q_spec, out):
     """Lower bounds on (1,1) capacity per alphabet size, against the 1/2 cap."""
     lo, hi = _parse_q_range(q_spec)

@@ -7,9 +7,11 @@ per edge, while graph powers emit whole vertex words.  Words are held as
 rows of int64 arrays, one row per vertex label and per label word, checked
 once with array operations; the tuples of `labels` and `words` are views
 built on first read.  Edges are stored once, as int64 arrays with one row
-per edge and a multiplicity.  The arrays are read-only and the class frozen,
-so graphs are immutable and every function is pure, which makes concurrent
-use safe.
+per edge and a multiplicity.  Trace and path counts are exact: taken modulo
+word-size pairwise coprime moduli and rebuilt by the Chinese remainder
+theorem.  The arrays are read-only, the class is frozen and the module holds
+no mutable state, so graphs are immutable and every function is pure, which
+makes concurrent use safe.
 """
 
 from __future__ import annotations
@@ -32,9 +34,6 @@ PERRON_CERT_STEPS = 32
 ENUM_CAP = 1_000_000
 # Bound on each (K, V, V) float64 residue stack of `_crt_count`.
 _RESIDUE_BYTES = 1 << 20
-# The primes of `_crt_count` below 2**k, largest first, per k: found on demand.
-# Stored lists are never changed, only replaced.
-_PRIMES: dict[int, list[int]] = {}
 
 
 def word_from_int(value: int, q: int, length: int) -> Word:
@@ -474,9 +473,9 @@ def perron_pair(A: np.ndarray) -> tuple[float, np.ndarray]:
 def trace_power(A: np.ndarray | Sequence[Sequence[int]], n: int) -> int:
     """Exact trace of ``A**n`` over the integers (``A**0`` is the identity).
 
-    Counted modulo word-size primes in float64 and rebuilt by the Chinese
-    remainder theorem, as `_crt_count` describes; the power's last product
-    is never formed, only its diagonal.
+    Counted modulo word-size pairwise coprime moduli in float64 and rebuilt
+    by the Chinese remainder theorem, as `_crt_count` describes; the power's
+    last product is never formed, only its diagonal.
     """
     return _crt_count(A, n, trace=True)
 
@@ -670,14 +669,15 @@ def _crt_count(A: np.ndarray | Sequence[Sequence[int]], e: int, trace: bool) -> 
 
     Each row of ``A**e`` sums to at most ``r**e`` for the largest row sum
     ``r``, so either count is at most ``V * r**e`` on V vertices.  The count
-    is taken modulo the largest primes below ``2**k``, ``k = (53 -
-    V.bit_length()) // 2``, just enough of them that their product exceeds
-    that bound, and rebuilt by the Chinese remainder theorem (von zur Gathen
-    & Gerhard, *Modern Computer Algebra*, ch. 5).  As ``V * (p - 1)**2 <
-    2**53`` for each prime p, every entry and partial sum of a product of
-    residue matrices is an integer below ``2**53``: each float64 `@`, on all
-    the primes of a chunk at once, is exact in whatever order BLAS adds, and
-    int64 ``%`` reduces it.  The chunks' (K, V, V) stacks stay under
+    is taken modulo the pairwise coprime moduli below ``2**k``, ``k = (53 -
+    V.bit_length()) // 2``, that `_moduli_over` picks, just enough of them
+    that their product exceeds that bound, and rebuilt by the Chinese
+    remainder theorem, which needs no more than coprime moduli (von zur
+    Gathen & Gerhard, *Modern Computer Algebra*, ch. 5).  As ``V * (p -
+    1)**2 < 2**53`` for each modulus p, every entry and partial sum of a
+    product of residue matrices is an integer below ``2**53``: each float64
+    `@`, on all the moduli of a chunk at once, is exact in whatever order
+    BLAS adds, and int64 ``%`` reduces it.  The chunks' (K, V, V) stacks stay under
     `_RESIDUE_BYTES`.  Entries must be integers; integer-valued floats are
     accepted.
     """
@@ -689,15 +689,15 @@ def _crt_count(A: np.ndarray | Sequence[Sequence[int]], e: int, trace: bool) -> 
         r = max(X.sum(axis=1, dtype=object), default=0)
     else:
         r = int(X.sum(axis=1).max(initial=0))
-    primes = _primes_over(V * r**e, (53 - V.bit_length()) // 2)
+    moduli = _moduli_over(V * r**e, (53 - V.bit_length()) // 2)
     per_chunk = max(1, _RESIDUE_BYTES // max(8 * V * V, 1))
     residues = []
-    for lo in range(0, len(primes), per_chunk):
-        p = np.array(primes[lo : lo + per_chunk], dtype=np.int64)[:, None, None]
+    for lo in range(0, len(moduli), per_chunk):
+        p = np.array(moduli[lo : lo + per_chunk], dtype=np.int64)[:, None, None]
         residues += _count_mod(X, e, p, trace).tolist()
-    M = math.prod(primes)
+    M = math.prod(moduli)
     crt = 0
-    for c, p in zip(residues, primes):
+    for c, p in zip(residues, moduli):
         m = M // p
         crt += c * m * pow(m, -1, p)
     return crt % M
@@ -720,7 +720,7 @@ def _count_matrix(A: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
 
 
 def _count_mod(X: np.ndarray, e: int, p: np.ndarray, trace: bool) -> np.ndarray:
-    """The trace, or the entry sum, of ``X**e`` modulo each prime of the (K, 1, 1) `p`.
+    """The trace, or the entry sum, of ``X**e`` modulo each modulus of the (K, 1, 1) `p`.
 
     ``X**e`` is taken by repeated squaring as ``P @ S``, the identity
     standing in for a factor that is not there, and only the diagonal, or
@@ -736,7 +736,7 @@ def _count_mod(X: np.ndarray, e: int, p: np.ndarray, trace: bool) -> np.ndarray:
         S = _residue(S @ S, p)
         e >>= 1
     P = eye if P is None else P
-    p = p[:, 0]  # (K, 1): the prime of each row of sums
+    p = p[:, 0]  # (K, 1): the modulus of each row of sums
     if trace:
         cells = (P * S.swapaxes(-1, -2)).sum(axis=-1).astype(np.int64) % p
     else:
@@ -752,48 +752,21 @@ def _residue(Z: np.ndarray, p: np.ndarray) -> np.ndarray:
     return Z
 
 
-def _primes_over(bound: int, k: int) -> list[int]:
-    """The largest primes below ``2**k``, in decreasing order, whose product just exceeds `bound`.
+def _moduli_over(bound: int, k: int) -> list[int]:
+    """Pairwise coprime moduli below ``2**k``, largest first, whose product just exceeds `bound`.
 
-    Found on demand by a downward Miller-Rabin scan and stored in `_PRIMES`,
-    one list per k.  A stored list is never changed, only replaced by a
-    longer one, so concurrent calls need no lock.
+    A downward scan from ``2**k - 1`` keeps each m coprime to the product of
+    those kept before it.
     """
-    primes = list(_PRIMES.get(k, ()))
-    product, i = 1, 0
+    moduli, product, m = [], 1, 2**k
     while product <= bound:
-        if i == len(primes):
-            m = (primes[-1] if primes else 2**k) - 1
-            while m > 1 and not _is_prime(m):
-                m -= 1
-            if m < 2:
-                raise ValueError(f"the count needs more than the primes below 2**{k}")
-            primes.append(m)
-        product *= primes[i]
-        i += 1
-    if len(primes) > len(_PRIMES.get(k, ())):
-        _PRIMES[k] = primes
-    return primes[:i]
-
-
-def _is_prime(m: int) -> bool:
-    """Miller-Rabin with the bases 2, 3, 5 and 7, exact below 3,215,031,751."""
-    if m < 11:
-        return m in (2, 3, 5, 7)
-    d = m - 1
-    s = (d & -d).bit_length() - 1
-    d >>= s
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, m)
-        if x in (1, m - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
+        m -= 1
+        if m < 2:
+            raise ValueError(f"the count needs more than the moduli below 2**{k}")
+        if math.gcd(m, product) == 1:
+            moduli.append(m)
+            product *= m
+    return moduli
 
 
 def _matrix_sccs(A: np.ndarray) -> list[list[int]]:

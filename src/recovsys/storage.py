@@ -8,7 +8,8 @@ on a code runs over that array: the middles of the rule's one-symbol entries
 are looked up by (left, right) key in a dense table of 256 x 256 cells for
 one-byte symbols, or in the entries' sorted keys for wider ones, so memory
 never follows the symbol values.  Period-n points are counted exactly as
-the trace of an adjacency power, from its residues modulo word-size primes.
+the trace of an adjacency power, from its residues modulo word-size
+pairwise coprime moduli.
 Period-n words are read by joining the walks of the two half lengths on
 their endpoints, which yields the rows already sorted; `graphs.ENUM_CAP`
 bounds the closed-walk count and the longer half's path count, and is
@@ -161,8 +162,8 @@ def periodic_points(G: LabeledDigraph, n: int) -> PeriodicPoints:
 
     Closed paths lie in the essential subgraph ``E``; the exact count is the
     trace of its n-th adjacency power, which `trace_power` takes modulo
-    word-size primes in float64 and rebuilds by the Chinese remainder
-    theorem, with no product of Python ints.  When the edges of ``E`` emit
+    word-size pairwise coprime moduli in float64 and rebuilds by the Chinese
+    remainder theorem, with no product of Python ints.  When the edges of ``E`` emit
     single symbols, and both the count and the number of paths of length
     ``n - n // 2`` are at most `graphs.ENUM_CAP` (tested before any walk;
     else `words` is None), the words are read by meeting in the middle: the

@@ -400,8 +400,12 @@ def test_report_bounds_csv_and_determinism():
     assert row9[0] == "9" and float(row9[2]) == 0.5
 
 
-def test_report_bounds_rejects_bad_range():
-    assert run("report", "bounds", "--q", "16..9").exit_code == 2
+@pytest.mark.parametrize("spec", ["16..9", "2..x", "..5", "abc", "1", "2..3..4"])
+def test_report_bounds_rejects_bad_range(spec):
+    res = run("report", "bounds", "--q", spec)
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == f"error: bad alphabet range {spec!r}\n"
 
 
 @pytest.mark.parametrize("ids", [(0, 0), (0, 2)])

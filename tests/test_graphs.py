@@ -1,8 +1,5 @@
 import dataclasses
 import math
-import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from unittest import mock
 
@@ -511,7 +508,7 @@ def object_power(A, e):
 
 
 # Exponents around 3**e = 2**63, where the counts outgrow int64: the residue
-# path takes 3 primes below 2**25 up to e = 41 and 20 at e = 300.  40, 41,
+# path takes 3 moduli below 2**25 up to e = 41 and 20 at e = 300.  40, 41,
 # 57 and 81 end on a product of two powers, and 64 is a pure square, whose
 # last product has the identity as its first factor.
 GUARD_EXPONENTS = [39, 40, 41, 57, 64, 81, 300]
@@ -530,13 +527,13 @@ def test_path_count_on_both_sides_of_the_int64_guard(e):
 
 def test_trace_and_path_count_sums_do_not_wrap():
     # Every entry of (3I)**39 is 3**39 < 2**63, but the sum 4 * 3**39
-    # exceeds 2**63: the bound V * r**n the primes must exceed holds the sum.
+    # exceeds 2**63: the bound V * r**n the moduli must exceed holds the sum.
     A = 3 * np.eye(4, dtype=np.int64)
     assert rs.trace_power(A, 39) == 4 * 3**39
     assert rs.path_count(A, 39) == 4 * 3**39
 
 
-# V on both sides of every step of V.bit_length(), which sets the primes'
+# V on both sides of every step of V.bit_length(), which sets the moduli's
 # bound 2**k, k = (53 - V.bit_length()) // 2.
 RESIDUE_SIDES = [0, 1, 2, 3, 7, 8, 15, 16, 31, 33, 64]
 
@@ -582,28 +579,18 @@ def test_residue_counts_equal_the_object_power(V, top, n, huge, seed):
     P = object_power(A, n)
     assert trace == np.trace(P) and paths == P.sum()
     r = max(np.asarray(A, dtype=object).sum(axis=1), default=0)
+    k = (53 - V.bit_length()) // 2
     for chunks in moduli:
-        primes = sum(chunks, [])
-        assert math.prod(primes) > V * r**n
-        assert all(V * (p - 1) ** 2 < 2**53 for p in primes)
+        m = sum(chunks, [])
+        assert math.lcm(*m) == math.prod(m) > V * r**n  # pairwise coprime
+        assert all(2 <= p < 2**k and V * (p - 1) ** 2 < 2**53 for p in m)
 
 
-def test_miller_rabin_matches_a_sieve_and_rejects_strong_pseudoprimes():
-    top = 1 << 16
-    sieve = np.ones(top, dtype=bool)
-    sieve[:2] = False
-    for d in range(2, 256):
-        sieve[d * d :: d] = False
-    assert [m for m in range(top) if rs.graphs._is_prime(m)] == np.flatnonzero(sieve).tolist()
-    # strong pseudoprimes to base 2; to bases 2 and 3; to bases 2, 3 and 5
-    for m in (2047, 3277, 4033, 4681, 8321, 1_373_653, 25_326_001):
-        assert not rs.graphs._is_prime(m)
-
-
-def test_primes_below_a_small_bound_run_out_by_name():
-    assert rs.graphs._primes_over(209, 3) == [7, 5, 3, 2]
-    with pytest.raises(ValueError, match=r"more than the primes below 2\*\*3"):
-        rs.graphs._primes_over(210, 3)
+def test_moduli_below_a_small_bound_run_out_by_name():
+    # 4 shares 2 with 6, and 3, 2 divide 7 * 6 * 5 = 210
+    assert rs.graphs._moduli_over(209, 3) == [7, 6, 5]
+    with pytest.raises(ValueError, match=r"more than the moduli below 2\*\*3"):
+        rs.graphs._moduli_over(210, 3)
 
 
 @pytest.mark.parametrize("per_chunk", [1, 3])
@@ -614,34 +601,11 @@ def test_chunked_residue_counts_equal_unchunked_ones(monkeypatch, per_chunk):
     monkeypatch.setattr(rs.graphs, "_RESIDUE_BYTES", per_chunk * 8 * A.size)
     (trace, paths), moduli = residue_counts(A, 200)
     assert (trace, paths) == want
-    # every stack but the last holds per_chunk primes, and each prime is used once
+    # every stack but the last holds per_chunk moduli, and each modulus is used once
     for chunks in moduli:
         assert len(chunks) > 3 and {len(c) for c in chunks[:-1]} == {per_chunk}
         assert 1 <= len(chunks[-1]) <= per_chunk
-        assert sum(chunks, []) == rs.graphs._primes_over(len(A) * 6**200, 23)
-
-
-def test_concurrent_prime_scans_never_take_a_prime_twice(monkeypatch):
-    # Eight threads scan for the same primes from an empty cache at once; a
-    # cached list extended in place would take some prime twice.
-    bound = 36 * 6**200
-    want = rs.graphs._primes_over(bound, 23)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(100):
-            monkeypatch.setattr(rs.graphs, "_PRIMES", {})
-            start = threading.Barrier(8, timeout=10)
-
-            def scan():
-                start.wait()
-                return rs.graphs._primes_over(bound, 23)
-
-            with ThreadPoolExecutor(8) as pool:
-                scans = [f.result(timeout=60) for f in [pool.submit(scan) for _ in range(8)]]
-            assert scans == [want] * 8
-    finally:
-        sys.setswitchinterval(interval)
+        assert sum(chunks, []) == rs.graphs._moduli_over(len(A) * 6**200, 23)
 
 
 @pytest.mark.parametrize(
