@@ -422,48 +422,97 @@ def perron_pair(A: np.ndarray) -> tuple[float, np.ndarray]:
     For ``M = A + I`` and a positive vector ``v``, the Collatz-Wielandt
     bracket ``min(Mv/v) <= lam + 1 <= max(Mv/v)`` holds (Lind & Marcus,
     *Symbolic Dynamics and Coding*, ch. 4); the shift makes ``M``
-    primitive, so periodic structure cannot stall the iteration.  Shifted
-    power iteration from the uniform vector runs first, for at most
-    `PERRON_POWER_STEPS` steps, and returns once the best bracket is
-    `PERRON_REL_TOL` wide relative.  If it stalls or runs out of steps,
-    each further step brackets ``v`` and solves ``(s I - M) w = v`` with
-    ``s`` just above the bracket (shifted inverse iteration, Golub & Van
-    Loan, *Matrix Computations*, 7.6.1): as ``s > lam + 1``, ``s I - M`` is
-    a nonsingular M-matrix, whose inverse is nonnegative, so ``w`` stays
-    positive.  Once the bracket is `PERRON_CERT_TOL` wide relative its
-    midpoint is returned; still wider after `PERRON_CERT_STEPS` steps, it
-    raises RuntimeError, so no uncertified estimate is ever returned.
+    primitive, so periodic structure cannot stall the iteration.
+
+    Shifted power iteration from the uniform vector runs first, for at
+    most `PERRON_POWER_STEPS` steps, and returns once the best bracket is
+    `PERRON_REL_TOL` wide relative.  At steps 8, 16, 32, ... it compares
+    the bracket's relative width with the width at half the steps, and
+    hands over to the solves when the width has not shrunk, or when the
+    geometric rate between the two widths predicts that `PERRON_REL_TOL`
+    will not be reached within `PERRON_POWER_STEPS` steps.
+
+    Each certification step works on the rescaled matrix
+    ``B = diag(v)^-1 M diag(v)``, which is similar to ``M``: the ratios
+    ``Mv/v`` are B's row sums, each a sum of well-scaled terms even where
+    ``v`` spans many orders of magnitude.  The step solves
+    ``(s I - B) w = 1`` with ``s`` just above the bracket and sets
+    ``v <- v w`` (shifted inverse iteration, Noda, *Numer. Math.* 17, 1971;
+    Golub & Van Loan, *Matrix Computations*, 7.6.1): as ``s > lam + 1``,
+    ``s I - B`` is a nonsingular M-matrix, whose inverse is nonnegative, so
+    ``w`` stays positive.  Once the bracket is `PERRON_CERT_TOL` wide
+    relative, the step takes one more solve, for a vector as accurate as
+    the shift allows, and returns the bracket's midpoint with it; still
+    wider after `PERRON_CERT_STEPS` steps, it raises RuntimeError, so no
+    uncertified estimate is ever returned.
     """
     A = np.asarray(A, dtype=float)
-    M = A + np.eye(A.shape[0])
+    lam, v, _ = _perron(A + np.eye(A.shape[0]), math.inf)
+    return lam, v
+
+
+def perron_vectors(A: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Perron eigenvalue with right and left eigenvectors of an irreducible matrix.
+
+    The right vector comes from `perron_pair`'s solver on ``A + I``, the
+    left one from the same solver on ``A.T + I``.  Both matrices have the
+    same spectral radius, so the right solve's certified upper end bounds
+    the left one's too: every shift of the left solve is clamped to it,
+    which takes the left vector to the root in one or two solves where it
+    would otherwise repeat the right one's whole descent.  Each vector is
+    normalized to sum 1; the eigenvalue is the right solve's.
+    """
+    A = np.asarray(A, dtype=float)
+    eye = np.eye(A.shape[0])
+    lam, right, hi = _perron(A + eye, math.inf)
+    _, left, _ = _perron(A.T + eye, hi)
+    return lam, right, left
+
+
+def _perron(M: np.ndarray, cap: float) -> tuple[float, np.ndarray, float]:
+    """`perron_pair`'s solver on ``M = A + I``: lam, the vector, and the
+    bracket's certified upper end on lam + 1.  `cap` is a known upper end
+    on lam + 1 that bounds every shift."""
     v = np.full(M.shape[0], 1.0 / M.shape[0])
     lo_best, hi_best = 0.0, math.inf
-    stall = 0
-    for _ in range(PERRON_POWER_STEPS):
+    for k in range(1, PERRON_POWER_STEPS + 1):
         w = M @ v
         ratios = w / v
-        lo, hi = float(ratios.min()), float(ratios.max())
-        improved = lo > lo_best or hi < hi_best
-        lo_best = max(lo_best, lo)
-        hi_best = min(hi_best, hi)
+        lo_best = max(lo_best, float(ratios.min()))
+        hi_best = min(hi_best, float(ratios.max()))
         v = w / w.max()
         if hi_best - lo_best <= PERRON_REL_TOL * hi_best:
-            return 0.5 * (lo_best + hi_best) - 1.0, v / v.sum()
-        stall = 0 if improved else stall + 1
-        if stall > 64:
-            break
-    # hi_best is finite at every solve.  The absolute value keeps v >= 0
-    # under rounding; a zero entry gives an inf or nan ratio, which never
-    # tightens the bracket (nan loses every comparison, inf fails the test).
+            return 0.5 * (lo_best + hi_best) - 1.0, v / v.sum(), hi_best
+        if k >= 4 and k & (k - 1) == 0:
+            width = (hi_best - lo_best) / hi_best
+            if k >= 8:
+                # Steps k/2..k shrank the width by `rate`; at that rate,
+                # PERRON_REL_TOL is the second term's number of steps away.
+                rate = width / width_half
+                if rate >= 1 or k + 0.5 * k * math.log(PERRON_REL_TOL / width) / math.log(rate) > PERRON_POWER_STEPS:
+                    break
+            width_half = width
+    # hi_best is finite at every solve.  The absolute value keeps w >= 0
+    # under rounding; a zero entry of v gives an inf or nan ratio, which
+    # never tightens the bracket (nan loses every comparison, inf fails the
+    # test).  B is built in one buffer and turned into s I - B in place: a
+    # fresh V x V array per step costs more than the arithmetic on it.
+    B, ones = np.empty_like(M), np.ones(len(v))
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(PERRON_CERT_STEPS):
-            ratios = (M @ v) / v
+            np.multiply(M, v, out=B)
+            B /= v[:, None]
+            ratios = B.sum(axis=1)
             lo_best = max(lo_best, float(ratios.min()))
             hi_best = min(hi_best, float(ratios.max()))
-            if lo_best >= (1.0 - PERRON_CERT_TOL) * hi_best:
-                return 0.5 * (lo_best + hi_best) - 1.0, v / v.sum()
-            w = np.abs(np.linalg.solve(hi_best * (1 + 2**-40) * np.eye(len(v)) - M, v))
-            v = w / w.max()
+            closed = lo_best >= (1.0 - PERRON_CERT_TOL) * hi_best
+            np.negative(B, out=B)
+            B.flat[:: len(v) + 1] += min(hi_best, cap) * (1 + 2**-40)
+            w = np.abs(np.linalg.solve(B, ones))
+            v = v * w
+            v = v / v.max()
+            if closed:
+                return 0.5 * (lo_best + hi_best) - 1.0, v / v.sum(), hi_best
     raise RuntimeError(
         f"Perron solver did not converge: lam + 1 in [{lo_best!r}, {hi_best!r}] "
         f"after {PERRON_CERT_STEPS} certification steps"

@@ -107,6 +107,40 @@ def test_max_entropy_matches_the_exact_chorded_cycle_root(monkeypatch, escalate,
     assert abs(2.0**h - lam) <= 1e-12 * (lam + 1)
 
 
+@pytest.mark.parametrize("start", [0, 123, 299])
+def test_max_entropy_on_the_bench_cycle_is_exact_to_the_last_digits(start):
+    # |lam_2 / lam_1| of A + I is 0.99963 here, so the vectors come from the
+    # solves.  A vector returned as soon as its bracket is 1e-12 wide can
+    # put h 1.1e-11 off; the solve past the closed bracket is what holds it.
+    with localcontext() as ctx:
+        ctx.prec = 50
+        h_exact = float(chorded_cycle_root(300, 50).ln() / Decimal(2).ln())
+    M = rs.max_entropy_measure(chorded_cycle_graph(300, 50, start))
+    assert abs(rs.entropy_rate(M) - h_exact) <= 1e-14 * h_exact
+    assert np.abs(M.p @ M.P - M.p).max() <= 1e-15
+
+
+def _solves_of_max_entropy_measure(monkeypatch, G):
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: calls.append(len(b)) or solve(a, b))
+    rs.max_entropy_measure(G)
+    return len(calls)
+
+
+def test_max_entropy_left_vector_reuses_the_right_bracket(monkeypatch):
+    # The right vector takes 8 solves here.  The left one, shifted to the
+    # right one's certified upper end, needs 2 instead of repeating them.
+    assert _solves_of_max_entropy_measure(monkeypatch, chorded_cycle_graph(300, 50, 0)) <= 10
+
+
+def test_max_entropy_on_a_fast_mixing_graph_makes_no_solve(monkeypatch):
+    S = rs.edge_cover_system(rs.systems.recursive_seed(12), "square", l=1)
+    while S.q < 12:
+        S = rs.recursive_extend(S)
+    assert _solves_of_max_entropy_measure(monkeypatch, S.presentation) == 0
+
+
 @pytest.mark.parametrize(
     "G, pair",
     [
