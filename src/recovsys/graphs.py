@@ -46,13 +46,6 @@ def word_from_int(value: int, q: int, length: int) -> Word:
     return tuple(digits)
 
 
-def word_to_int(word: Word, q: int) -> int:
-    value = 0
-    for digit in word:
-        value = value * q + digit
-    return value
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class LabeledDigraph:
     """Directed multigraph with word labels on vertices and edges.
@@ -314,7 +307,7 @@ def scc_decompose(G: LabeledDigraph) -> list[tuple[int, ...]]:
 
     Components are returned ordered by their smallest vertex id.
     """
-    return sorted(tuple(c) for c in _matrix_sccs(adjacency(G)))
+    return sorted(tuple(c) for c in _sccs(G.src, G.dst, G.n_vertices))
 
 
 def is_strongly_connected(G: LabeledDigraph) -> bool:
@@ -362,14 +355,15 @@ def essential_subgraph(G: LabeledDigraph) -> LabeledDigraph:
     n, src, dst = G.n_vertices, G.src, G.dst
     outd, ind = np.bincount(src, minlength=n), np.bincount(dst, minlength=n)
     dead = np.flatnonzero((outd == 0) | (ind == 0))
+    if not dead.size:
+        return G
     alive, rows = np.ones(n, dtype=bool), np.ones(src.size, dtype=bool)
-    if dead.size:
-        # vertex v's rows are order[start[v] : start[v] + deg[v]]
-        lists = [
-            (np.argsort(ends, kind="stable"), np.cumsum(deg) - deg, deg.copy())
-            for ends, deg in ((src, outd), (dst, ind))
-        ]
-        first = np.empty(n, dtype=np.int64)
+    # vertex v's rows are order[start[v] : start[v] + deg[v]]
+    lists = [
+        (np.argsort(ends, kind="stable"), np.cumsum(deg) - deg, deg.copy())
+        for ends, deg in ((src, outd), (dst, ind))
+    ]
+    first = np.empty(n, dtype=np.int64)
     while dead.size:
         alive[dead] = False
         gone = []
@@ -397,7 +391,7 @@ def essential_subgraph(G: LabeledDigraph) -> LabeledDigraph:
 def perron_eigenvalue(A: np.ndarray | Sequence[Sequence[float]]) -> float:
     """Spectral radius of a nonnegative matrix, certified to 1e-12 relative.
 
-    Computed per strongly connected component with `perron_pair`, whose
+    Computed per strongly connected component with `_perron`, whose
     Collatz-Wielandt bracket on each component is at most 1e-12 wide
     relative, or which raises.  Degenerate matrices (no cycles at all)
     give 0.
@@ -408,16 +402,37 @@ def perron_eigenvalue(A: np.ndarray | Sequence[Sequence[float]]) -> float:
     if M.size and M.min() < 0:
         raise ValueError("adjacency matrix must be nonnegative")
     best = 0.0
-    for comp in _matrix_sccs(M):
+    for comp in _sccs(*np.nonzero(M > 0), len(M)):
         if len(comp) == 1 and M[comp[0], comp[0]] == 0.0:
             continue
-        lam, _ = perron_pair(M[np.ix_(comp, comp)])
+        lam, _, _ = _perron(M[np.ix_(comp, comp)], math.inf)
         best = max(best, lam)
     return best
 
 
-def perron_pair(A: np.ndarray) -> tuple[float, np.ndarray]:
-    """Perron eigenvalue and right eigenvector of an irreducible matrix.
+def perron_vectors(A: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Perron eigenvalue with right and left eigenvectors of an irreducible matrix.
+
+    The right vector comes from `_perron` on ``A``, the left one from
+    `_perron` on ``A.T``.  Both matrices have the same spectral radius, so
+    the right solve's certified upper end bounds the left one's too: every
+    shift of the left solve is clamped to it, which takes the left vector
+    to the root in one or two solves where it would otherwise repeat the
+    right one's whole descent.  The right vector y sums to 1 and the left
+    vector x is scaled to ``x . y = 1``, so ``x * y`` is the stationary
+    vector of the Parry measure; the eigenvalue is the right solve's.
+    """
+    A = np.asarray(A, dtype=float)
+    lam, right, hi = _perron(A, math.inf)
+    _, left, _ = _perron(A.T, hi)
+    return lam, right, left / (left @ right)
+
+
+def _perron(A: np.ndarray, cap: float) -> tuple[float, np.ndarray, float]:
+    """Perron eigenvalue and right eigenvector, summing to 1, of an irreducible `A`.
+
+    Also returns the bracket's certified upper end on lam + 1.  `cap`, an
+    upper end known beforehand or `math.inf`, bounds every shift.
 
     For ``M = A + I`` and a positive vector ``v``, the Collatz-Wielandt
     bracket ``min(Mv/v) <= lam + 1 <= max(Mv/v)`` holds (Lind & Marcus,
@@ -446,33 +461,7 @@ def perron_pair(A: np.ndarray) -> tuple[float, np.ndarray]:
     wider after `PERRON_CERT_STEPS` steps, it raises RuntimeError, so no
     uncertified estimate is ever returned.
     """
-    A = np.asarray(A, dtype=float)
-    lam, v, _ = _perron(A + np.eye(A.shape[0]), math.inf)
-    return lam, v
-
-
-def perron_vectors(A: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Perron eigenvalue with right and left eigenvectors of an irreducible matrix.
-
-    The right vector comes from `perron_pair`'s solver on ``A + I``, the
-    left one from the same solver on ``A.T + I``.  Both matrices have the
-    same spectral radius, so the right solve's certified upper end bounds
-    the left one's too: every shift of the left solve is clamped to it,
-    which takes the left vector to the root in one or two solves where it
-    would otherwise repeat the right one's whole descent.  Each vector is
-    normalized to sum 1; the eigenvalue is the right solve's.
-    """
-    A = np.asarray(A, dtype=float)
-    eye = np.eye(A.shape[0])
-    lam, right, hi = _perron(A + eye, math.inf)
-    _, left, _ = _perron(A.T + eye, hi)
-    return lam, right, left
-
-
-def _perron(M: np.ndarray, cap: float) -> tuple[float, np.ndarray, float]:
-    """`perron_pair`'s solver on ``M = A + I``: lam, the vector, and the
-    bracket's certified upper end on lam + 1.  `cap` is a known upper end
-    on lam + 1 that bounds every shift."""
+    M = A + np.eye(A.shape[0])
     v = np.full(M.shape[0], 1.0 / M.shape[0])
     lo_best, hi_best = 0.0, math.inf
     for k in range(1, PERRON_POWER_STEPS + 1):
@@ -818,18 +807,16 @@ def _moduli_over(bound: int, k: int) -> list[int]:
     return moduli
 
 
-def _matrix_sccs(A: np.ndarray) -> list[list[int]]:
-    rows, cols = np.nonzero(A > 0)
-    ends = np.cumsum(np.bincount(rows, minlength=A.shape[0])).tolist()
-    targets = cols.tolist()
+def _sccs(src: np.ndarray, dst: np.ndarray, n: int) -> list[list[int]]:
+    """Strongly connected components of the rows ``src -> dst`` on `n` vertices.
+
+    Each component is sorted.  An iterative Tarjan, since recursion would
+    overflow on multi-thousand-vertex presentations, over successor lists
+    cut from the rows stably sorted by source.
+    """
+    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
+    targets = dst[np.argsort(src, kind="stable")].tolist()
     succ = [targets[start:end] for start, end in zip([0] + ends, ends)]
-    return [sorted(c) for c in _tarjan(succ)]
-
-
-def _tarjan(succ: Sequence[Sequence[int]]) -> list[list[int]]:
-    # Iterative Tarjan; recursion would overflow on multi-thousand-vertex
-    # presentations.
-    n = len(succ)
     index = [-1] * n
     lowlink = [0] * n
     on_stack = [False] * n
@@ -872,5 +859,5 @@ def _tarjan(succ: Sequence[Sequence[int]]) -> list[list[int]]:
                     comp.append(w)
                     if w == v:
                         break
-                comps.append(comp)
+                comps.append(sorted(comp))
     return comps

@@ -227,16 +227,16 @@ def max_entropy_measure(G: LabeledDigraph) -> MarkovMeasure:
     Left and right Perron vectors x, y are normalized to ``x . y = 1``; the
     chain has ``P[u, v] = A[u, v] * y[v] / (lam * y[u])`` and stationary
     vector ``p = x * y`` (the Parry measure), and its entropy rate equals
-    the capacity of the presented system.  Both vectors come from one
-    `graphs.perron_vectors` call.  Where power steps mix too slowly to
-    reach 1e-14 within their budget, each vector is certified by shifted
-    solves on the rescaled matrix and takes one solve past its closed
-    bracket, which holds h to 1e-14 relative on a chorded 300-cycle; the
-    left solve shifts to the right one's certified upper end, as ``A``
-    and ``A.T`` share their spectral radius.  Requires a strongly
-    connected graph with edges and at most one edge from any vertex to
-    any other: a chain on vertices cannot tell parallel edges apart, so
-    its entropy would miss theirs.
+    the capacity of the presented system.  Both vectors, so normalized,
+    come from one `graphs.perron_vectors` call.  Where power steps mix too
+    slowly to reach 1e-14 within their budget, each vector is certified by
+    shifted solves on the rescaled matrix and takes one solve past its
+    closed bracket, which holds h to 1e-14 relative on a chorded
+    300-cycle; the left solve shifts to the right one's certified upper
+    end, as ``A`` and ``A.T`` share their spectral radius.  Requires a
+    strongly connected graph with edges and at most one edge from any
+    vertex to any other: a chain on vertices cannot tell parallel edges
+    apart, so its entropy would miss theirs.
     """
     if not is_strongly_connected(G):
         raise ValueError("the max-entropy measure needs a strongly connected graph")
@@ -251,7 +251,6 @@ def max_entropy_measure(G: LabeledDigraph) -> MarkovMeasure:
         )
     A = A.astype(float)
     lam, y, x = perron_vectors(A)
-    x = x / float(x @ y)
     p = x * y
     P = A * y
     P /= lam * y[:, None]

@@ -228,12 +228,16 @@ def measure_to_text(M: MarkovMeasure | EpsilonConstruction) -> str:
         q, emit, P, row_of = M.q, M.emit, M.P, range(n)
     lines = [f"q {q}", f"emit {emit}", f"log_base {q**emit}", f"states {n}"]
     lines += _row_texts(M.state_rows)
-    # Each distinct value of P and p is formatted once, and each row of P
-    # joined once.  A measure's cells are products of nonnegative factors,
-    # so a zero is +0.0, whose text is "0".
-    values, inverse = np.unique(np.vstack((P, M.p)), return_inverse=True)
-    text = np.array([fmt(x) if x else "0" for x in values.tolist()], dtype=object)
-    rows = [",".join(row) for row in text[inverse.reshape(-1, n)].tolist()]
+    # Each distinct nonzero value of P and p is formatted once, and each row
+    # of P joined once; zero cells, most of a sparse chain's, are "0"
+    # without the sort.  A measure's cells are products of nonnegative
+    # factors, so a zero is +0.0, whose text is "0".
+    cells = np.vstack((P, M.p))
+    live = cells != 0
+    values, inverse = np.unique(cells[live], return_inverse=True)
+    text = np.full(cells.shape, "0", dtype=object)
+    text[live] = np.array([fmt(x) for x in values.tolist()], dtype=object)[inverse]
+    rows = [",".join(row) for row in text.tolist()]
     lines += ["P", *(rows[i] for i in row_of), "p", rows[-1]]
     return "\n".join(lines)
 

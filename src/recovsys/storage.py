@@ -245,17 +245,17 @@ def verify_storage_code(C: CycleStorageCode) -> StorageVerification:
     per_block = max(1, _BLOCK_BYTES // (8 * C.n))
     for lo in range(0, len(rows), per_block):
         block = rows[lo : lo + per_block]
-        at = block if symbols is None else _ranks(symbols, block)
+        at = block if symbols is None else _rank_in(symbols, block)
         key = np.roll(at, 1, axis=1) * width
         key += np.roll(at, -1, axis=1)
-        ok = table.take(key if symbols is None else _ranks(pairs, key)) == at
+        ok = table.take(key if symbols is None else _rank_in(pairs, key)) == at
         if not ok.all():
             r, i = divmod(int(np.argmin(ok)), C.n)
             return StorageVerification(False, (tuple(block[r].tolist()), i))
     return StorageVerification(True)
 
 
-def _ranks(values: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _rank_in(values: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Each entry's rank in the sorted, distinct `values`, or ``len(values)`` if absent."""
     at = np.searchsorted(values, x)
     if len(values):

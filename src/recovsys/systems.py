@@ -29,10 +29,11 @@ from .graphs import (
     _word_rows,
     adjacency,
     de_bruijn,
+    is_strongly_connected,
     log_base,
     perron_eigenvalue,
+    perron_vectors,
     window_presentation,
-    word_to_int,
     words_of_length,
 )
 
@@ -208,7 +209,7 @@ def presentation_from_forbidden(F: ForbiddenSet) -> LabeledDigraph:
     window, and each allowed window is one edge.  A word that is in no
     allowed window is not a vertex.
     """
-    forbidden = [word_to_int(w, F.q) for w in F.words]
+    forbidden = _ranks(np.array(list(F.words), dtype=np.int64).reshape(-1, F.word_len), F.q)
     return window_presentation(F.q, np.delete(_word_grid(F.q, F.word_len), forbidden, axis=0))
 
 
@@ -408,9 +409,10 @@ def marker_system(q: int, k: int) -> RecoverableSystem:
 def recursive_extend(S: RecoverableSystem) -> RecoverableSystem:
     """Grow a (1, 1) system by two letters via a length-four detour loop.
 
-    Picks the vertex of maximum stationary mass under the max-entropy
-    measure of the window presentation of the occurring 3-words, read off
-    the recovery table: the first maximum of the computed float masses,
+    Picks the vertex of maximum stationary mass ``x * y`` under the
+    max-entropy (Parry) measure of the window presentation of the
+    occurring 3-words, read off the recovery table, from its Perron
+    vectors (`perron_vectors`): the first maximum of the computed masses,
     so masses that differ only by rounding are not ties and the lowest
     vertex id among them need not win (the maximum is automatically
     >= 1/q**2).  It attaches a 4-cycle through three fresh vertices
@@ -419,14 +421,14 @@ def recursive_extend(S: RecoverableSystem) -> RecoverableSystem:
     occurring words.  The capacity of the result is at least
     ``cap(S) * log_{q+2}(q) + (1/q**2) * log_{q+2}(1 + 1/q**2)``.
     """
-    from .measures import max_entropy_measure
-
     if S.k != 1 or S.l != 1:
         raise ValueError("the loop extension applies to (1, 1) systems only")
     q, windows = S.q, S.recovery_table.windows
     core = window_presentation(q, windows)
-    mu = max_entropy_measure(core)
-    v = int(np.argmax(mu.p))
+    if not (core.src.size and is_strongly_connected(core)):
+        raise ValueError("the loop extension needs a strongly connected core with at least one edge")
+    _, y, x = perron_vectors(adjacency(core).astype(float))
+    v = int(np.argmax(x * y))
     a, b = core.label_rows[v].tolist()
     alpha, beta = q, q + 1
     loop = [(a, b, alpha), (b, alpha, beta), (alpha, beta, a), (beta, a, b)]

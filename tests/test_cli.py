@@ -511,3 +511,36 @@ def test_graph_files_with_faulty_labels_name_the_file_and_the_fault(tmp_path, na
     assert res.exit_code == 2
     assert res.stderr == f"error: {path}: {message}\n"
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["construct", "recursive", "--q", "3"], "no perfect square of matching parity below q=3"),
+        (["measure", "epsilon", "--q", "2", "--graph", "{dir}/db.json", "--eps", "0.1"],
+         "input graph is not (k=1, l=1)-recoverable"),
+    ],
+)
+def test_cli_refuses_bad_input(tmp_path, args, message):
+    ser.save_graph(rs.de_bruijn(2, 2), tmp_path / "db.json")
+    res = run(*(a.format(dir=tmp_path) for a in args))
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == f"error: {message}\n"
+
+
+def test_report_bounds_writes_the_csv_it_prints(tmp_path):
+    out = tmp_path / "bounds.csv"
+    res = run("report", "bounds", "--q", "9..16", "--out", str(out))
+    assert res.exit_code == 0
+    assert res.stdout == f"wrote {out}\n"
+    assert out.read_text() == run("report", "bounds", "--q", "9..16").stdout
+
+
+def test_measure_maxent_names_the_measure_file(tmp_path, edge4_system):
+    gpath, out = tmp_path / "g.json", tmp_path / "m.txt"
+    ser.save_graph(edge4_system.presentation, gpath)
+    res = run("measure", "maxent", "--graph", str(gpath), "--out", str(out))
+    assert res.exit_code == 0
+    assert res.stdout.splitlines()[1:] == [f"wrote measure {out}"]
+    assert out.read_text() == ser.measure_to_text(rs.max_entropy_measure(edge4_system.presentation)) + "\n"

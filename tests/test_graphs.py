@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction
 from unittest import mock
 
@@ -374,7 +375,7 @@ def test_perron_escalated_path_matches_eigvals(monkeypatch, n, u, length, mult):
     monkeypatch.setattr(rs.graphs, "PERRON_POWER_STEPS", 0)
     A = chorded_cycle(n, [(u, (u + length) % n, mult)])
     rho = spectral_radius(A)
-    lam, x = rs.graphs.perron_pair(A)
+    lam, x = rs.graphs.perron_vectors(A)[:2]
     assert abs(lam - rho) <= 1e-12 * (rho + 1)
     assert x.min() > 0 and abs(x.sum() - 1) < 1e-12
     assert np.allclose(A @ x, lam * x, rtol=0, atol=1e-12 * x.max())
@@ -404,12 +405,12 @@ def _perron_slicing_every_component(M):
     """perron_eigenvalue as it was before trivial components skipped the slice,
     with the number of components it solved."""
     best, solved = 0.0, 0
-    for comp in rs.graphs._matrix_sccs(M):
+    for comp in rs.graphs._sccs(*np.nonzero(M > 0), len(M)):
         sub = M[np.ix_(comp, comp)]
         if sub.shape[0] == 1 and sub[0, 0] == 0.0:
             continue
         solved += 1
-        best = max(best, rs.graphs.perron_pair(sub)[0])
+        best = max(best, rs.graphs.perron_vectors(sub)[0])
     return best, solved
 
 
@@ -421,10 +422,10 @@ def test_perron_solves_only_nontrivial_components(monkeypatch, seed):
     n = 80
     M = (rng.random((n, n)) < 1.2 / n).astype(float)
     expected, solved = _perron_slicing_every_component(M)
-    assert len(rs.graphs._matrix_sccs(M)) - solved >= n // 2
+    assert len(rs.graphs._sccs(*np.nonzero(M > 0), n)) - solved >= n // 2
     calls = []
-    perron_pair = rs.graphs.perron_pair
-    monkeypatch.setattr(rs.graphs, "perron_pair", lambda sub: calls.append(sub) or perron_pair(sub))
+    perron = rs.graphs._perron
+    monkeypatch.setattr(rs.graphs, "_perron", lambda sub, cap: calls.append(sub) or perron(sub, cap))
     assert rs.perron_eigenvalue(M) == expected
     assert len(calls) == solved
     assert all(len(sub) > 1 or sub[0, 0] > 0 for sub in calls)
@@ -679,11 +680,37 @@ def test_structure_matches_boolean_powers(G):
     assert E.edges == tuple(
         (new[u], new[v], lab) for u, v, lab in G.edges if u in new and v in new
     )
-    R = boolean_power(A | np.eye(n, dtype=bool), n)
-    classes = sorted({tuple(v for v in range(n) if R[u, v] and R[v, u]) for u in range(n)})
     comps = rs.scc_decompose(G)
-    assert comps == classes
+    assert comps == closure_classes(A)
     assert all(type(v) is int for c in comps for v in c)
+
+
+def test_essential_subgraph_returns_an_essential_graph_itself():
+    G = rs.de_bruijn(2, 3)
+    assert rs.essential_subgraph(G) is G
+    H = LabeledDigraph(2, ((0,), (1,)), ((0, 0, (0,)), (0, 1, (1,))))
+    assert rs.essential_subgraph(H) == LabeledDigraph(2, ((0,),), ((0, 0, (0,)),))
+
+
+def closure_classes(A):
+    """The strongly connected components of the 0/1 matrix `A`, from its boolean closure."""
+    n = len(A)
+    R = boolean_power(A | np.eye(n, dtype=bool), n)
+    return sorted({tuple(v for v in range(n) if R[u, v] and R[v, u]) for u in range(n)})
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_components_do_not_depend_on_the_order_of_the_edge_rows(seed):
+    rng = np.random.default_rng(seed)
+    n = 60
+    A = rng.random((n, n)) < 1.5 / n
+    edges = [(int(u), int(v), (0,)) for u, v in np.argwhere(A)]
+    shuffled = [edges[i] for i in rng.permutation(len(edges))]
+    G = LabeledDigraph(2, [rs.graphs.word_from_int(i, 2, 6) for i in range(n)], shuffled)
+    assert (np.diff(G.src) < 0).any()
+    comps = rs.scc_decompose(G)
+    assert max(map(len, comps)) > 1
+    assert comps == closure_classes(A)
 
 
 @settings(max_examples=200, deadline=None)
@@ -992,3 +1019,23 @@ def test_edge_triples_need_integer_vertex_ids():
         LabeledDigraph(2, ((0,), (1,)), ((1.5, 0, (0,)),))
     with pytest.raises(ValueError, match="missing vertex"):
         LabeledDigraph(2, ((0,), (1,)), ((0, 0, (0,)), (0, 2, (0,))))
+
+
+@pytest.mark.parametrize(
+    "call, exception, message",
+    [
+        (lambda: rs.graphs.word_from_int(4, 2, 2), ValueError, "4 does not fit in 2 base-2 digits"),
+        (lambda: LabeledDigraph(0, (), ()), ValueError, "alphabet size must be at least 1"),
+        (lambda: LabeledDigraph(2, ((0.5,),), ()), ValueError, "vertex labels must be words of int64 symbols"),
+        (lambda: rs.perron_eigenvalue(np.ones((2, 3))), ValueError, "adjacency matrix must be square"),
+    ],
+)
+def test_graphs_refuse_bad_input(call, exception, message):
+    with pytest.raises(exception, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_graphs_equal_only_graphs_over_the_same_alphabet():
+    G = LabeledDigraph(2, ((0,),), ((0, 0, (0,)),))
+    assert G.__eq__(3) is NotImplemented and G != 3
+    assert G != LabeledDigraph(3, ((0,),), ((0, 0, (0,)),))

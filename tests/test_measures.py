@@ -102,7 +102,7 @@ def test_max_entropy_matches_the_exact_chorded_cycle_root(monkeypatch, escalate,
         monkeypatch.setattr(rs.graphs, "PERRON_POWER_STEPS", 0)
     G = chorded_cycle_graph(n, length, start)
     lam = float(chorded_cycle_root(n, length))
-    assert abs(rs.graphs.perron_pair(rs.adjacency(G).astype(float))[0] - lam) <= 1e-12 * (lam + 1)
+    assert abs(rs.graphs.perron_vectors(rs.adjacency(G).astype(float))[0] - lam) <= 1e-12 * (lam + 1)
     h = rs.entropy_rate(rs.max_entropy_measure(G))
     assert abs(2.0**h - lam) <= 1e-12 * (lam + 1)
 
@@ -153,6 +153,14 @@ def test_max_entropy_rejects_parallel_edges(G, pair):
     # (capacity 1) and a 120-cycle whose chord doubles one cycle edge.
     with pytest.raises(ValueError, match=f"at most one edge per vertex pair; {pair}$"):
         rs.max_entropy_measure(G)
+
+
+@pytest.mark.parametrize("n, length, start", [(300, 50, 123), (40, 9, 39), (6, 5, 0)])
+def test_perron_vectors_pair_to_one_and_give_the_parry_mass(n, length, start):
+    G = chorded_cycle_graph(n, length, start)
+    _, y, x = rs.graphs.perron_vectors(rs.adjacency(G).astype(float))
+    assert abs(y.sum() - 1) <= 1e-14 and abs(x @ y - 1) <= 1e-14
+    assert np.array_equal(rs.max_entropy_measure(G).p, x * y)
 
 
 def test_max_entropy_rejects_disconnected():
@@ -699,3 +707,37 @@ def test_dense_window_report_equals_the_dict_path_bit_for_bit(name, eps, k, l):
     assert [x.hex() for x in report.entries.values()] == [x.hex() for x in want.entries.values()]
     assert report.zero_pairs == want.zero_pairs
     assert report.max_entropy.hex() == want.max_entropy.hex()
+
+
+@pytest.mark.parametrize(
+    "call, exception, message",
+    [
+        (lambda M: rs.MarkovMeasure(2, M.state_rows, np.eye(3), M.p, 1), ValueError,
+         "matrix and vector shapes must match the state count"),
+        (lambda M: rs.MarkovMeasure(2, M.state_rows[::-1], M.P, M.p, 1), ValueError,
+         "states must be strictly increasing words"),
+        (lambda M: rs.MarkovMeasure(2, M.state_rows, [[1.5, -0.5], [0.0, 1.0]], [0.0, 1.0], 1), ValueError,
+         "transition probabilities must be nonnegative"),
+        (lambda M: rs.binary_entropy(1.5), ValueError, "entropy argument must lie in [0, 1]"),
+        (lambda M: rs.max_entropy_measure(LabeledDigraph(2, ((0,),), ())), ValueError,
+         "the max-entropy measure needs at least one edge"),
+        (lambda M: rs.window_marginal(M, 0), ValueError, "window length must be at least 1"),
+        (lambda M: rs.window_conditional_entropy(M, 0, 1), ValueError, "k and l must be at least 1"),
+        (lambda M: rs.delta_from_epsilon(0.1, 1, 1), ValueError, "the rate equation needs q >= 2 and k >= 1"),
+        (lambda M: measures.markov_approximation({(0,): 1.0}, 1, 2), ValueError,
+         "the approximation needs windows of length at least 2"),
+        (lambda M: measures.markov_approximation({(0,): 1.0}, 2, 2), ValueError,
+         "marginal word (0,) does not have length 2"),
+        (lambda M: measures.markov_approximation({(0, 0): 1.5, (0, 1): -0.5}, 2, 2), ValueError,
+         "marginal probabilities must be nonnegative"),
+        (lambda M: measures.markov_approximation({(0, 0): 0.5}, 2, 2), ValueError, "marginal masses sum to 0.5, not 1"),
+        (lambda M: measures.map_decoder(M, 1, 1, (), (0,)), ValueError, "boundary words must have length l"),
+    ],
+)
+def test_measures_refuse_bad_input(uniform_coin, call, exception, message):
+    with pytest.raises(exception, match=f"^{re.escape(message)}$"):
+        call(uniform_coin)
+
+
+def test_symbol_marginal_of_a_sliding_chain_is_its_window_marginal(uniform_coin):
+    assert measures.symbol_marginal(uniform_coin, 2) == rs.window_marginal(uniform_coin, 2)

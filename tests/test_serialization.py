@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -294,3 +295,20 @@ def test_table_text_equals_the_per_line_writer(construct_systems):
     assert list(shuffled) != sorted(shuffled)
     assert ser.recovery_table_to_text(shuffled) == per_line_table_text(table)
     assert ser.recovery_table_to_text({}) == per_line_table_text({}) == ""
+
+
+@pytest.mark.parametrize(
+    "call, exception, message",
+    [
+        (
+            lambda: ser.graph_from_json(
+                '{"q": 2, "label_len": 2, "vertices": [{"id": 0, "label": "0"}], "edges": []}'
+            ),
+            ValueError,
+            "label_len field disagrees with the vertex labels",
+        ),
+    ],
+)
+def test_serialization_refuses_bad_input(call, exception, message):
+    with pytest.raises(exception, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -443,3 +444,21 @@ def test_codes_read_from_text_are_verified_at_any_q(q):
     bad = rs.CycleStorageCode(3, q, code.codewords, table)
     assert not rs.verify_storage_code(bad).ok
     assert rs.verify_storage_code(bad) == verify_by_loop(bad, table)
+
+
+@pytest.mark.parametrize(
+    "call, exception, message",
+    [
+        (lambda: rs.periodic_points(rs.de_bruijn(2, 1), 0), ValueError, "the period must be at least 1"),
+        (lambda: rs.storage_code_for_cycle(rs.edge_cover_system(2, "power", k=2), 5), ValueError,
+         "cycle codes come from (1, 1)-recoverable systems"),
+    ],
+)
+def test_storage_refuses_bad_input(call, exception, message):
+    with pytest.raises(exception, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_word_rows_repr_and_the_rate_of_an_empty_code():
+    assert repr(WordRows(np.array([[1, 0], [0, 1]]))) == "WordRows(2 words of length 2)"
+    assert cycle_code(3, 2, []).rate() == -math.inf

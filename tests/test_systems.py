@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -408,7 +409,7 @@ def test_search_bounds_every_candidate_and_keeps_the_scan_winner(q, k, l):
         A = np.zeros((n, n), dtype=np.int64)
         for (u, v), keep in zip(pairs, choice):
             w = u + keep + v
-            A[rs.graphs.word_to_int(w[:-1], q), rs.graphs.word_to_int(w[1:], q)] = 1
+            A[rs.systems._ranks(np.array(w[:-1]), q), rs.systems._ranks(np.array(w[1:]), q)] = 1
         lam = rs.perron_eigenvalue(A)
         assert hi[c] * (1 + 2e-12) >= lam + 1
         if lam > best_lam + 1e-12:
@@ -527,7 +528,7 @@ def _overlap_matrix(f, pairs, q, n):
     A = np.zeros((n, n))
     for (u, v), m in zip(pairs, f):
         w = u + m + v
-        A[rs.graphs.word_to_int(w[:-1], q), rs.graphs.word_to_int(w[1:], q)] = 1
+        A[rs.systems._ranks(np.array(w[:-1]), q), rs.systems._ranks(np.array(w[1:]), q)] = 1
     return A
 
 
@@ -628,3 +629,41 @@ def test_verify_recoverable_matches_the_per_word_loop(drawn):
     # the view iterates in (alpha, beta) order, over the rows a dict gives
     assert list(res.table) == sorted(table)
     assert res.table.rows.tolist() == rs.RecoveryTable.of(table).rows.tolist()
+
+
+_LOOP = LabeledDigraph(2, ((0,),), ((0, 0, (0,)),))
+
+
+@pytest.mark.parametrize(
+    "call, exception, message",
+    [
+        (lambda: rs.ForbiddenSet(0, 1, 1, frozenset()), ValueError, "q, k, l must all be at least 1"),
+        (lambda: rs.ForbiddenSet(2, 1, 1, frozenset({(0, 2, 0)})), ValueError, "forbidden word (0, 2, 0) is not over [2]"),
+        (lambda: rs.RecoverableSystem(2, 0, 1, _LOOP, {}, "x"), ValueError, "q, k, l must all be at least 1"),
+        (lambda: rs.RecoverableSystem(3, 1, 1, _LOOP, {}, "x"), ValueError,
+         "presentation alphabet differs from system alphabet"),
+        (lambda: rs.verify_recoverable(_LOOP, 0, 1), ValueError, "k and l must be at least 1"),
+        (lambda: rs.edge_cover_system(1, "square"), ValueError, "edge covering needs t >= 2"),
+        (lambda: rs.edge_cover_system(2, "square", l=0), ValueError, "square mode needs l >= 1"),
+        (lambda: rs.edge_cover_system(2, "power", k=0), ValueError, "power mode needs k >= 1"),
+        (lambda: rs.marker_system(4, 0), ValueError, "marker construction needs k >= 1"),
+        (lambda: rs.recursive_extend(rs.edge_cover_system(2, "power", k=2)), ValueError,
+         "the loop extension applies to (1, 1) systems only"),
+        # a system with no windows: without the refusal, the 0 x 0 Perron solve divides by zero
+        (lambda: rs.recursive_extend(rs.RecoverableSystem(2, 1, 1, _LOOP, {}, "no_windows")), ValueError,
+         "the loop extension needs a strongly connected core with at least one edge"),
+        (lambda: rs.exhaustive_max_capacity(0, 1, 1), ValueError, "q, k, l must all be at least 1"),
+    ],
+)
+def test_systems_refuse_bad_input(call, exception, message):
+    with pytest.raises(exception, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_no_loop_extension_chain_reaches_q3():
+    assert rs.systems.recursive_seed(3) is None
+    assert rs.recursive_chain_bound(3) is None
+
+
+def test_an_empty_forbidden_set_presents_the_full_shift():
+    assert rs.presentation_from_forbidden(rs.ForbiddenSet(2, 1, 1, frozenset())) == rs.de_bruijn(2, 2)
