@@ -54,8 +54,6 @@ from .systems import (
     capacity_formula,
     edge_cover_system,
     exhaustive_max_capacity,
-    forbidden_from_graph,
-    is_admissible,
     marker_system,
     presentation_from_forbidden,
     recursive_bound,

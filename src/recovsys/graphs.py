@@ -36,16 +36,6 @@ ENUM_CAP = 1_000_000
 _RESIDUE_BYTES = 1 << 20
 
 
-def word_from_int(value: int, q: int, length: int) -> Word:
-    """Base-q digits of `value`, most significant first, padded to `length`."""
-    if value < 0 or (q == 1 and value > 0) or (q > 1 and value >= q**length):
-        raise ValueError(f"{value} does not fit in {length} base-{q} digits")
-    digits = [0] * length
-    for i in range(length - 1, -1, -1):
-        value, digits[i] = divmod(value, q)
-    return tuple(digits)
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class LabeledDigraph:
     """Directed multigraph with word labels on vertices and edges.
@@ -399,6 +389,8 @@ def perron_eigenvalue(A: np.ndarray | Sequence[Sequence[float]]) -> float:
     M = np.asarray(A, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("adjacency matrix must be square")
+    if not np.isfinite(M).all():
+        raise ValueError("adjacency matrix must be finite")
     if M.size and M.min() < 0:
         raise ValueError("adjacency matrix must be nonnegative")
     best = 0.0
@@ -749,8 +741,11 @@ def _count_matrix(A: np.ndarray | Sequence[Sequence[int]]) -> np.ndarray:
     if np.can_cast(M.dtype, np.int64):
         X = M.astype(np.int64, copy=False)
     else:
-        X = np.array([[int(x) for x in r] for r in M.tolist()], dtype=object).reshape(M.shape)
-        if (X != M).any():
+        try:
+            X = np.array([[int(x) for x in r] for r in M.tolist()], dtype=object).reshape(M.shape)
+        except (OverflowError, ValueError):
+            X = None
+        if X is None or (X != M).any():
             raise ValueError("matrix entries must be integers")
     if (X < 0).any():
         raise ValueError("matrix must be nonnegative")

@@ -50,12 +50,14 @@ class MarkovMeasure:
 
     Parameters
     ----------
-    q : symbol alphabet size.
-    state_rows : state words, strictly increasing numerically, held as a
-        read-only int64 array with a row each; `states` is its tuple view.
+    q : symbol alphabet size, at least 1.
+    state_rows : state words over ``[q]``, strictly increasing numerically,
+        held as a read-only int64 array with a row each; `states` is its
+        tuple view.
     P : row-stochastic transition matrix.
     p : stationary row vector (``p @ P == p``).
-    emit : symbols emitted per transition; entropies use base ``q**emit``.
+    emit : symbols emitted per transition, at least 1; entropies use base
+        ``q**emit``.
     """
 
     q: int
@@ -65,6 +67,8 @@ class MarkovMeasure:
     emit: int
 
     def __post_init__(self) -> None:
+        if self.q < 1 or self.emit < 1:
+            raise ValueError("q and emit must be at least 1")
         S = _word_array("state", self.state_rows)
         P = np.array(self.P, dtype=float)
         p = np.array(self.p, dtype=float)
@@ -75,6 +79,9 @@ class MarkovMeasure:
             raise ValueError("matrix and vector shapes must match the state count")
         if not (np.isfinite(P).all() and np.isfinite(p).all()):
             raise ValueError("transition and stationary entries must be finite")
+        bad = ((S < 0) | (S >= self.q)).any(axis=1)
+        if bad.any():
+            raise ValueError(f"state {tuple(S[bad.argmax()].tolist())} is not a word over [{self.q}]")
         if not _strictly_increasing(S):
             raise ValueError("states must be strictly increasing words")
         if abs(p.sum() - 1.0) > STOCHASTIC_TOL:
@@ -520,6 +527,9 @@ def markov_approximation(marginal: Mapping[Word, float], m: int, q: int) -> Mark
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"marginal masses sum to {total!r}, not 1")
     words = _word_array("marginal", marginal)
+    bad = ((words < 0) | (words >= q)).any(axis=1)
+    if bad.any():
+        raise ValueError(f"marginal word {tuple(words[bad.argmax()].tolist())} is not over [{q}]")
     mass = np.fromiter(marginal.values(), float, len(words))
     # every (m-1)-word in order; word r's prefix is word pre[r] and its suffix suf[r]
     ends, at = _ranked(np.vstack((words[:, :-1], words[:, 1:])))
@@ -529,7 +539,7 @@ def markov_approximation(marginal: Mapping[Word, float], m: int, q: int) -> Mark
     if bad.size:
         raise InconsistentMarginalError(tuple(ends[bad[0]].tolist()), float(prefix[bad[0]]), float(suffix[bad[0]]))
     live = prefix > 0
-    r = np.flatnonzero((mass > 0) & live[pre] & (words[:, -1] >= 0) & (words[:, -1] < q))
+    r = np.flatnonzero((mass > 0) & live[pre])
     gone = r[~live[suf[r]]]
     if gone.size:
         g = gone[np.lexsort(words[gone].T[::-1])[0]]

@@ -3,8 +3,11 @@
 A system over ``[q]`` is (k, l)-recoverable when every block of k consecutive
 symbols is a deterministic function of the l symbols on each side.  Such a
 system sits inside the constrained system of a forbidden set of words of
-length ``2l + k``, and all constructions here hand back a presentation graph
-together with the induced recovery table.  `verify_recoverable` reads the
+length ``2l + k``; the constructions here build it from its allowed windows
+instead and hand back a presentation graph together with the induced
+recovery table.  `presentation_from_forbidden` is the one entry that starts
+from forbidden words, kept because the benchmark's storage workload builds
+the binary optimum through it.  `verify_recoverable` reads the
 occurring windows as one integer array and returns its sorted (alpha, beta,
 middle) rows as a `RecoveryTable`, a read-only mapping view whose dict is
 built only on the first lookup; later steps read the windows off it.
@@ -34,7 +37,6 @@ from .graphs import (
     perron_eigenvalue,
     perron_vectors,
     window_presentation,
-    words_of_length,
 )
 
 SEARCH_CANDIDATE_CAP = 10_000_000
@@ -44,7 +46,10 @@ _BOUND_STEPS = 16
 
 @dataclass(frozen=True)
 class ForbiddenSet:
-    """Alphabet size, window parameters, and forbidden words of length 2l+k."""
+    """Alphabet size, window parameters, and forbidden words of length 2l+k.
+
+    Only `presentation_from_forbidden` reads it; see there why both are kept.
+    """
 
     q: int
     k: int
@@ -189,36 +194,19 @@ class VerificationResult:
     conflict: tuple[Word, Word, Word, Word] | None = None
 
 
-def is_admissible(F: ForbiddenSet) -> bool:
-    """True iff every boundary pair forbids at least ``q**k - 1`` middles."""
-    middles = list(product(range(F.q), repeat=F.k))
-    need = F.q**F.k - 1
-    for u in product(range(F.q), repeat=F.l):
-        for v in product(range(F.q), repeat=F.l):
-            hits = sum(1 for w in middles if u + w + v in F.words)
-            if hits < need:
-                return False
-    return True
-
-
 def presentation_from_forbidden(F: ForbiddenSet) -> LabeledDigraph:
     """Standard presentation of the constrained system avoiding `F`.
 
     The window presentation of the words of length ``2l + k`` outside `F`:
     vertices are the ``(2l + k - 1)``-words that begin or end an allowed
     window, and each allowed window is one edge.  A word that is in no
-    allowed window is not a vertex.
+    allowed window is not a vertex.  It deletes the forbidden ranks from all
+    ``q**(2l + k)`` words, the one complement taken in this package, kept
+    because the benchmark's storage workload builds the binary optimum here
+    and reports this function's time and graph size.
     """
     forbidden = _ranks(np.array(list(F.words), dtype=np.int64).reshape(-1, F.word_len), F.q)
     return window_presentation(F.q, np.delete(_word_grid(F.q, F.word_len), forbidden, axis=0))
-
-
-def forbidden_from_graph(G: LabeledDigraph, k: int, l: int) -> ForbiddenSet:
-    """Forbidden set of a presented system: the complement of its words."""
-    n = 2 * l + k
-    allowed = words_of_length(G, n)
-    words = frozenset(w for w in product(range(G.q), repeat=n) if w not in allowed)
-    return ForbiddenSet(G.q, k, l, words)
 
 
 def verify_recoverable(G: LabeledDigraph, k: int, l: int) -> VerificationResult:

@@ -1,18 +1,51 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 import recovsys as rs
-from recovsys.graphs import LabeledDigraph, word_from_int
+from recovsys.graphs import LabeledDigraph, Word, window_presentation
 from recovsys.storage import WordRows
 
 BINARY_FORBIDDEN = frozenset({(0, 0, 0), (1, 1, 1), (1, 1, 0), (0, 1, 1)})
+BINARY_ALLOWED = ((0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 0, 1))
+
+
+def word_from_int(value: int, q: int, length: int) -> Word:
+    """Base-q digits of `value`, most significant first, padded to `length`."""
+    if value < 0 or (q == 1 and value > 0) or (q > 1 and value >= q**length):
+        raise ValueError(f"{value} does not fit in {length} base-{q} digits")
+    digits = [0] * length
+    for i in range(length - 1, -1, -1):
+        value, digits[i] = divmod(value, q)
+    return tuple(digits)
+
+
+def is_admissible(F: rs.ForbiddenSet) -> bool:
+    """Oracle: True iff every boundary pair forbids at least ``q**k - 1`` middles."""
+    middles = list(product(range(F.q), repeat=F.k))
+    need = F.q**F.k - 1
+    for u in product(range(F.q), repeat=F.l):
+        for v in product(range(F.q), repeat=F.l):
+            hits = sum(1 for w in middles if u + w + v in F.words)
+            if hits < need:
+                return False
+    return True
+
+
+def forbidden_from_graph(G: LabeledDigraph, k: int, l: int) -> rs.ForbiddenSet:
+    """Oracle: the forbidden set of a presented system, the complement of its words."""
+    n = 2 * l + k
+    allowed = rs.words_of_length(G, n)
+    words = frozenset(w for w in product(range(G.q), repeat=n) if w not in allowed)
+    return rs.ForbiddenSet(G.q, k, l, words)
 
 
 @pytest.fixture(scope="session")
 def binary_system() -> rs.RecoverableSystem:
-    """The unique binary (1,1) system of maximum capacity."""
-    F = rs.ForbiddenSet(2, 1, 1, BINARY_FORBIDDEN)
-    G = rs.presentation_from_forbidden(F)
+    """The unique binary (1,1) system of maximum capacity, built from its allowed windows."""
+    G = window_presentation(2, BINARY_ALLOWED)
+    assert G == rs.presentation_from_forbidden(rs.ForbiddenSet(2, 1, 1, BINARY_FORBIDDEN))
     res = rs.verify_recoverable(G, 1, 1)
     assert res.ok
     return rs.RecoverableSystem(2, 1, 1, G, dict(res.table), "binary_max_capacity")
@@ -39,8 +72,6 @@ def construction_suite(binary_system, edge4_system, trunc8_system):
 
 def brute_force_word_count(q: int, n: int, forbidden: frozenset) -> int:
     """Independent oracle: scan every q**n word for forbidden subwords."""
-    from itertools import product
-
     if not forbidden:
         return q**n
     L = len(next(iter(forbidden)))

@@ -19,6 +19,7 @@ from recovsys.measures import higher_block_presentation
 from conftest import (
     BINARY_FORBIDDEN,
     brute_force_word_count,
+    forbidden_from_graph,
     hop_distances,
     plastic_number,
 )
@@ -58,7 +59,7 @@ def test_criterion_1():
     value, witness = rs.exhaustive_max_capacity(2, 1, 1)
     elapsed = time.perf_counter() - start
     assert abs(value - 0.4057) <= 5e-4
-    words = rs.forbidden_from_graph(witness.presentation, 1, 1).words
+    words = forbidden_from_graph(witness.presentation, 1, 1).words
     relabeled = frozenset(tuple(1 - c for c in w) for w in BINARY_FORBIDDEN)
     assert words in (BINARY_FORBIDDEN, relabeled)
     assert elapsed < 10.0, f"16-candidate search took {elapsed:.2f}s"
@@ -213,7 +214,7 @@ def test_criterion_10(binary_system):
     }
     for name, S in small_alphabet_systems.items():
         window = 2 * S.l + S.k
-        F = rs.forbidden_from_graph(S.presentation, S.k, S.l)
+        F = forbidden_from_graph(S.presentation, S.k, S.l)
         cap = rs.capacity(S)
         for n in range(window, 13):
             count = rs.count_words(S.presentation, n)

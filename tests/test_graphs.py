@@ -13,7 +13,7 @@ import recovsys as rs
 from recovsys import serialization as ser
 from recovsys.graphs import LabeledDigraph
 
-from conftest import open_walk_points, plastic_number, tuple_window_presentation
+from conftest import forbidden_from_graph, open_walk_points, plastic_number, tuple_window_presentation, word_from_int
 
 DB2_MATRIX = np.array(
     [
@@ -51,7 +51,7 @@ def small_graph_strategy():
         labels = tuple((i, 0) for i in range(n)) if n <= q else None
         if labels is None:
             labels = tuple(
-                rs.graphs.word_from_int(i, q, 3) for i in range(n)
+                word_from_int(i, q, 3) for i in range(n)
             )
         edges = []
         for u in range(n):
@@ -449,7 +449,7 @@ def test_count_words_rejects_zero_length(binary_system):
 def test_count_words_matches_brute_force(binary_system):
     from conftest import brute_force_word_count
 
-    F = rs.forbidden_from_graph(binary_system.presentation, 1, 1)
+    F = forbidden_from_graph(binary_system.presentation, 1, 1)
     for n in range(3, 13):
         assert rs.count_words(binary_system.presentation, n) == brute_force_word_count(
             2, n, F.words
@@ -649,7 +649,7 @@ def test_higher_power_on_both_sides_of_the_int64_guard(m):
 def multigraphs(draw):
     """Graphs on up to 8 vertices whose edge tuples may repeat."""
     n = draw(st.integers(min_value=0, max_value=8))
-    labels = tuple(rs.graphs.word_from_int(i, 3, 2) for i in range(n))
+    labels = tuple(word_from_int(i, 3, 2) for i in range(n))
     edge = st.tuples(
         st.integers(0, n - 1), st.integers(0, n - 1), st.tuples(st.integers(0, 2))
     )
@@ -706,7 +706,7 @@ def test_components_do_not_depend_on_the_order_of_the_edge_rows(seed):
     A = rng.random((n, n)) < 1.5 / n
     edges = [(int(u), int(v), (0,)) for u, v in np.argwhere(A)]
     shuffled = [edges[i] for i in rng.permutation(len(edges))]
-    G = LabeledDigraph(2, [rs.graphs.word_from_int(i, 2, 6) for i in range(n)], shuffled)
+    G = LabeledDigraph(2, [word_from_int(i, 2, 6) for i in range(n)], shuffled)
     assert (np.diff(G.src) < 0).any()
     comps = rs.scc_decompose(G)
     assert max(map(len, comps)) > 1
@@ -784,7 +784,7 @@ def test_word_enumeration_builds_no_vertex_matrix(monkeypatch):
 
     monkeypatch.setattr(rs.graphs, "adjacency", refuse)
     n = 4000
-    labels = [rs.graphs.word_from_int(i, 2, 12) for i in range(n)]
+    labels = [word_from_int(i, 2, 12) for i in range(n)]
     G = LabeledDigraph(2, labels, [(i, (i + 1) % n, (0,)) for i in range(n)])
     assert rs.words_of_length(G, 13) == {w + (0,) for w in labels}
 
@@ -1024,10 +1024,16 @@ def test_edge_triples_need_integer_vertex_ids():
 @pytest.mark.parametrize(
     "call, exception, message",
     [
-        (lambda: rs.graphs.word_from_int(4, 2, 2), ValueError, "4 does not fit in 2 base-2 digits"),
         (lambda: LabeledDigraph(0, (), ()), ValueError, "alphabet size must be at least 1"),
         (lambda: LabeledDigraph(2, ((0.5,),), ()), ValueError, "vertex labels must be words of int64 symbols"),
         (lambda: rs.perron_eigenvalue(np.ones((2, 3))), ValueError, "adjacency matrix must be square"),
+        (lambda: rs.perron_eigenvalue([[np.nan]]), ValueError, "adjacency matrix must be finite"),
+        (lambda: rs.perron_eigenvalue([[np.inf]]), ValueError, "adjacency matrix must be finite"),
+        (lambda: rs.perron_eigenvalue([[0, np.nan], [1, 0]]), ValueError, "adjacency matrix must be finite"),
+        (lambda: rs.perron_eigenvalue([[1, 2], [np.inf, 0]]), ValueError, "adjacency matrix must be finite"),
+        (lambda: rs.trace_power([[np.inf]], 3), ValueError, "matrix entries must be integers"),
+        (lambda: rs.trace_power([[np.nan]], 3), ValueError, "matrix entries must be integers"),
+        (lambda: rs.path_count([[-np.inf]], 3), ValueError, "matrix entries must be integers"),
     ],
 )
 def test_graphs_refuse_bad_input(call, exception, message):

@@ -14,7 +14,7 @@ from recovsys import measures
 from recovsys.graphs import LabeledDigraph, _word_array, _word_graph, _word_grid, _word_rows, window_presentation
 from recovsys.measures import higher_block_presentation
 
-from conftest import chorded_cycle_graph, plastic_number, tuple_window_presentation
+from conftest import chorded_cycle_graph, plastic_number, tuple_window_presentation, word_from_int
 
 REFERENCE_P = np.array(
     [
@@ -310,7 +310,7 @@ def presentations(draw):
     """Presentations on up to 6 vertices with dead vertices and parallel edges."""
     q, L = draw(st.integers(1, 3)), draw(st.integers(1, 2))
     n = draw(st.integers(0, min(6, q**L)))
-    labels = tuple(rs.graphs.word_from_int(i, q, L) for i in range(n))
+    labels = tuple(word_from_int(i, q, L) for i in range(n))
     edge = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), st.tuples(st.integers(0, q - 1)))
     edges = draw(st.lists(edge, max_size=16)) if n else []
     edges += draw(st.lists(st.sampled_from(edges), max_size=4)) if edges else []
@@ -718,6 +718,11 @@ def test_dense_window_report_equals_the_dict_path_bit_for_bit(name, eps, k, l):
          "states must be strictly increasing words"),
         (lambda M: rs.MarkovMeasure(2, M.state_rows, [[1.5, -0.5], [0.0, 1.0]], [0.0, 1.0], 1), ValueError,
          "transition probabilities must be nonnegative"),
+        (lambda M: rs.MarkovMeasure(2, [(0,), (5,)], M.P, M.p, 1), ValueError, "state (5,) is not a word over [2]"),
+        (lambda M: rs.MarkovMeasure(2, [(-1,), (0,)], M.P, M.p, 1), ValueError, "state (-1,) is not a word over [2]"),
+        (lambda M: rs.MarkovMeasure(0, M.state_rows, M.P, M.p, 1), ValueError, "q and emit must be at least 1"),
+        (lambda M: rs.MarkovMeasure(2, M.state_rows, M.P, M.p, 0), ValueError, "q and emit must be at least 1"),
+        (lambda M: rs.MarkovMeasure(2, M.state_rows, M.P, M.p, -1), ValueError, "q and emit must be at least 1"),
         (lambda M: rs.binary_entropy(1.5), ValueError, "entropy argument must lie in [0, 1]"),
         (lambda M: rs.max_entropy_measure(LabeledDigraph(2, ((0,),), ())), ValueError,
          "the max-entropy measure needs at least one edge"),
@@ -731,6 +736,10 @@ def test_dense_window_report_equals_the_dict_path_bit_for_bit(name, eps, k, l):
         (lambda M: measures.markov_approximation({(0, 0): 1.5, (0, 1): -0.5}, 2, 2), ValueError,
          "marginal probabilities must be nonnegative"),
         (lambda M: measures.markov_approximation({(0, 0): 0.5}, 2, 2), ValueError, "marginal masses sum to 0.5, not 1"),
+        (lambda M: measures.markov_approximation(dict.fromkeys([(0, 0), (0, 3), (3, 0), (3, 3)], 0.25), 2, 2),
+         ValueError, "marginal word (0, 3) is not over [2]"),
+        (lambda M: measures.markov_approximation({(0, 0): 0.5, (0, -1): 0.5}, 2, 2), ValueError,
+         "marginal word (0, -1) is not over [2]"),
         (lambda M: measures.map_decoder(M, 1, 1, (), (0,)), ValueError, "boundary words must have length l"),
     ],
 )

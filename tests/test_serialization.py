@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 import recovsys as rs
 from recovsys import serialization as ser
-from recovsys.graphs import LabeledDigraph, word_from_int
+from recovsys.graphs import LabeledDigraph
 from recovsys.storage import WordRows
 
-from conftest import chorded_cycle_graph, cycle_code
+from conftest import chorded_cycle_graph, cycle_code, word_from_int
 
 
 def test_word_text_round_trip():

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 import recovsys as rs
 from recovsys import serialization as ser
-from recovsys.graphs import LabeledDigraph, word_from_int
+from recovsys.graphs import LabeledDigraph
 from recovsys.storage import StorageVerification, WordRows
 
-from conftest import cycle_code, open_walk_points
+from conftest import cycle_code, open_walk_points, word_from_int
 
 PERRIN_MATRIX = np.array([[0, 1, 1], [0, 0, 1], [1, 0, 0]])
 

@@ -12,17 +12,17 @@ from hypothesis import strategies as st
 import recovsys as rs
 from recovsys.graphs import LabeledDigraph
 
-from conftest import BINARY_FORBIDDEN, brute_force_word_count, hop_distances
+from conftest import BINARY_FORBIDDEN, brute_force_word_count, forbidden_from_graph, hop_distances, is_admissible
 
 PERRIN_MATRIX = np.array([[0, 1, 1], [0, 0, 1], [1, 0, 0]])
 
 
 def test_admissible_examples():
     F = rs.ForbiddenSet(2, 1, 1, BINARY_FORBIDDEN)
-    assert rs.is_admissible(F)
-    assert not rs.is_admissible(rs.ForbiddenSet(2, 1, 1, frozenset()))
+    assert is_admissible(F)
+    assert not is_admissible(rs.ForbiddenSet(2, 1, 1, frozenset()))
     everything = frozenset(product(range(2), repeat=3))
-    assert rs.is_admissible(rs.ForbiddenSet(2, 1, 1, everything))
+    assert is_admissible(rs.ForbiddenSet(2, 1, 1, everything))
 
 
 def test_forbidden_set_validates_word_length():
@@ -330,7 +330,7 @@ def test_recursive_extend_rejects_disconnected_core():
 def test_exhaustive_binary_recovers_known_optimum():
     value, witness = rs.exhaustive_max_capacity(2, 1, 1)
     assert abs(value - 0.4057) < 5e-4
-    F = rs.forbidden_from_graph(witness.presentation, 1, 1)
+    F = forbidden_from_graph(witness.presentation, 1, 1)
     relabeled = frozenset(tuple(1 - c for c in w) for w in BINARY_FORBIDDEN)
     assert F.words in (BINARY_FORBIDDEN, relabeled)
 
@@ -572,7 +572,7 @@ def test_every_induced_forbidden_set_is_admissible():
             for w in middles
             if w != keep
         )
-        assert rs.is_admissible(rs.ForbiddenSet(2, 1, 1, words))
+        assert is_admissible(rs.ForbiddenSet(2, 1, 1, words))
 
 
 def test_constructed_capacities_respect_upper_bound(construction_suite):
