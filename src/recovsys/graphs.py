@@ -333,49 +333,45 @@ def _reaches_all(src: np.ndarray, dst: np.ndarray, n: int) -> bool:
 def essential_subgraph(G: LabeledDigraph) -> LabeledDigraph:
     """Induced subgraph on vertices with bi-infinite paths through them.
 
-    Iteratively drops vertices of in-degree or out-degree zero.  The
-    degrees count edge rows (every row has a positive count), and each
-    round subtracts only the rows of the vertices it drops, found through
-    the rows sorted by source and by target; so the peel takes O(V + E)
-    time and memory beyond its rounds, and no V x V matrix.  Labels and
-    surviving edge rows keep their order.
+    A vertex lies on a bi-infinite path exactly when an infinite walk
+    starts there and another ends there, so the kept vertices are those
+    that `_live` keeps along the rows and against them.  Both peels take
+    O(V + E) time and memory beyond their rounds, and no V x V matrix.
+    Labels and surviving edge rows keep their order.
     This is the explicit pruning operation: no other function ever removes
     vertices from a graph it returns.
     """
     n, src, dst = G.n_vertices, G.src, G.dst
-    outd, ind = np.bincount(src, minlength=n), np.bincount(dst, minlength=n)
-    dead = np.flatnonzero((outd == 0) | (ind == 0))
-    if not dead.size:
+    if (np.bincount(src, minlength=n) > 0).all() and (np.bincount(dst, minlength=n) > 0).all():
         return G
-    alive, rows = np.ones(n, dtype=bool), np.ones(src.size, dtype=bool)
-    # vertex v's rows are order[start[v] : start[v] + deg[v]]
-    lists = [
-        (np.argsort(ends, kind="stable"), np.cumsum(deg) - deg, deg.copy())
-        for ends, deg in ((src, outd), (dst, ind))
-    ]
-    first = np.empty(n, dtype=np.int64)
-    while dead.size:
-        alive[dead] = False
-        gone = []
-        for order, start, deg in lists:
-            span = deg[dead]
-            at = _spans(start[dead], span)
-            gone.append(order[at])
-        # a row is met again when its other end dies, and then both its ends
-        # are dead: their degrees are never read again
-        r = np.concatenate(gone)
-        rows[r] = False
-        np.subtract.at(outd, src[r], 1)
-        np.subtract.at(ind, dst[r], 1)
-        ends = np.concatenate((src[r], dst[r]))
-        ends = ends[alive[ends]]
-        ends = ends[(outd[ends] == 0) | (ind[ends] == 0)]
-        # drop repeats: each vertex keeps one of its positions' writes
-        first[ends] = np.arange(ends.size)
-        dead = ends[first[ends] == np.arange(ends.size)]
+    alive = _live(src, dst, n) & _live(dst, src, n)
+    rows = alive[src] & alive[dst]
     remap = np.cumsum(alive) - 1
-    src, dst = remap[G.src[rows]], remap[G.dst[rows]]
+    src, dst = remap[src[rows]], remap[dst[rows]]
     return LabeledDigraph._from_rows(G.q, G.label_rows[alive], G.word_rows, src, dst, G.lab[rows], G.count[rows])
+
+
+def _live(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the `n` vertices that start an infinite walk along the rows ``src -> dst``.
+
+    Peels the vertices with no out-row left: each round finds the rows into
+    the vertices it drops through the rows sorted by target, takes them off
+    their sources' out-degrees, and drops the sources left with none.  A
+    source met on several rows is kept once by a sort and a run mask.
+    """
+    out, deg = np.bincount(src, minlength=n), np.bincount(dst, minlength=n)
+    # vertex v's in-rows are order[first[v] : first[v] + deg[v]]
+    order, first = np.argsort(dst, kind="stable"), np.cumsum(deg) - deg
+    live = np.ones(n, dtype=bool)
+    dead = np.flatnonzero(out == 0)
+    while dead.size:
+        live[dead] = False
+        ends = src[order[_spans(first[dead], deg[dead])]]
+        np.subtract.at(out, ends, 1)
+        # a source whose last out-row leaves now was live until this round
+        ends = np.sort(ends[out[ends] == 0])
+        dead = ends[np.diff(ends, prepend=-1) > 0]
+    return live
 
 
 def perron_eigenvalue(A: np.ndarray | Sequence[Sequence[float]]) -> float:
@@ -681,7 +677,8 @@ def log_base(x: float, q: int) -> float:
 
 def _is_deterministic(G: LabeledDigraph) -> bool:
     # As many distinct (vertex, label) pairs as edges: no vertex emits a label twice.
-    return np.unique(G.src * len(G.word_rows) + G.lab).size == G.count.sum()
+    keys, _ = _summed_by_key(G.src * len(G.word_rows) + G.lab, G.count)
+    return keys.size == G.count.sum()
 
 
 def _rows_by_target(q: int, labels: np.ndarray, src, dst, count) -> LabeledDigraph:
@@ -802,57 +799,46 @@ def _moduli_over(bound: int, k: int) -> list[int]:
     return moduli
 
 
+def _successors(src: np.ndarray, dst: np.ndarray, n: int) -> list[list[int]]:
+    """The targets of the rows ``src -> dst`` leaving each of the `n` vertices, in row order."""
+    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
+    targets = dst[np.argsort(src, kind="stable")].tolist()
+    return [targets[start:end] for start, end in zip([0] + ends, ends)]
+
+
 def _sccs(src: np.ndarray, dst: np.ndarray, n: int) -> list[list[int]]:
     """Strongly connected components of the rows ``src -> dst`` on `n` vertices.
 
-    Each component is sorted.  An iterative Tarjan, since recursion would
-    overflow on multi-thousand-vertex presentations, over successor lists
-    cut from the rows stably sorted by source.
+    Each component is sorted.  Kosaraju's two passes (Sharir, *Comput.
+    Math. Appl.* 7, 1981): depth-first searches along the rows list the
+    vertices as they finish; then a search against the rows from each
+    vertex not yet placed, latest finished first, reaches one component.
     """
-    ends = np.cumsum(np.bincount(src, minlength=n)).tolist()
-    targets = dst[np.argsort(src, kind="stable")].tolist()
-    succ = [targets[start:end] for start, end in zip([0] + ends, ends)]
-    index = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
+    succ, pred = _successors(src, dst, n), _successors(dst, src, n)
+    seen, finished = [False] * n, []
     for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, iter(succ[root]))]
-        index[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index[w] == -1:
-                    index[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(succ[w])))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
+        if not seen[root]:
+            finished += _finish_order(succ, root, seen)
+    placed = [False] * n
+    return [sorted(_finish_order(pred, root, placed)) for root in reversed(finished) if not placed[root]]
+
+
+def _finish_order(succ: list[list[int]], root: int, seen: list[bool]) -> list[int]:
+    """The vertices a depth-first search over `succ` first reaches from `root`, as they finish.
+
+    Marks them in `seen` and enters no vertex already marked.  Iterative,
+    since recursion would overflow on multi-thousand-vertex presentations.
+    """
+    seen[root] = True
+    order, work = [], [(root, iter(succ[root]))]
+    while work:
+        v, it = work[-1]
+        for w in it:
+            if not seen[w]:
+                seen[w] = True
+                work.append((w, iter(succ[w])))
+                break
+        else:
             work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-    return comps
+            order.append(v)
+    return order

@@ -197,9 +197,11 @@ class EpsilonConstruction:
         Row i of nu.P spreads each entry of mu.P's row ``parent[i]`` over
         the children of its column with their weights, so its entropy is
         that row's plus ``H_w = -(1-delta) ln(1-delta) - delta ln(delta /
-        (q**k - 1))``.
+        (q**k - 1))``.  A one-letter alphabet gives 0.
         """
         mu, delta = self.base_measure, self.params.delta
+        if mu.log_base == 1:
+            return 0.0
         spread = mu.q**self.params.k - 1
         h_w = -float(_xlogx(np.array([1 - delta, delta / spread])) @ [1, spread])
         rows = -_xlogx(mu.P).sum(axis=1)
@@ -223,7 +225,7 @@ def binary_entropy(x: float) -> float:
 
 
 def _hq(x: float, q: int) -> float:
-    if x < 0 or x > 1:
+    if not 0 <= x <= 1:
         raise ValueError("entropy argument must lie in [0, 1]")
     return -sum(t * math.log(t) for t in (x, 1.0 - x) if t > 0) / math.log(q)
 
@@ -267,9 +269,9 @@ def max_entropy_measure(G: LabeledDigraph) -> MarkovMeasure:
 
 
 def entropy_rate(M: MarkovMeasure) -> float:
-    """Per-transition Shannon entropy in base ``q**emit`` (per-symbol, base q)."""
+    """Per-transition Shannon entropy in base ``q**emit`` (per-symbol, base q); 0 when q = 1."""
     rows = -_xlogx(M.P).sum(axis=1)
-    return float(M.p @ rows) / math.log(M.log_base)
+    return float(M.p @ rows) / math.log(M.log_base) if M.log_base > 1 else 0.0
 
 
 def window_marginal(M: MarkovMeasure, n: int) -> dict[Word, float]:
@@ -376,7 +378,7 @@ def _window_report(windows: np.ndarray, mass: np.ndarray, q: int, k: int, l: int
     x = _xlogx(mass / np.bincount(pair, weights=mass)[pair])
     starts = np.flatnonzero(np.diff(pair, prepend=-1))
     sums = [x[i:j].sum() for i, j in zip(starts, [*starts[1:], len(x)])]
-    values = ((0.0 - np.array(sums)) / math.log(q)).tolist()
+    values = ((0.0 - np.array(sums)) / math.log(q)).tolist() if q > 1 else [0.0] * len(sums)
     entries = {(tuple(r[:l]), tuple(r[l:])): h for r, h in zip(pairs.tolist(), values)}
     zero = tuple(ab for ab in product(product(range(q), repeat=l), repeat=2) if ab not in entries)
     return WindowEntropyReport(entries, zero, max(values, default=0.0))

@@ -104,21 +104,21 @@ def graph_from_json(text: str) -> LabeledDigraph:
 
     Vertices may come in any order of their ids, which must be 0..n-1; the
     edge label words are ranked into the graph's word table by one row sort.
-    A missing field, a label that is not a digit string and every check of
-    `LabeledDigraph` raise ValueError.
+    A missing field, a boolean where an integer belongs, a label that is not
+    a digit string and every check of `LabeledDigraph` raise ValueError.
     """
     doc = json.loads(text)
     try:
         vertices, edges = doc["vertices"], doc["edges"]
-        ids = np.fromiter(map(index, map(itemgetter("id"), vertices)), dtype=np.int64, count=len(vertices))
+        ids = np.fromiter(map(_integer, map(itemgetter("id"), vertices)), dtype=np.int64, count=len(vertices))
         labels = _label_rows("vertex", list(map(itemgetter("label"), vertices)))
         src, dst = (
-            np.fromiter(map(index, map(itemgetter(end), edges)), dtype=np.int64, count=len(edges))
+            np.fromiter(map(_integer, map(itemgetter(end), edges)), dtype=np.int64, count=len(edges))
             for end in ("from", "to")
         )
         words, lab = _ranked(_label_rows("edge", list(map(itemgetter("label"), edges))))
-        q = index(doc["q"])
-        label_len = index(doc["label_len"])
+        q = _integer(doc["q"])
+        label_len = _integer(doc["label_len"])
     except KeyError as exc:
         raise ValueError(f"malformed graph file: missing field {exc}") from None
     except (TypeError, OverflowError) as exc:
@@ -130,6 +130,13 @@ def graph_from_json(text: str) -> LabeledDigraph:
     if G.label_len != label_len:
         raise ValueError("label_len field disagrees with the vertex labels")
     return G
+
+
+def _integer(x) -> int:
+    """`x` as an int, refusing the JSON booleans that `operator.index` reads as 0 and 1."""
+    if isinstance(x, bool):
+        raise TypeError(f"{str(x).lower()} is a boolean, not an integer")
+    return index(x)
 
 
 def _label_rows(kind: str, texts: list[str]) -> np.ndarray:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -53,6 +56,14 @@ def test_construct_debruijn_prints_and_writes_the_graph(tmp_path):
     assert res.exit_code == 0
     assert res.stdout == f"vertices 4 edges 8\ncapacity 1 (log base 2)\nwrote graph {out}\n"
     assert ser.graph_from_json(out.read_text()) == rs.de_bruijn(2, 2)
+
+
+def test_one_letter_graph_has_a_zero_rate_measure(tmp_path):
+    graph = tmp_path / "g.json"
+    res = run("construct", "debruijn", "--q", "1", "--out", str(graph))
+    assert res.stdout.startswith("vertices 1 edges 1\ncapacity 0 (log base 1)\n")
+    res = run("measure", "maxent", "--graph", str(graph))
+    assert (res.exit_code, res.stdout) == (0, "h 0 (log base 1)\n")
 
 
 @pytest.mark.parametrize(
@@ -430,6 +441,12 @@ MALFORMED_GRAPHS = {
         "vertices": [{"id": 0, "label": "0"}, {"id": 1, "label": "1"}],
         "edges": [{"from": 0, "to": 1.9, "label": "1"}, {"from": 1.5, "to": 0, "label": "0"}],
     },
+    "boolean fields": {
+        "q": True,
+        "label_len": 1,
+        "vertices": [{"id": 0, "label": "0"}],
+        "edges": [{"from": False, "to": 0, "label": "0"}],
+    },
     "not an object": [],
     "numeric label": {"q": 2, "label_len": 1, "vertices": [{"id": 0, "label": 5}], "edges": []},
 }
@@ -544,3 +561,55 @@ def test_measure_maxent_names_the_measure_file(tmp_path, edge4_system):
     assert res.exit_code == 0
     assert res.stdout.splitlines()[1:] == [f"wrote measure {out}"]
     assert out.read_text() == ser.measure_to_text(rs.max_entropy_measure(edge4_system.presentation)) + "\n"
+
+
+# One fresh process runs every step, and fails naming the first after which
+# numpy.ma is loaded.
+NUMPY_MA_PROBE = """
+import contextlib, io, sys
+import recovsys as rs
+from recovsys import serialization as ser
+from recovsys.cli import main
+
+def check(step):
+    if "numpy.ma" in sys.modules:
+        sys.exit(f"numpy.ma is loaded after {step}")
+
+def cli(*args):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([str(a) for a in args], standalone_mode=False)
+    assert code in (0, None), f"{args} exited {code}"
+    check(" ".join(map(str, args)))
+
+S = rs.truncated_debruijn_system(4)
+check("import")
+rs.count_words(S.presentation, 6)
+check("count_words")
+C = rs.storage_code_for_cycle(S, 5)
+check("storage_code_for_cycle")
+open("c.code", "w").write(ser.codewords_to_text(C.codewords) + "\\n")
+open("c.table", "w").write(ser.recovery_table_to_text(S.recovery_table) + "\\n")
+cli("verify", "storage", "--code", "c.code", "--table", "c.table", "--q", 4, "--n", 5)
+for name, k, l, args in (
+    ("t4", 1, 1, ["truncated", "--q", 4]),
+    ("m3", 2, 3, ["marker", "--q", 3, "--k", 2]),
+    ("s2", 2, 2, ["edgecover", "--t", 2, "--mode", "square", "--l", 2]),
+    ("p2", 2, 1, ["edgecover", "--t", 2, "--mode", "power", "--k", 2]),
+    ("r12", 1, 1, ["recursive", "--q", 12]),
+):
+    cli("construct", *args, "--out-graph", f"{name}.json", "--out-table", f"{name}.table")
+    cli("verify", "system", "--graph", f"{name}.json", "--k", k, "--l", l)
+cli("report", "bounds", "--q", "2..20")
+cli("measure", "epsilon", "--q", 4, "--graph", "t4.json", "--eps", 0.1, "--out-measure", "e.measure")
+cli("measure", "maxent", "--graph", "r12.json", "--out", "m.measure")
+cli("measure", "epsilon", "--q", 2, "--k", 2, "--eps", 0.1)
+"""
+
+
+def test_counts_codes_and_benchmarked_commands_leave_numpy_ma_unloaded(tmp_path):
+    # A plain np.unique loads numpy.ma on its first call, some 10 ms of
+    # every fresh process; none of these paths may take it.
+    src = os.path.dirname(os.path.dirname(rs.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    res = subprocess.run([sys.executable, "-c", NUMPY_MA_PROBE], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr

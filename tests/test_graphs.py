@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import sys
 from fractions import Fraction
 from unittest import mock
 
@@ -993,6 +994,23 @@ def test_enumeration_cap_does_not_wrap_on_counts_near_int64():
     G = rs.higher_power(rs.de_bruijn(2, 1), 62)
     with pytest.raises(ValueError, match="capped"):
         rs.words_of_length(G, 3)
+
+
+def test_structure_past_the_recursion_limit():
+    # Both component passes and both peels are iterative: a 5,000-vertex
+    # cycle is one component and its own essential graph, and a 5,000-vertex
+    # path into a self-loop is 5,000 components and peels, one vertex a
+    # round against the rows, down to the loop.
+    n = 5000
+    assert sys.getrecursionlimit() < n
+    labels = [word_from_int(v, 2, 13) for v in range(n)]
+    cycle = LabeledDigraph(2, labels, [(v, (v + 1) % n, (0,)) for v in range(n)])
+    assert rs.scc_decompose(cycle) == [tuple(range(n))]
+    assert rs.essential_subgraph(cycle) is cycle
+    path = LabeledDigraph(2, labels, [(v, min(v + 1, n - 1), (0,)) for v in range(n)])
+    assert rs.scc_decompose(path) == [(v,) for v in range(n)]
+    E = rs.essential_subgraph(path)
+    assert (E.labels, E.edges) == ((labels[-1],), ((0, 0, (0,)),))
 
 
 def test_essential_subgraph_drops_stranded_vertices(binary_system):

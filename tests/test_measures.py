@@ -501,6 +501,20 @@ def test_symbol_lift_entropy_meets_lower_bound(binary_system):
         assert rs.entropy_rate(eta) >= cap + eps / 3 - 1e-9
 
 
+def test_one_letter_entropies_are_zero():
+    # With q = 1 the log base q**emit is 1: rates and window entropies read
+    # 0, as `graphs.log_base` does, not a division by zero or NaN.
+    M = rs.max_entropy_measure(rs.de_bruijn(1, 2))
+    report = rs.window_conditional_entropy(M, 1, 1)
+    assert rs.entropy_rate(M) == 0.0
+    assert (report.entries, report.max_entropy) == ({((0,), (0,)): 0.0}, 0.0)
+    base = rs.MarkovMeasure(1, [(0, 0, 0)], [[1.0]], [1.0], 3)
+    params = measures.EpsilonParams(0.0, 1, 1, 1, 0.0)
+    built = measures.EpsilonConstruction(base, params, base.state_rows, np.zeros(1, int), np.ones(1), np.ones(1))
+    assert built.entropy_rate() == 0.0
+    assert built.window_conditional_entropy().entries == {((0,), (0,)): 0.0}
+
+
 def test_binary_entropy_dominates_parabola():
     for i in range(10_001):
         x = i / 10_000
@@ -724,6 +738,7 @@ def test_dense_window_report_equals_the_dict_path_bit_for_bit(name, eps, k, l):
         (lambda M: rs.MarkovMeasure(2, M.state_rows, M.P, M.p, 0), ValueError, "q and emit must be at least 1"),
         (lambda M: rs.MarkovMeasure(2, M.state_rows, M.P, M.p, -1), ValueError, "q and emit must be at least 1"),
         (lambda M: rs.binary_entropy(1.5), ValueError, "entropy argument must lie in [0, 1]"),
+        (lambda M: rs.binary_entropy(float("nan")), ValueError, "entropy argument must lie in [0, 1]"),
         (lambda M: rs.max_entropy_measure(LabeledDigraph(2, ((0,),), ())), ValueError,
          "the max-entropy measure needs at least one edge"),
         (lambda M: rs.window_marginal(M, 0), ValueError, "window length must be at least 1"),

@@ -36,6 +36,22 @@ def test_graph_files_list_vertices_in_any_order(trunc8_system):
     assert H == G and H.labels == G.labels and H.words == G.words
 
 
+@pytest.mark.parametrize("field", ["q", "label_len", "id", "from", "to"])
+def test_graph_files_refuse_booleans(field):
+    # operator.index reads true as 1 and false as 0; the reader must not.
+    doc = {
+        "q": 1,
+        "label_len": 1,
+        "vertices": [{"id": 0, "label": "0"}],
+        "edges": [{"from": 0, "to": 0, "label": "0"}],
+    }
+    assert ser.graph_from_json(json.dumps(doc)) == rs.de_bruijn(1, 1)
+    holder = doc if field in doc else doc["vertices"][0] if field == "id" else doc["edges"][0]
+    holder[field] = bool(holder[field])
+    with pytest.raises(ValueError, match=f"^malformed graph file: {json.dumps(holder[field])} is a boolean"):
+        ser.graph_from_json(json.dumps(doc))
+
+
 def test_recovery_table_round_trip(binary_system):
     text = ser.recovery_table_to_text(binary_system.recovery_table)
     assert "->" in text
