@@ -211,15 +211,13 @@ def measure_epsilon(q, k, l, eps, graph_path, out_measure, out_graph):
     else:
         _, S = systems.exhaustive_max_capacity(q, k, l)
     built = measures.epsilon_construction(S, eps)
-    # Written first, so a refused or failed write prints no results.  The
-    # graph has at most states**2 edges: the measure file's cap covers it.
-    n, cap = len(built.state_rows), serialization.MEASURE_TEXT_CELLS
-    if out_graph and n * n > cap:
-        raise ValueError(f"an epsilon graph on {n} states has up to {n * n} edges, over the cap of {cap}")
+    # Built and written before anything is printed: a refused graph writes no
+    # file, and a refused or failed write prints no results.
+    graph = built.graph if out_graph else None
     if out_measure:
         serialization.save_measure(built, out_measure)
     if out_graph:
-        serialization.save_graph(built.graph, out_graph)
+        serialization.save_graph(graph, out_graph)
     h_mu = measures.entropy_rate(built.base_measure)
     h_nu = built.entropy_rate()
     report = built.window_conditional_entropy()

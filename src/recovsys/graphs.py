@@ -16,11 +16,12 @@ makes concurrent use safe.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -570,17 +571,18 @@ def _word_rows(E: LabeledDigraph, n: int) -> np.ndarray:
         return labels[:, :n]
     if not _within_enum_cap(E, n - L):
         raise ValueError(f"length-{n} words: explicit enumeration capped at {ENUM_CAP} paths")
-    start, _, symbols = _paths(E, n - L)
+    start, _, symbols = next(_paths(E, n - L))
     return np.hstack((labels[start], symbols))
 
 
-def _paths(E: LabeledDigraph, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Start vertices, end vertices and symbols of every sequence of `m` edge rows.
+def _paths(E: LabeledDigraph, m: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Start vertices, end vertices and symbols of every sequence of `m`, then m + 1, ... edge rows.
 
     One path per row sequence (a row's count does not repeat it) and one row
     of the (N, m) symbol matrix per path, in the smallest unsigned dtype that
-    holds q - 1.  Each step repeats every path once per out-row of its end,
-    through the rows sorted by source.  Edge labels must be single symbols.
+    holds q - 1.  Each step, taken when the next table is asked for, repeats
+    every path once per out-row of its end, through the rows sorted by
+    source.  Edge labels must be single symbols.
     """
     order = np.argsort(E.src, kind="stable")
     dst = E.dst[order]
@@ -589,12 +591,13 @@ def _paths(E: LabeledDigraph, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarra
     first = np.cumsum(deg) - deg
     start = end = np.arange(E.n_vertices)
     symbols = np.empty((E.n_vertices, 0), dtype=sym.dtype)
-    for _ in range(m):
+    for step in itertools.count():
+        if step >= m:
+            yield start, end, symbols
         k = deg[end]
         at = _spans(first[end], k)
         start, end = np.repeat(start, k), dst[at]
         symbols = np.hstack((np.repeat(symbols, k, axis=0), sym[at, None]))
-    return start, end, symbols
 
 
 def _closed_paths(E: LabeledDigraph, n: int) -> np.ndarray:
@@ -603,15 +606,21 @@ def _closed_paths(E: LabeledDigraph, n: int) -> np.ndarray:
     Meet in the middle: every first half of ``h = n // 2`` rows, from s to
     m, joins the run of second halves from m back to s in the second halves
     sorted by (start, end).  A pair is held as its two halves' symbol ranks,
-    so the sorted distinct pairs are the words in lexicographic order.  The
-    walks hold the paths of lengths h and n - h, the join one entry per
-    closed sequence; the caller tests both against `ENUM_CAP` first.
+    so the sorted distinct pairs are the words in lexicographic order.  One
+    walk serves both halves: for even n the second halves are the first, and
+    for odd n the same walk's next step.  It holds the paths of lengths h
+    and n - h, the join one entry per closed sequence; the caller tests both
+    against `ENUM_CAP` first.
     """
     h = n // 2
-    s, m, first = _paths(E, h)
-    m2, s2, second = _paths(E, n - h)
+    walk = _paths(E, h)
+    s, m, first = next(walk)
     first, r1 = _ranked(first)
-    second, r2 = _ranked(second)
+    if n % 2:
+        m2, s2, second = next(walk)
+        second, r2 = _ranked(second)
+    else:
+        m2, s2, second, r2 = s, m, first, r1
     key = m2 * E.n_vertices + s2
     by = np.argsort(key)
     key, want = key[by], m * E.n_vertices + s
@@ -622,7 +631,10 @@ def _closed_paths(E: LabeledDigraph, n: int) -> np.ndarray:
     # A sort and a run mask: np.unique would hash the pairs before sorting.
     pairs = np.sort(np.repeat(r1 * radix, k) + r2[at])
     pairs = pairs[np.diff(pairs, prepend=-1) > 0]
-    return np.hstack((first[pairs // radix], second[pairs % radix]))
+    words = np.empty((len(pairs), n), dtype=first.dtype)
+    words[:, :h] = first.take(pairs // radix, axis=0)
+    words[:, h:] = second.take(pairs % radix, axis=0)
+    return words
 
 
 def _ranked(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -42,6 +42,8 @@ from .systems import RecoverableSystem
 STOCHASTIC_TOL = 1e-12
 RECOVERABLE_TOL = 1e-10
 MARGINAL_TOL = 1e-12
+# Most edges (states**2) of an epsilon graph, whose build starts from a states x states mask.
+EPSILON_GRAPH_EDGES = 4096**2
 
 
 @dataclass(frozen=True)
@@ -165,7 +167,8 @@ class EpsilonConstruction:
     `graph` is the presentation of the perturbed measure: one edge, labeled
     by its target, wherever the base chain moves between the two states'
     parents.  It is derived from the base chain on first read, so ghost
-    edges are present even when delta is 0.
+    edges are present even when delta is 0; more than `EPSILON_GRAPH_EDGES`
+    possible edges (states**2) raise ValueError before any array is built.
     """
 
     base_measure: MarkovMeasure
@@ -188,6 +191,9 @@ class EpsilonConstruction:
 
     @cached_property
     def graph(self) -> LabeledDigraph:
+        n, cap = len(self.state_rows), EPSILON_GRAPH_EDGES
+        if n * n > cap:
+            raise ValueError(f"an epsilon graph on {n} states has up to {n * n} edges, over the cap of {cap}")
         src, dst = np.nonzero((self.base_measure.P > 0)[:, self.parent][self.parent])
         return _rows_by_target(self.base_measure.q, self.state_rows, src, dst, np.ones_like(src))
 
@@ -307,7 +313,7 @@ def _window_rows(M: MarkovMeasure, n: int) -> tuple[np.ndarray, np.ndarray]:
     G = _rows_by_target(len(S), np.arange(len(S))[:, None], src, dst, np.ones_like(src))
     if not _within_enum_cap(G, n - sl):
         raise ValueError(f"length-{n} windows: explicit enumeration capped at {ENUM_CAP} paths")
-    start, _, path = _paths(G, n - sl)
+    start, _, path = next(_paths(G, n - sl))
     states = np.column_stack((start, path))[M.p[start] > 0]
     mass = M.p[states[:, 0]]
     for j in range(n - sl):

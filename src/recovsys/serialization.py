@@ -8,15 +8,16 @@ Measures are only written: no command reads a measure file back.  Graphs,
 recovery tables and codes are also read, and a malformed file raises
 ValueError naming the missing graph field or the bad table or code line.
 Code files hold one codeword per line in sorted order; they are written from
-and read into the rows of a `WordRows` through byte lookup tables, with no
-per-symbol Python work.  A code file laid out as it is written, equal lines
-each ending in a newline, is read as one byte block, with no string per
-line; other text, such as padded or CRLF lines, goes through the line
-reader, which defines the format.  Recovery tables are written the same
+and read into the rows of a `WordRows` by `bytes.translate` through two
+256-byte tables, symbol to digit and digit to symbol, with no per-symbol
+Python work.  A code file laid out as it is written, equal lines each
+ending in a newline, is read as one byte block, with no string per line;
+other text, such as padded or CRLF lines, goes through the line reader,
+which defines the format.  Recovery tables are written the same
 way, from the rows of a `RecoveryTable`.  Graphs are written from their
 label and edge rows, one formatted string per vertex and per edge, in the
 layout of ``json.dumps(..., indent=1)``, and read back into those rows with
-one byte lookup per kind of label.  A symbol outside [0, 36) is refused by
+one translation per kind of label.  A symbol outside [0, 36) is refused by
 every writer before any text is made.
 """
 
@@ -36,10 +37,13 @@ from .storage import WordRows
 from .systems import RecoveryTable
 
 DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
-_DIGIT_BYTES = np.frombuffer(DIGITS.encode(), dtype=np.uint8)
-# The symbol of each byte, -1 for a byte that is not a digit.
-_BYTE_SYMBOLS = np.full(256, -1, dtype=np.int8)
-_BYTE_SYMBOLS[_DIGIT_BYTES] = np.arange(len(DIGITS))
+# `bytes.translate` tables.  Symbol s < 36 is written as DIGITS[s] and
+# _NEWLINE as a line break; a byte is read as its digit's symbol, a line
+# break as _NEWLINE, and any other byte as 255 (find's -1).
+_NEWLINE = len(DIGITS)
+_TEXT = (DIGITS + "\n").encode()
+_SYMBOL_BYTES = _TEXT.ljust(256, b"?")
+_BYTE_SYMBOLS = bytes(_TEXT.find(b) % 256 for b in range(256))
 _SYMBOL_RANGE = "text encoding supports alphabets up to size 36: symbols 0 to 35"
 # Largest measure file, in cells (states**2): truncated q=16, 4,096 states,
 # writes about 335 MB of text.
@@ -92,7 +96,12 @@ def _row_texts(rows: np.ndarray) -> list[str]:
     if not rows.size:
         return [""] * len(rows)
     m = rows.shape[1]
-    return _DIGIT_BYTES[rows].view(f"S{m}")[:, 0].astype(f"U{m}").tolist()
+    return np.frombuffer(_text_bytes(rows), dtype=f"S{m}").astype(f"U{m}").tolist()
+
+
+def _text_bytes(rows: np.ndarray) -> bytes:
+    """The rows' bytes, row after row, through `_SYMBOL_BYTES`: symbols must lie in [0, 36]."""
+    return rows.astype(np.uint8, copy=False).tobytes().translate(_SYMBOL_BYTES)
 
 
 def _json_list(items: list[str]) -> str:
@@ -150,14 +159,14 @@ def _label_rows(kind: str, texts: list[str]) -> np.ndarray:
 def _text_symbols(texts: list[str]) -> tuple[np.ndarray, np.ndarray, int | None]:
     """The symbols of all `texts` in turn, each text's length, and the first bad text.
 
-    One `_BYTE_SYMBOLS` lookup over the joined text; the bad text is the
+    One `_BYTE_SYMBOLS` translation of the joined text; the bad text is the
     index of the first with a character that is not a digit, or None.
     """
     lengths = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
     # Replacing each non-ASCII character by "?" keeps one byte per character.
-    data = "".join(texts).encode("ascii", "replace")
-    symbols = _BYTE_SYMBOLS[np.frombuffer(data, dtype=np.uint8)]
-    bad = symbols < 0
+    data = "".join(texts).encode("ascii", "replace").translate(_BYTE_SYMBOLS)
+    symbols = np.frombuffer(data, dtype=np.uint8)
+    bad = symbols >= _NEWLINE
     if not bad.any():
         return symbols, lengths, None
     return symbols, lengths, int(np.searchsorted(np.cumsum(lengths), bad.argmax(), side="right"))
@@ -181,7 +190,7 @@ def recovery_table_to_text(table: Mapping[tuple[Word, Word], Word]) -> str:
     template = b"%s %s -> %s\n" % (b"0" * a, b"0" * (ab - a), b"0" * (rows.shape[1] - ab))
     template = np.frombuffer(template, dtype=np.uint8)
     text = np.tile(template, (len(rows), 1))
-    text[:, template == ord("0")] = _DIGIT_BYTES[rows]
+    text[:, template == ord("0")] = np.frombuffer(_text_bytes(rows), dtype=np.uint8).reshape(rows.shape)
     return text.tobytes()[:-1].decode()
 
 
@@ -257,13 +266,13 @@ def codewords_to_text(words: WordRows) -> str:
     """The words as digit strings, one per line in sorted order."""
     rows = words.rows
     _check_symbols(rows)
-    text = np.full((len(rows), rows.shape[1] + 1), ord("\n"), dtype=np.uint8)
-    text[:, :-1] = _DIGIT_BYTES[rows]
-    return text.tobytes()[:-1].decode()
+    text = np.full((len(rows), rows.shape[1] + 1), _NEWLINE, dtype=np.uint8)
+    text[:, :-1] = rows
+    return _text_bytes(text)[:-1].decode()
 
 
 def _check_symbols(rows: np.ndarray) -> None:
-    """Refuse a symbol outside [0, 36), which `_DIGIT_BYTES` would wrap.
+    """Refuse a symbol outside [0, 36), which `_SYMBOL_BYTES` would misread or wrap.
 
     Symbols must be integers: an int too large for int64 makes an object
     array, and a float one a float array, and both are refused.
@@ -277,14 +286,15 @@ def codewords_from_text(text: str) -> WordRows:
 
     Text laid out as `codewords_to_text` writes it, N lines of n >= 1
     digits each ending in a newline, is read as one (N, n + 1) byte block
-    with one `_BYTE_SYMBOLS` lookup.  Any other text goes through the line
-    reader, `_codewords_from_lines`, which defines the format and its errors.
+    through one `_BYTE_SYMBOLS` translation.  Any other text goes through
+    the line reader, `_codewords_from_lines`, which defines the format and
+    its errors.
     """
     if text.isascii() and (n := text.find("\n")) > 0 and len(text) % (n + 1) == 0:
-        block = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, n + 1)
-        symbols = _BYTE_SYMBOLS[block[:, :n]]
-        if (block[:, n] == ord("\n")).all() and (symbols >= 0).all():
-            return WordRows(symbols.view(np.uint8))
+        data = text.encode("ascii").translate(_BYTE_SYMBOLS)
+        block = np.frombuffer(data, dtype=np.uint8).reshape(-1, n + 1)
+        if (block[:, n] == _NEWLINE).all() and block[:, :n].max() < _NEWLINE:
+            return WordRows(block[:, :n])
     return _codewords_from_lines(text)
 
 
@@ -308,4 +318,4 @@ def _codewords_from_lines(text: str) -> WordRows:
             f"line {i + 1} {lines[i]!r}: length {lengths[i]}, "
             f"but line {nonblank[0] + 1} has length {width}"
         )
-    return WordRows(symbols.view(np.uint8).reshape(nonblank.size, width))
+    return WordRows(symbols.reshape(nonblank.size, width))

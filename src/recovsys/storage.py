@@ -10,10 +10,10 @@ one-byte symbols, or in the entries' sorted keys for wider ones, so memory
 never follows the symbol values.  Period-n points are counted exactly as
 the trace of an adjacency power, from its residues modulo word-size
 pairwise coprime moduli.
-Period-n words are read by joining the walks of the two half lengths on
-their endpoints, which yields the rows already sorted; `graphs.ENUM_CAP`
-bounds the closed-walk count and the longer half's path count, and is
-tested before any walk starts.
+Period-n words are read by joining the paths of the two half lengths on
+their endpoints, both taken from one walk, which yields the rows already
+sorted; `graphs.ENUM_CAP` bounds the closed-walk count and the longer
+half's path count, and is tested before the walk starts.
 """
 
 from __future__ import annotations
@@ -167,9 +167,9 @@ def periodic_points(G: LabeledDigraph, n: int) -> PeriodicPoints:
     single symbols, and both the count and the number of paths of length
     ``n - n // 2`` are at most `graphs.ENUM_CAP` (tested before any walk;
     else `words` is None), the words are read by meeting in the middle: the
-    walks of the two half lengths are joined on their shared endpoints, one
-    joined row per closed sequence of edge rows, and the distinct rows come
-    out already sorted.  The count bounds the joined rows, and in an
+    paths of the two half lengths, read from one walk, are joined on their
+    shared endpoints, one joined row per closed sequence of edge rows, and
+    the distinct rows come out already sorted.  The count bounds the joined rows, and in an
     essential graph the longer half has at least as many paths as the
     shorter; a row's count does not repeat a walk.  There are `count` words
     iff distinct closed paths spell distinct words, as in window
@@ -214,13 +214,14 @@ def verify_storage_code(C: CycleStorageCode) -> StorageVerification:
     The table's rows are read as (left, middle, right) entries, and only those
     whose symbols all lie in [0, top), top one past the codewords' largest,
     can repair a position.  Each block of rows is checked with one lookup of
-    its positions' (left, right) keys, read at the rolled neighbors, and one
-    comparison with the middles found.  One-byte rows key by symbol into a
-    dense table of 256 x 256 middles.  Wider rows key by the symbols' ranks
-    among the K the entries name, with K for a symbol they do not name, and
-    find the middle by searching the entries' sorted keys; so memory never
-    grows with the symbol values or with the square of the entries.  Empty
-    cells hold a value no index takes.
+    its positions' (left, right) keys, read from one copy of the block with
+    each row's ends wrapped around, and one comparison with the middles
+    found.  One-byte rows key by symbol into a dense table of 256 x 256
+    middles.  Wider rows key by the symbols' ranks among the K the entries
+    name, with K for a symbol they do not name, and find the middle by
+    searching the entries' sorted keys; so memory never grows with the
+    symbol values or with the square of the entries.  Empty cells hold a
+    value no index takes.
     """
     rows = C.codewords.rows
     # Symbols past the codewords' largest repair nothing; the rest fit the rows' dtype.
@@ -246,8 +247,10 @@ def verify_storage_code(C: CycleStorageCode) -> StorageVerification:
     for lo in range(0, len(rows), per_block):
         block = rows[lo : lo + per_block]
         at = block if symbols is None else _rank_in(symbols, block)
-        key = np.roll(at, 1, axis=1) * width
-        key += np.roll(at, -1, axis=1)
+        # Column j of the ring is position j's left neighbor, column j + 2 its right.
+        ring = np.concatenate((at[:, -1:], at, at[:, :1]), axis=1)
+        key = ring[:, :-2] * width
+        key += ring[:, 2:]
         ok = table.take(key if symbols is None else _rank_in(pairs, key)) == at
         if not ok.all():
             r, i = divmod(int(np.argmin(ok)), C.n)

@@ -136,7 +136,7 @@ def open_walk_points(G, n):
     Walks all length-n paths with `graphs._paths`, keeps those that end where
     they start and lets `WordRows` sort the rows and drop repeats.
     """
-    start, end, symbols = rs.graphs._paths(rs.essential_subgraph(G), n)
+    start, end, symbols = next(rs.graphs._paths(rs.essential_subgraph(G), n))
     return WordRows(symbols[start == end]).rows
 
 

@@ -357,20 +357,20 @@ def test_measure_epsilon_refuses_an_epsilon_graph_over_the_cap(tmp_path, monkeyp
     S = rs.truncated_debruijn_system(9)
     ser.save_graph(S.presentation, tmp_path / "g.json")
     n = len(rs.epsilon_construction(S, 0.1).states)
-    out = tmp_path / "e.json"
-    args = ["measure", "epsilon", "--q", "9", "--graph", str(tmp_path / "g.json"), "--eps", "0.1", "--out-graph", str(out)]
-    monkeypatch.setattr(ser, "MEASURE_TEXT_CELLS", n * n - 1)
-    # Refused before the epsilon graph, whose build starts from a states**2 array.
-    monkeypatch.setattr(rs.EpsilonConstruction, "graph", property(lambda self: pytest.fail("graph was built")))
+    out, nu = tmp_path / "e.json", tmp_path / "nu.txt"
+    args = ["measure", "epsilon", "--q", "9", "--graph", str(tmp_path / "g.json"), "--eps", "0.1"]
+    args += ["--out-graph", str(out), "--out-measure", str(nu)]
+    # The graph refuses itself, and is read before either file is written.
+    monkeypatch.setattr(rs.measures, "EPSILON_GRAPH_EDGES", n * n - 1)
     res = run(*args)
     assert res.exit_code == 2
     assert f"an epsilon graph on {n} states has up to {n * n} edges, over the cap of {n * n - 1}" in res.stderr
     assert res.stdout == ""
-    assert not out.exists()
-    monkeypatch.undo()
-    monkeypatch.setattr(ser, "MEASURE_TEXT_CELLS", n * n)
+    assert not out.exists() and not nu.exists()
+    monkeypatch.setattr(rs.measures, "EPSILON_GRAPH_EDGES", n * n)
     assert run(*args).exit_code == 0
     assert ser.graph_from_json(out.read_text()) == rs.epsilon_construction(S, 0.1).graph
+    assert nu.exists()
 
 
 def test_measure_epsilon_writes_the_epsilon_graph(tmp_path):

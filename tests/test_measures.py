@@ -1,6 +1,7 @@
 import functools
 import math
 import re
+import tracemalloc
 from decimal import Decimal, localcontext
 from itertools import product
 
@@ -303,6 +304,27 @@ def test_epsilon_graph_follows_the_parent_windows(request, name, eps):
     want = rs.adjacency(base)[np.ix_(parent, parent)]
     assert np.array_equal(rs.adjacency(G), want)
     assert all(label == states[v] for _, v, label in G.edges)
+
+
+def test_epsilon_graph_over_the_edge_cap_is_refused_before_any_array():
+    # 46,656 states: the states**2 mask alone would take 2.2 GB.
+    built = rs.epsilon_construction(rs.truncated_debruijn_system(36), 0.1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="epsilon graph on 46656 states has up to 2176782336 edges"):
+            built.graph
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    # The cap is on states**2: at truncated q=9, 729**2 edges pass a cap of
+    # 729**2 and one less refuses them.
+    S = rs.truncated_debruijn_system(9)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "EPSILON_GRAPH_EDGES", 729**2 - 1)
+        with pytest.raises(ValueError, match=f"on 729 states has up to {729**2} edges, over the cap of {729**2 - 1}"):
+            rs.epsilon_construction(S, 0.1).graph
+        mp.setattr(measures, "EPSILON_GRAPH_EDGES", 729**2)
+        assert rs.epsilon_construction(S, 0.1).graph.n_vertices == 729
 
 
 @st.composite

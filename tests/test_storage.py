@@ -404,6 +404,25 @@ def test_closed_walk_rows_come_out_sorted_and_distinct(request, name, n):
     assert np.array_equal(rs.periodic_points(E, n).words.rows, rows)
 
 
+@pytest.mark.parametrize("name", ["de_bruijn_2_1", "binary_system"])
+def test_one_walk_serves_one_period(request, monkeypatch, name):
+    G = rs.de_bruijn(2, 1) if name == "de_bruijn_2_1" else request.getfixturevalue(name).presentation
+    want = {n: open_walk_points(G, n) for n in range(1, 8)}
+    walk, started = rs.graphs._paths, []
+
+    def counted(E, m):
+        started.append(m)
+        return walk(E, m)
+
+    monkeypatch.setattr(rs.graphs, "_paths", counted)
+    for n in range(1, 8):
+        started.clear()
+        rows = rs.periodic_points(G, n).words.rows
+        # One walk to the shorter half; an odd n reads its longer half one step on.
+        assert started == [n // 2]
+        assert np.array_equal(rows, want[n])
+
+
 @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
 def test_word_rows_sort_unsorted_input_and_keep_sorted_input(dtype):
     rng = np.random.default_rng(7)
