@@ -265,16 +265,18 @@ def bounds_rows(lo: int, hi: int) -> list[tuple[int, float | None, float | None,
 
 
 def bounds_csv(rows) -> str:
-    lines = ["q,eq11_bound,recursive_bound,upper_bound"]
-    for q, eq11, rec, upper in rows:
-        cells = [
-            str(q),
-            fmt(eq11) if eq11 is not None else "",
-            fmt(rec) if rec is not None else "",
-            fmt(upper),
-        ]
-        lines.append(",".join(cells))
-    return "\n".join(lines)
+    return "".join(_csv_chunks(rows))
+
+
+def _csv_chunks(rows):
+    """The CSV text of `rows`: its header, then one chunk per block of rows."""
+    yield "q,eq11_bound,recursive_bound,upper_bound"
+    step = serialization._CHUNK_ITEMS
+    for s in range(0, len(rows), step):
+        yield "".join(
+            f"\n{q},{'' if eq11 is None else fmt(eq11)},{'' if rec is None else fmt(rec)},{fmt(upper)}"
+            for q, eq11, rec, upper in rows[s : s + step]
+        )
 
 
 @report.command("bounds")
@@ -283,12 +285,12 @@ def bounds_csv(rows) -> str:
 def report_bounds(q_spec, out):
     """Lower bounds on (1,1) capacity per alphabet size, against the 1/2 cap."""
     lo, hi = _parse_q_range(q_spec)
-    text = bounds_csv(bounds_rows(lo, hi))
+    rows = bounds_rows(lo, hi)
     if out:
-        Path(out).write_text(text + "\n")
+        serialization._write_chunks(out, _csv_chunks(rows))
         click.echo(f"wrote {out}")
     else:
-        click.echo(text)
+        click.echo(bounds_csv(rows))
 
 
 if __name__ == "__main__":

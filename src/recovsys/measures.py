@@ -22,6 +22,7 @@ from .graphs import (
     ENUM_CAP,
     LabeledDigraph,
     Word,
+    _is_deterministic,
     _paths,
     _ranked,
     _rows_by_target,
@@ -251,7 +252,9 @@ def max_entropy_measure(G: LabeledDigraph) -> MarkovMeasure:
     end, as ``A`` and ``A.T`` share their spectral radius.  Requires a
     strongly connected graph with edges and at most one edge from any
     vertex to any other: a chain on vertices cannot tell parallel edges
-    apart, so its entropy would miss theirs.
+    apart, so its entropy would miss theirs.  It must also be right-resolving
+    (no vertex emits a label twice): on any other graph the capacity of the
+    presented system can lie below log lam, the chain's entropy rate.
     """
     if not is_strongly_connected(G):
         raise ValueError("the max-entropy measure needs a strongly connected graph")
@@ -263,6 +266,10 @@ def max_entropy_measure(G: LabeledDigraph) -> MarkovMeasure:
         raise ValueError(
             f"the max-entropy measure needs at most one edge per vertex pair; "
             f"vertex {u} has {A[u, v]} edges to vertex {v}"
+        )
+    if not _is_deterministic(G):
+        raise ValueError(
+            "the max-entropy measure needs a right-resolving presentation: a vertex emits a label twice"
         )
     A = A.astype(float)
     lam, y, x = perron_vectors(A)

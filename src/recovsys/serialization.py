@@ -3,31 +3,39 @@
 Words are written as digit strings with digits beyond 9 encoded as lowercase
 letters (alphabets up to size 36).  Floating-point values are written with 17
 significant digits, which round-trips doubles bit-identically; a measure file
-formats each distinct value once and gathers its cells' text from those.
-Measures are only written: no command reads a measure file back.  Graphs,
-recovery tables and codes are also read, and a malformed file raises
-ValueError naming the missing graph field or the bad table or code line.
-Code files hold one codeword per line in sorted order; they are written from
-and read into the rows of a `WordRows` by `bytes.translate` through two
-256-byte tables, symbol to digit and digit to symbol, with no per-symbol
-Python work.  A code file laid out as it is written, equal lines each
-ending in a newline, is read as one byte block, with no string per line;
-other text, such as padded or CRLF lines, goes through the line reader,
-which defines the format.  Recovery tables are written the same
+formats each distinct value of a block of rows once and gathers its cells'
+text from those.  Measures are only written: no command reads a measure
+file back.  Graphs, recovery tables and codes are also read, and a malformed
+file raises ValueError naming the missing graph field or the bad table or
+code line.  Code files hold one codeword per line in sorted order; they are
+written from and read into the rows of a `WordRows` by `bytes.translate`
+through two 256-byte tables, symbol to digit and digit to symbol, with no
+per-symbol Python work.  A code file laid out as it is written, equal lines
+each ending in a newline, is read as one byte block, with no string per
+line; other text, such as padded or CRLF lines, goes through the line
+reader, which defines the format.  Recovery tables are written the same
 way, from the rows of a `RecoveryTable`.  Graphs are written from their
-label and edge rows, one formatted string per vertex and per edge, in the
-layout of ``json.dumps(..., indent=1)``, and read back into those rows with
-one translation per kind of label.  A symbol outside [0, 36) is refused by
-every writer before any text is made.
+label and edge rows, in the layout of ``json.dumps(..., indent=1)``, and
+read back into those rows with one translation per kind of label.
+
+Every format is defined once, by a generator of chunks, each the text of at
+most `_CHUNK_ITEMS` vertices, edge rows, table lines or measure cells:
+`graph_to_json`, `recovery_table_to_text` and `measure_to_text` join their
+format's chunks, and each ``save_*`` writes them as they come through
+`_write_chunks`, so no writer holds a file's text whole.  A
+writer's checks, such as a symbol outside [0, 36) or a measure over
+`MEASURE_TEXT_CELLS`, run before its first chunk, and so before its file
+is opened: a refused write makes no file.
 """
 
 from __future__ import annotations
 
 import json
 import re
+from itertools import chain
 from operator import index, itemgetter
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -46,8 +54,12 @@ _SYMBOL_BYTES = _TEXT.ljust(256, b"?")
 _BYTE_SYMBOLS = bytes(_TEXT.find(b) % 256 for b in range(256))
 _SYMBOL_RANGE = "text encoding supports alphabets up to size 36: symbols 0 to 35"
 # Largest measure file, in cells (states**2): truncated q=16, 4,096 states,
-# writes about 335 MB of text.
+# writes about 121 MB of text at eps = 0.1.
 MEASURE_TEXT_CELLS = 4096**2
+# Vertices, edge rows, table lines or measure cells in one chunk of a written
+# file, about a megabyte of text at most.  A writer holds two chunks at a
+# time, the one written and the one made next, with their Python strings.
+_CHUNK_ITEMS = 1 << 14
 
 
 def word_to_text(w: Word) -> str:
@@ -75,19 +87,35 @@ def graph_to_json(G: LabeledDigraph) -> str:
     written from the rows, each row repeated `count` times, with each
     vertex label and each label word formatted once, from its row.
     """
+    return "".join(_graph_chunks(G))
+
+
+def _graph_chunks(G: LabeledDigraph) -> Iterator[str]:
+    """The chunks of `graph_to_json`; `np.repeat` expands one block of edge rows at a time."""
+    _check_symbols(G.label_rows)
     words = _row_texts(G.word_rows)
-    vertices = [
-        f'  {{\n   "id": {i},\n   "label": "{w}"\n  }}' for i, w in enumerate(_row_texts(G.label_rows))
-    ]
-    src, dst, lab = (np.repeat(row, G.count).tolist() for row in (G.src, G.dst, G.lab))
-    edges = [
+    step = _CHUNK_ITEMS
+    yield f'{{\n "q": {G.q},\n "label_len": {G.label_len},\n "vertices": '
+    yield from _json_list(_vertex_texts(G, s, s + step) for s in range(0, G.n_vertices, step))
+    yield ',\n "edges": '
+    yield from _json_list(_edge_texts(G, words, s, s + step) for s in range(0, len(G.count), step))
+    yield "\n}"
+
+
+def _vertex_texts(G: LabeledDigraph, start: int, stop: int) -> list[str]:
+    """The JSON items of the vertices start..stop-1."""
+    labels = _row_texts(G.label_rows[start:stop])
+    return [f'  {{\n   "id": {i},\n   "label": "{w}"\n  }}' for i, w in enumerate(labels, start)]
+
+
+def _edge_texts(G: LabeledDigraph, words: list[str], start: int, stop: int) -> list[str]:
+    """The JSON items of the edges of rows start..stop-1, each row repeated `count` times."""
+    count = G.count[start:stop]
+    src, dst, lab = (np.repeat(row[start:stop], count).tolist() for row in (G.src, G.dst, G.lab))
+    return [
         f'  {{\n   "from": {u},\n   "to": {v},\n   "label": "{words[a]}"\n  }}'
         for u, v, a in zip(src, dst, lab)
     ]
-    return (
-        f'{{\n "q": {G.q},\n "label_len": {G.label_len},\n'
-        f' "vertices": {_json_list(vertices)},\n "edges": {_json_list(edges)}\n}}'
-    )
 
 
 def _row_texts(rows: np.ndarray) -> list[str]:
@@ -104,8 +132,27 @@ def _text_bytes(rows: np.ndarray) -> bytes:
     return rows.astype(np.uint8, copy=False).tobytes().translate(_SYMBOL_BYTES)
 
 
-def _json_list(items: list[str]) -> str:
-    return "[\n" + ",\n".join(items) + "\n ]" if items else "[]"
+def _json_list(blocks: Iterable[list[str]]) -> Iterator[str]:
+    """The chunks of a JSON list at depth 1, its item texts given block by block."""
+    opening = "[\n"
+    for items in filter(None, blocks):
+        yield opening + ",\n".join(items)
+        opening = ",\n"
+    yield "[]" if opening == "[\n" else "\n ]"
+
+
+def _write_chunks(path: str | Path, chunks: Iterable[str | bytes | np.ndarray]) -> None:
+    """Write the chunks, ASCII text or uint8 buffers, as they come, then a final newline.
+
+    The first chunk is made before the file is opened, so the checks that a
+    writer runs before its first chunk refuse with no file created.
+    """
+    chunks = iter(chunks)
+    first = next(chunks, b"")
+    with open(path, "wb") as f:
+        for chunk in chain((first,), chunks):
+            f.write(chunk.encode("ascii") if isinstance(chunk, str) else chunk)
+        f.write(b"\n")
 
 
 def graph_from_json(text: str) -> LabeledDigraph:
@@ -173,7 +220,8 @@ def _text_symbols(texts: list[str]) -> tuple[np.ndarray, np.ndarray, int | None]
 
 
 def save_graph(G: LabeledDigraph, path: str | Path) -> None:
-    Path(path).write_text(graph_to_json(G) + "\n")
+    """Write ``graph_to_json(G) + "\\n"`` chunk by chunk; a symbol outside [0, 36) makes no file."""
+    _write_chunks(path, _graph_chunks(G))
 
 
 def recovery_table_to_text(table: Mapping[tuple[Word, Word], Word]) -> str:
@@ -183,19 +231,29 @@ def recovery_table_to_text(table: Mapping[tuple[Word, Word], Word]) -> str:
     as it is, any other mapping sorted as ``sorted(table.items())`` sorts
     it, and refused there if its word lengths differ between entries.
     """
+    return b"".join(_table_chunks(table)).decode()
+
+
+def _table_chunks(table: Mapping[tuple[Word, Word], Word]) -> Iterator[np.ndarray]:
+    """The uint8 text of `recovery_table_to_text`, at most `_CHUNK_ITEMS` lines a chunk."""
     table = RecoveryTable.of(table)
     rows, (a, ab) = table.rows, table.ends
     _check_symbols(rows)
     # one line per row: its digits go where the template holds "0"
     template = b"%s %s -> %s\n" % (b"0" * a, b"0" * (ab - a), b"0" * (rows.shape[1] - ab))
     template = np.frombuffer(template, dtype=np.uint8)
-    text = np.tile(template, (len(rows), 1))
-    text[:, template == ord("0")] = np.frombuffer(_text_bytes(rows), dtype=np.uint8).reshape(rows.shape)
-    return text.tobytes()[:-1].decode()
+    digits = template == ord("0")
+    for s in range(0, len(rows), _CHUNK_ITEMS):
+        block = rows[s : s + _CHUNK_ITEMS]
+        text = np.tile(template, (len(block), 1))
+        text[:, digits] = np.frombuffer(_text_bytes(block), dtype=np.uint8).reshape(block.shape)
+        # the last line's newline is the file's final one
+        yield text.ravel()[: -1 if s + _CHUNK_ITEMS >= len(rows) else None]
 
 
 def save_recovery_table(table: Mapping[tuple[Word, Word], Word], path: str | Path) -> None:
-    Path(path).write_text(recovery_table_to_text(table) + "\n")
+    """Write ``recovery_table_to_text(table) + "\\n"`` chunk by chunk; a refused table makes no file."""
+    _write_chunks(path, _table_chunks(table))
 
 
 def recovery_table_from_text(text: str) -> RecoveryTable:
@@ -227,39 +285,55 @@ def measure_to_text(M: MarkovMeasure | EpsilonConstruction) -> str:
     An `EpsilonConstruction` is written as its `measure`, byte for byte,
     without building it: its P rows are the rows ``mu.P[:, parent] *
     weight`` of its base measure mu, row i being row ``parent[i]``, and
-    each cell is the same float product as in the dense chain.  A file is
-    states**2 cells, so more than `MEASURE_TEXT_CELLS` raise ValueError
-    before any row or text is made.
+    each cell is the same float product as in the dense chain; each of
+    those rows is formatted once.  A file is states**2 cells, so more than
+    `MEASURE_TEXT_CELLS` raise ValueError before any row or text is made.
     """
+    return "".join(_measure_chunks(M))
+
+
+def _measure_chunks(M: MarkovMeasure | EpsilonConstruction) -> Iterator[str]:
+    """The chunks of `measure_to_text`, each at most `_CHUNK_ITEMS` cells of P rows."""
     n = len(M.state_rows)
     if n * n > MEASURE_TEXT_CELLS:
         raise ValueError(
             f"a measure on {n} states is {n * n} cells of text, "
             f"over the cap of {MEASURE_TEXT_CELLS}"
         )
-    if isinstance(M, EpsilonConstruction):
-        q, emit = M.base_measure.q, M.base_measure.emit
-        P, row_of = M.base_measure.P[:, M.parent] * M.weight, M.parent.tolist()
+    mu = M.base_measure if isinstance(M, EpsilonConstruction) else M
+    lines = [f"q {mu.q}", f"emit {mu.emit}", f"log_base {mu.q**mu.emit}", f"states {n}"]
+    yield "\n".join([*lines, *_row_texts(M.state_rows), "P", ""])
+    step = max(1, _CHUNK_ITEMS // max(n, 1))
+    if mu is M:
+        blocks = (_cell_texts(M.P[s : s + step]) for s in range(0, n, step))
     else:
-        q, emit, P, row_of = M.q, M.emit, M.P, range(n)
-    lines = [f"q {q}", f"emit {emit}", f"log_base {q**emit}", f"states {n}"]
-    lines += _row_texts(M.state_rows)
-    # Each distinct nonzero value of P and p is formatted once, and each row
-    # of P joined once; zero cells, most of a sparse chain's, are "0"
-    # without the sort.  A measure's cells are products of nonnegative
-    # factors, so a zero is +0.0, whose text is "0".
-    cells = np.vstack((P, M.p))
+        # row i is row parent[i] of mu.P[:, parent] * weight, each formatted once
+        cells = (mu.P[s : s + step, M.parent] * M.weight for s in range(0, len(mu.P), step))
+        base = [row for block in cells for row in _cell_texts(block)]
+        blocks = ([base[i] for i in M.parent[s : s + step].tolist()] for s in range(0, n, step))
+    for rows in blocks:
+        yield "\n".join([*rows, ""])
+    yield "p\n" + _cell_texts(M.p[None])[0]
+
+
+def _cell_texts(cells: np.ndarray) -> list[str]:
+    """Each row of `cells` as its comma-joined cell texts.
+
+    Each distinct nonzero value is formatted once, the values ranked by one
+    sort and a run mask; zero cells, most of a sparse chain's, are "0"
+    without the sort.  A measure's cells are products of nonnegative
+    factors, so a zero is +0.0, whose text is "0".
+    """
     live = cells != 0
-    values, inverse = np.unique(cells[live], return_inverse=True)
+    values, inverse = _ranked(cells[live][:, None])
     text = np.full(cells.shape, "0", dtype=object)
-    text[live] = np.array([fmt(x) for x in values.tolist()], dtype=object)[inverse]
-    rows = [",".join(row) for row in text.tolist()]
-    lines += ["P", *(rows[i] for i in row_of), "p", rows[-1]]
-    return "\n".join(lines)
+    text[live] = np.array([fmt(x) for x in values[:, 0].tolist()], dtype=object)[inverse]
+    return [",".join(row) for row in text.tolist()]
 
 
 def save_measure(M: MarkovMeasure | EpsilonConstruction, path: str | Path) -> None:
-    Path(path).write_text(measure_to_text(M) + "\n")
+    """Write ``measure_to_text(M) + "\\n"`` chunk by chunk; a measure over the cap makes no file."""
+    _write_chunks(path, _measure_chunks(M))
 
 
 def codewords_to_text(words: WordRows) -> str:

@@ -26,6 +26,7 @@ import numpy as np
 from .graphs import (
     LabeledDigraph,
     Word,
+    _is_deterministic,
     _sorted_runs,
     _word_graph,
     _word_grid,
@@ -245,8 +246,13 @@ def system_capacity(G: LabeledDigraph) -> float:
     """Growth rate (base q) of the word counts of the system `G` presents.
 
     Equals ``log_q`` of the spectral radius of the adjacency matrix; a
-    presentation with no bi-infinite paths at all reports ``-inf``.
+    presentation with no bi-infinite paths at all reports ``-inf``.  That
+    holds for a right-resolving presentation, where no vertex emits two
+    edges with the same label (Lind & Marcus §4.3); for any other it is only
+    an upper bound, so any other raises ValueError.
     """
+    if not _is_deterministic(G):
+        raise ValueError("the capacity needs a right-resolving presentation: a vertex emits a label twice")
     lam = perron_eigenvalue(adjacency(G))
     if lam == 0.0:
         return float("-inf")

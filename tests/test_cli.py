@@ -399,6 +399,19 @@ def test_measure_maxent_rejects_parallel_edges(tmp_path):
     assert not any(line.startswith("h ") for line in res.output.splitlines())
 
 
+def test_measure_maxent_refuses_a_presentation_that_is_not_right_resolving(tmp_path):
+    gpath = tmp_path / "g.json"
+    edges = tuple((u, v, (0,)) for u in (0, 1) for v in (0, 1))
+    ser.save_graph(LabeledDigraph(2, ((0,), (1,)), edges), gpath)
+    res = run("measure", "maxent", "--graph", str(gpath), "--out", str(tmp_path / "m.txt"))
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == (
+        "error: the max-entropy measure needs a right-resolving presentation: a vertex emits a label twice\n"
+    )
+    assert not (tmp_path / "m.txt").exists()
+
+
 def test_report_bounds_csv_and_determinism():
     first = run("report", "bounds", "--q", "9..16")
     second = run("report", "bounds", "--q", "9..16")
@@ -546,12 +559,37 @@ def test_cli_refuses_bad_input(tmp_path, args, message):
     assert res.stderr == f"error: {message}\n"
 
 
-def test_report_bounds_writes_the_csv_it_prints(tmp_path):
+@pytest.mark.parametrize("chunk", [1, 3, ser._CHUNK_ITEMS])
+def test_report_bounds_writes_the_csv_it_prints(tmp_path, monkeypatch, chunk):
+    expected = run("report", "bounds", "--q", "9..16").stdout
     out = tmp_path / "bounds.csv"
+    monkeypatch.setattr(ser, "_CHUNK_ITEMS", chunk)
     res = run("report", "bounds", "--q", "9..16", "--out", str(out))
     assert res.exit_code == 0
     assert res.stdout == f"wrote {out}\n"
-    assert out.read_text() == run("report", "bounds", "--q", "9..16").stdout
+    assert out.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["construct", "truncated", "--q", "49", "--out-graph", "{out}"], "text encoding supports alphabets"),
+        (["construct", "truncated", "--q", "49", "--out-table", "{out}"], "text encoding supports alphabets"),
+        (
+            ["measure", "epsilon", "--q", "2", "--eps", "0.1", "--out-measure", "{out}"],
+            "a measure on 8 states is 64 cells of text, over the cap of 63",
+        ),
+    ],
+)
+def test_a_refused_write_makes_no_file(tmp_path, monkeypatch, args, message):
+    # The writers refuse before they open their file.
+    out = tmp_path / "out"
+    monkeypatch.setattr(ser, "MEASURE_TEXT_CELLS", 63)
+    res = run(*(a.format(out=out) for a in args))
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith(f"error: {message}")
+    assert not out.exists()
 
 
 def test_measure_maxent_names_the_measure_file(tmp_path, edge4_system):

@@ -156,6 +156,19 @@ def test_max_entropy_rejects_parallel_edges(G, pair):
         rs.max_entropy_measure(G)
 
 
+def test_max_entropy_refuses_a_presentation_that_is_not_right_resolving():
+    # Its chain would have entropy rate 1 (log base 2), yet the system has
+    # 2 words at every length; parallel edges are named first.
+    edges = tuple((u, v, (0,)) for u in (0, 1) for v in (0, 1))
+    G = LabeledDigraph(2, ((0,), (1,)), edges)
+    assert [rs.count_words(G, n) for n in range(1, 7)] == [2] * 6
+    with pytest.raises(ValueError, match="^the max-entropy measure needs a right-resolving presentation"):
+        rs.max_entropy_measure(G)
+    doubled = LabeledDigraph(2, ((0,), (1,)), edges + ((1, 0, (0,)),))
+    with pytest.raises(ValueError, match="vertex 1 has 2 edges to vertex 0$"):
+        rs.max_entropy_measure(doubled)
+
+
 @pytest.mark.parametrize("n, length, start", [(300, 50, 123), (40, 9, 39), (6, 5, 0)])
 def test_perron_vectors_pair_to_one_and_give_the_parry_mass(n, length, start):
     G = chorded_cycle_graph(n, length, start)

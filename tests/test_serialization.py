@@ -313,6 +313,63 @@ def test_table_text_equals_the_per_line_writer(construct_systems):
     assert ser.recovery_table_to_text({}) == per_line_table_text({}) == ""
 
 
+@pytest.fixture(scope="module")
+def writer_cases(trunc8_system):
+    """Per writer: its `save_x`, its `x_to_text`, and what it writes, with the text expected.
+
+    The objects cover rows with count > 1, no vertices, no edges, an empty
+    table, and an `EpsilonConstruction`, whose text is its dense measure's.
+    """
+    built = rs.epsilon_construction(rs.truncated_debruijn_system(4), 0.1)
+    graphs = {
+        "higher_power_3": rs.higher_power(trunc8_system.presentation, 3),
+        "epsilon_q4": built.graph,
+        "no_vertices": LabeledDigraph(3, (), ()),
+        "no_edges": LabeledDigraph(3, ((0, 1), (2, 2)), ()),
+    }
+    assert graphs["higher_power_3"].count.max() > 1
+    tables = {"truncated_q8": trunc8_system.recovery_table, "empty": {}}
+    M, chain = rs.max_entropy_measure(chorded_cycle_graph(40, 9, 3)), random_chain()
+    measures = {"epsilon_q4": (built, built.measure), "maxent_chorded_cycle40": (M, M), "random": (chain, chain)}
+    cases = [(ser.save_graph, ser.graph_to_json, name, G, json_graph_text(G)) for name, G in graphs.items()]
+    cases += [
+        (ser.save_recovery_table, ser.recovery_table_to_text, name, table, per_line_table_text(table))
+        for name, table in tables.items()
+    ]
+    cases += [
+        (ser.save_measure, ser.measure_to_text, name, M, per_cell_measure_text(dense))
+        for name, (M, dense) in measures.items()
+    ]
+    return cases
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 20])
+def test_saved_files_are_the_text_and_a_newline_in_chunks_of_any_size(tmp_path, monkeypatch, writer_cases, chunk):
+    monkeypatch.setattr(ser, "_CHUNK_ITEMS", chunk)
+    for save, to_text, name, obj, text in writer_cases:
+        path = tmp_path / f"{save.__name__}_{name}"
+        save(obj, path)
+        assert path.read_bytes() == (text + "\n").encode(), (save.__name__, name)
+        assert to_text(obj) == text, (to_text.__name__, name)
+
+
+def test_a_refused_write_opens_no_file(tmp_path, monkeypatch, binary_system):
+    built = rs.epsilon_construction(binary_system, 0.1)
+    monkeypatch.setattr(ser, "MEASURE_TEXT_CELLS", len(built.states) ** 2 - 1)
+    refused = [
+        (ser.save_graph, LabeledDigraph(40, ((36,),), ((0, 0, (36,)),)), "text encoding supports"),
+        (ser.save_recovery_table, {((0,), (36,)): (0,)}, "text encoding supports"),
+        (ser.save_measure, built, "cells of text, over the cap"),
+    ]
+    for save, obj, message in refused:
+        new, old = tmp_path / f"{save.__name__}.new", tmp_path / f"{save.__name__}.old"
+        old.write_text("kept\n")
+        for path in (new, old):
+            with pytest.raises(ValueError, match=message):
+                save(obj, path)
+        assert not new.exists() and old.read_text() == "kept\n"
+
+
 @pytest.mark.parametrize(
     "call, exception, message",
     [

@@ -125,6 +125,17 @@ def test_capacity_of_edgeless_presentation_is_minus_infinity():
     assert rs.system_capacity(G) == float("-inf")
 
 
+def test_capacity_refuses_a_presentation_that_is_not_right_resolving():
+    # Every vertex emits label 0 to both vertices: log2 of the spectral
+    # radius is 1, but the system has 2 words at every length, capacity 0.
+    edges = tuple((u, v, (0,)) for u in (0, 1) for v in (0, 1))
+    G = LabeledDigraph(2, ((0,), (1,)), edges)
+    assert [rs.count_words(G, n) for n in range(1, 7)] == [2] * 6
+    message = "the capacity needs a right-resolving presentation: a vertex emits a label twice"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        rs.system_capacity(G)
+
+
 def test_upper_bound_is_exact_rational():
     assert rs.upper_bound(1, 1) == Fraction(1, 2)
     assert rs.upper_bound(3, 3) == Fraction(1, 2)
